@@ -400,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--policy", choices=("strict", "lenient"), default="strict")
-    common.add_argument(
-        "--seed", type=int, default=None, help="reserved for generated-world testing"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(

@@ -8,6 +8,7 @@ predicate pattern at ``t`` is the set of slices filling its single hole.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ArityMismatch, MissingMeasure, OutsideLifeSpan
 from .model import Policy, Slice, TimeRef, World, hole_index, within
@@ -44,7 +45,9 @@ def extension(
     time inside the member's life span. Only declared entities can fill
     the hole; other symbols are constants and have no slices. Members are
     always clipped to their life spans, so every returned slice is a
-    live stage.
+    live stage. The answer comes from the World's hole index, built on
+    the first call, so its cost follows the output, not the number of
+    facts of the predicate.
     """
     decl = world.predicate(predicate)
     pattern = tuple(pattern)
@@ -54,21 +57,14 @@ def extension(
             f"got {len(pattern)}"
         )
     hole = hole_index(pattern)
-    members: set[Slice] = set()
-    for fact in world.facts_for(predicate):
-        if any(
-            fact.args[i] != pattern[i] for i in range(len(pattern)) if i != hole
-        ):
-            continue
-        entity = world.entities.get(fact.args[hole])
-        if entity is None:
-            continue
-        if not within(t, entity.lifespan):
-            continue
-        if fact.at is not None and not decl.invariant and fact.at != t:
-            continue
-        members.add(Slice(entity.id, t, invariant=entity.invariant))
-    return frozenset(members)
+    by_tick, always = world.hole_fillers(predicate, hole, pattern[:hole] + pattern[hole + 1 :])
+    # A mutable fact holds at a single tick, so it never matches an interval.
+    candidates = chain(by_tick.get(t.tick, ()), always) if t.is_point else always
+    return frozenset(
+        Slice(entity.id, t, invariant=entity.invariant)
+        for entity in candidates
+        if within(t, entity.lifespan)
+    )
 
 
 def measure_value(world: World, measure: str, s: Slice) -> Fraction:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal
+from types import MappingProxyType
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -123,10 +124,11 @@ class Entity:
 class Slice:
     """A stage of an entity at a time, written ``e@t``.
 
-    Two slices are equal iff they are stages of the same entity at the
-    same time, or the entity is invariant (then all its stages are one).
-    `out_of_span` tags slices produced by lenient slicing outside the
-    entity's life span; it never participates in equality.
+    Two slices are equal iff they are stages of the same entity with the
+    same `invariant` flag, at the same time or, when the entity is
+    invariant, at any time (then all its stages are one). `out_of_span`
+    tags slices produced by lenient slicing outside the entity's life
+    span; it never participates in equality.
     """
 
     entity_id: str
@@ -137,7 +139,7 @@ class Slice:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Slice):
             return NotImplemented
-        if self.entity_id != other.entity_id:
+        if self.entity_id != other.entity_id or self.invariant != other.invariant:
             return False
         return self.invariant or self.at == other.at
 
@@ -222,7 +224,7 @@ class PredicationProfile:
 
 @dataclass(frozen=True)
 class Statement:
-    """A plural statement evaluated over at least two situations."""
+    """A plural statement evaluated over exactly two situations."""
 
     id: str
     subject: str
@@ -237,16 +239,48 @@ def _fact_key(f: Fact) -> tuple:
     return (f.predicate, f.args, f.at is not None, f.at.start if f.at else 0)
 
 
+# Hole index key: (predicate, hole position, the other arguments in order).
+# Value: the declared entities filling that hole, by tick for mutable facts,
+# and at any tick for `always` facts and every fact of an invariant predicate.
+# An invariant fact stated at several ticks lists its entity once per tick.
+HoleKey = tuple[str, int, tuple[str, ...]]
+HoleFillers = tuple[Mapping[int, Sequence[Entity]], Sequence[Entity]]
+
+_NO_FILLERS: HoleFillers = (MappingProxyType({}), ())
+
+
 @dataclass(frozen=True)
 class World:
-    """An immutable knowledge base; equality is structural."""
+    """An immutable knowledge base; equality and hash are structural.
 
-    entities: dict[str, Entity] = field(default_factory=dict)
-    predicates: dict[str, PredicateDecl] = field(default_factory=dict)
+    The mappings are read-only views over private copies, so the lazy
+    indices below (facts by predicate, and the hole index that answers
+    :func:`tempcoll.core.extension`, built on its first call) can never
+    go stale.
+    """
+
+    entities: Mapping[str, Entity] = field(default_factory=dict)
+    predicates: Mapping[str, PredicateDecl] = field(default_factory=dict)
     facts: tuple[Fact, ...] = ()
-    measures: dict[tuple[str, str, int], Fraction] = field(default_factory=dict)
-    collections: dict[str, Collection] = field(default_factory=dict)
-    statements: dict[str, Statement] = field(default_factory=dict)
+    measures: Mapping[tuple[str, str, int], Fraction] = field(default_factory=dict)
+    collections: Mapping[str, Collection] = field(default_factory=dict)
+    statements: Mapping[str, Statement] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("entities", "predicates", "measures", "collections", "statements"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                frozenset(self.entities.items()),
+                frozenset(self.predicates.items()),
+                self.facts,
+                frozenset(self.measures.items()),
+                frozenset(self.collections.items()),
+                frozenset(self.statements.items()),
+            )
+        )
 
     @cached_property
     def _facts_by_predicate(self) -> dict[str, tuple[Fact, ...]]:
@@ -257,6 +291,28 @@ class World:
 
     def facts_for(self, predicate: str) -> tuple[Fact, ...]:
         return self._facts_by_predicate.get(predicate, ())
+
+    @cached_property
+    def _hole_index(self) -> dict[HoleKey, HoleFillers]:
+        index: dict[HoleKey, HoleFillers] = {}
+        for f in self.facts:
+            anytime = f.at is None or self.predicates[f.predicate].invariant
+            for hole, arg in enumerate(f.args):
+                entity = self.entities.get(arg)
+                if entity is None:
+                    continue
+                key = (f.predicate, hole, f.args[:hole] + f.args[hole + 1 :])
+                by_tick, always = index.setdefault(key, ({}, []))
+                if anytime:
+                    always.append(entity)
+                else:
+                    by_tick.setdefault(f.at.tick, []).append(entity)
+        return index
+
+    def hole_fillers(self, predicate: str, hole: int, others: tuple[str, ...]) -> HoleFillers:
+        """The entities filling position `hole` of `predicate` when the
+        other arguments are `others`, in order; empty when none do."""
+        return self._hole_index.get((predicate, hole, others), _NO_FILLERS)
 
     @cached_property
     def ticks(self) -> tuple[int, ...]:
@@ -314,6 +370,7 @@ class WorldBuilder:
         self._predicates: dict[str, PredicateDecl] = {}
         self._facts: set[Fact] = set()
         self._measures: dict[tuple[str, str, int], Fraction] = {}
+        self._measure_names: set[str] = set()
         self._collections: dict[str, Collection] = {}
         self._statements: dict[str, Statement] = {}
 
@@ -375,6 +432,7 @@ class WorldBuilder:
                 f"conflicting values for {measure}({entity_id}) @ {at.tick}: {known} vs {value}"
             )
         self._measures[key] = value
+        self._measure_names.add(measure)
 
     def add_collection(
         self,
@@ -428,8 +486,10 @@ class WorldBuilder:
         times = tuple(
             t if isinstance(t, TimeRef) else TimeRef.point(t) for t in eval_times
         )
-        if len(times) < 2:
-            raise MalformedStatement("a statement needs at least two evaluation times")
+        if len(times) != 2:
+            raise MalformedStatement(
+                f"a statement needs exactly two evaluation times, got {len(times)}"
+            )
         if any(not t.is_point for t in times):
             raise MalformedStatement("evaluation times must be single ticks")
         if len({t.tick for t in times}) != len(times):
@@ -439,7 +499,6 @@ class WorldBuilder:
                 raise MalformedStatement(f"span {span} does not cover evaluation time {t}")
         pattern = tuple(property_pattern) if property_pattern is not None else None
         decl = self._predicates.get(compared_property)
-        measure_names = {m for (m, _, _) in self._measures}
         if decl is not None:
             if pattern is None:
                 if decl.arity != 1:
@@ -455,7 +514,7 @@ class WorldBuilder:
                         f"argument(s), got {len(pattern)}"
                     )
                 hole_index(pattern)
-        elif compared_property in measure_names:
+        elif compared_property in self._measure_names:
             if pattern is not None:
                 raise MalformedStatement(
                     f"'{compared_property}' is a measure; it takes no argument pattern"
@@ -477,11 +536,12 @@ class WorldBuilder:
         )
 
     def build(self) -> World:
+        # World copies each mapping into a read-only view of its own.
         return World(
-            entities=dict(self._entities),
-            predicates=dict(self._predicates),
+            entities=self._entities,
+            predicates=self._predicates,
             facts=tuple(sorted(self._facts, key=_fact_key)),
-            measures=dict(self._measures),
-            collections=dict(self._collections),
-            statements=dict(self._statements),
+            measures=self._measures,
+            collections=self._collections,
+            statements=self._statements,
         )

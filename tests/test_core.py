@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from tempcoll import (
     slice_at,
     within,
 )
-from worldgen import random_world
+from worldgen import CONSTANTS, random_world
 
 P = TimeRef.point
 
@@ -113,10 +115,15 @@ def test_slice_equality_laws(seed):
         for e in world.entities
         for _ in range(2)
     ]
+    # the same stages with the invariant flag flipped: never equal to the
+    # originals, whichever side is asked
+    slices += [replace(s, invariant=not s.invariant) for s in slices]
     for x in slices:
         assert x == x
         for y in slices:
             assert (x == y) == (y == x)
+            if x.invariant != y.invariant:
+                assert x != y
             if x == y:
                 assert hash(x) == hash(y)
             for z in slices:
@@ -170,6 +177,36 @@ def test_extension_matches_oracle_and_respects_lifespans(seed):
             )
             for s in got:
                 assert oracle.covers(world.entities[s.entity_id].lifespan, P(tick))
+
+
+# points inside and around the generated ticks, a closed interval, and an
+# open-ended one
+ORACLE_TIMES = tuple(P(tick) for tick in range(1999, 2006)) + (
+    TimeRef(2001, 2003),
+    TimeRef(2002, None),
+)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=80, deadline=None)
+def test_extension_index_matches_oracle_on_every_pattern(seed):
+    # Every predicate, the hole in every position, the other positions
+    # filled from the fact arguments and the constants, at point,
+    # interval and open-ended times. random_world states invariant facts
+    # at one tick or as always, and puts constants in hole positions.
+    world = random_world(random.Random(seed))
+    for decl in world.predicates.values():
+        fillers = {a for f in world.facts_for(decl.name) for a in f.args}
+        fillers.update(CONSTANTS)
+        for hole in range(decl.arity):
+            for others in itertools.product(sorted(fillers), repeat=decl.arity - 1):
+                pattern = others[:hole] + ("_",) + others[hole:]
+                for t in ORACLE_TIMES:
+                    got = extension(world, decl.name, pattern, t)
+                    ids = {s.entity_id for s in got}
+                    assert ids == oracle.extension_ids(world, decl.name, pattern, t)
+                    assert ids <= set(world.entities), "constants have no slices"
+                    assert all(s.at == t for s in got)
 
 
 @given(st.integers(0, 10**9))

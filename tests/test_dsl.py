@@ -17,7 +17,7 @@ from tempcoll.dsl import (
     RatioExpr,
     SumExpr,
 )
-from worldgen import random_world
+from worldgen import random_statement_world, random_world
 
 FIXTURE_WORLDS = (
     "youth.tcw",
@@ -118,6 +118,7 @@ def test_duplicate_measure_conflict():
 def test_round_trip_on_fixtures():
     for name in FIXTURE_WORLDS:
         first, _ = parse_world(fixture_text(name))
+        assert first.statements, name
         rendered = render_world(first)
         second, diagnostics = parse_world(rendered)
         assert not diagnostics, (name, [d.render() for d in diagnostics])
@@ -149,6 +150,17 @@ def test_open_lifespan_renders_star():
 @settings(max_examples=100, deadline=None)
 def test_round_trip_on_generated_worlds(seed):
     world = random_world(random.Random(seed))
+    rendered = render_world(world)
+    reparsed, diagnostics = parse_world(rendered)
+    assert not [d for d in diagnostics if d.severity == "error"]
+    assert reparsed == world
+    assert render_world(reparsed) == rendered
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_round_trip_on_generated_statement_worlds(seed):
+    world = random_statement_world(random.Random(seed))
     rendered = render_world(world)
     reparsed, diagnostics = parse_world(rendered)
     assert not [d for d in diagnostics if d.severity == "error"]
