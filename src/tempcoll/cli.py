@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .algebra import Instantiation, aggregate_sum, cardinality, filter_members, instantiate, ratio
 from .dsl import (
@@ -242,97 +243,54 @@ def _run_decision_command(
     )
 
 
+_COMMAND_KINDS = {
+    EvalCommand: "eval",
+    AssertCommand: "assert",
+    DisambiguateCommand: "disambiguate",
+    ExplainCommand: "explain",
+}
+
+
 def _run_script(report: Report, world: World, script: Script, policy: Policy, source: str) -> None:
     index = 0
     for cmd in script.commands:
-        if isinstance(cmd, (EvalCommand, AssertCommand)):
-            index += 1
-        if isinstance(cmd, EvalCommand):
-            try:
+        kind = _COMMAND_KINDS[type(cmd)]
+        if isinstance(cmd, (DisambiguateCommand, ExplainCommand)):
+            _run_decision_command(report, world, cmd.statement_id, kind, source, cmd.line)
+            continue
+        index += 1
+        data: dict = {"kind": kind, "index": index, "expression": cmd.text}
+        try:
+            if isinstance(cmd, EvalCommand):
                 value = _eval_expr(world, cmd.expr, policy)
-            except _UNDEFINED_ERRORS as e:
-                report.commands.append(
-                    CommandOutcome(
-                        "eval",
-                        (f"eval #{index}: undefined ({e})",),
-                        {
-                            "kind": "eval",
-                            "index": index,
-                            "expression": cmd.text,
-                            "value": {"type": "undefined", "reason": str(e)},
-                        },
-                    )
-                )
-                continue
-            except TempcollError as e:
-                report.diagnostics.append(
-                    Diagnostic("error", str(e), cmd.line, 1, source)
-                )
-                continue
-            report.commands.append(
-                CommandOutcome(
-                    "eval",
-                    (f"eval #{index}: {_value_text(value)}",),
-                    {
-                        "kind": "eval",
-                        "index": index,
-                        "expression": cmd.text,
-                        "value": _value_json(value),
-                    },
-                )
-            )
-        elif isinstance(cmd, AssertCommand):
-            try:
+                result, failed = _value_text(value), False
+                data["value"] = _value_json(value)
+            else:
                 left = _eval_expr(world, cmd.left, policy)
                 right = _eval_expr(world, cmd.right, policy)
                 truth = _compare(left, cmd.op, right)
-            except _UNDEFINED_ERRORS as e:
-                report.commands.append(
-                    CommandOutcome(
-                        "assert",
-                        (f"assert #{index}: undefined ({e})",),
-                        {
-                            "kind": "assert",
-                            "index": index,
-                            "expression": cmd.text,
-                            "truth": "undefined",
-                            "reason": str(e),
-                        },
-                        failed=True,
-                    )
+                detail = f"{_operand_text(left)} {cmd.op} {_operand_text(right)}"
+                result, failed = f"{str(truth).lower()} ({detail})", not truth
+                data.update(
+                    truth=truth,
+                    op=cmd.op,
+                    left=_value_json(left),
+                    right=_value_json(right),
+                    detail=detail,
                 )
-                continue
-            except TempcollError as e:
-                report.diagnostics.append(
-                    Diagnostic("error", str(e), cmd.line, 1, source)
-                )
-                continue
-            detail = f"{_operand_text(left)} {cmd.op} {_operand_text(right)}"
-            report.commands.append(
-                CommandOutcome(
-                    "assert",
-                    (f"assert #{index}: {str(truth).lower()} ({detail})",),
-                    {
-                        "kind": "assert",
-                        "index": index,
-                        "expression": cmd.text,
-                        "truth": truth,
-                        "op": cmd.op,
-                        "left": _value_json(left),
-                        "right": _value_json(right),
-                        "detail": detail,
-                    },
-                    failed=not truth,
-                )
-            )
-        elif isinstance(cmd, DisambiguateCommand):
-            _run_decision_command(
-                report, world, cmd.statement_id, "disambiguate", source, cmd.line
-            )
-        elif isinstance(cmd, ExplainCommand):
-            _run_decision_command(
-                report, world, cmd.statement_id, "explain", source, cmd.line
-            )
+        except _UNDEFINED_ERRORS as e:
+            # An undefined eval is a value; an undefined assert fails.
+            result, failed = f"undefined ({e})", kind == "assert"
+            if kind == "eval":
+                data["value"] = {"type": "undefined", "reason": str(e)}
+            else:
+                data.update(truth="undefined", reason=str(e))
+        except TempcollError as e:
+            report.diagnostics.append(Diagnostic("error", str(e), cmd.line, 1, source))
+            continue
+        report.commands.append(
+            CommandOutcome(kind, (f"{kind} #{index}: {result}",), data, failed)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +328,31 @@ def format_report(report: Report, fmt: str = "text") -> str:
 # Entry point
 
 
-def _load_world(report: Report, path: str) -> World | None:
+_Parsed = TypeVar("_Parsed")
+
+
+def _load(
+    report: Report, path: str, parse: Callable[..., tuple[_Parsed | None, list[Diagnostic]]]
+) -> _Parsed | None:
+    """Read and parse one input file; a BOM is skipped, and an unreadable
+    file or a parse error becomes a diagnostic."""
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        text = Path(path).read_text(encoding="utf-8-sig", errors="replace")
     except OSError as e:
         report.diagnostics.append(Diagnostic("error", str(e), 1, 1, path))
         return None
-    world, diagnostics = parse_world(text, source_name=path)
+    result, diagnostics = parse(text, source_name=path)
     report.diagnostics.extend(diagnostics)
-    return world
+    return result
 
 
-def _load_script(report: Report, path: str) -> Script | None:
-    try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-    except OSError as e:
-        report.diagnostics.append(Diagnostic("error", str(e), 1, 1, path))
-        return None
-    script, diagnostics = parse_script(text, source_name=path)
-    report.diagnostics.extend(diagnostics)
-    return script
+# (name, help, positional arguments) of each subcommand.
+_SUBCOMMANDS = (
+    ("check", "parse and validate a world file", ("world",)),
+    ("eval", "run a script against a world", ("world", "script")),
+    ("disambiguate", "decide the mode of a statement", ("world", "statement_id")),
+    ("explain", "decide and evaluate every reading", ("world", "statement_id")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,28 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--policy", choices=("strict", "lenient"), default="strict")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser(
-        "check", parents=[common], help="parse and validate a world file"
-    )
-    p_check.add_argument("world")
-
-    p_eval = sub.add_parser("eval", parents=[common], help="run a script against a world")
-    p_eval.add_argument("world")
-    p_eval.add_argument("script")
-
-    p_dis = sub.add_parser(
-        "disambiguate", parents=[common], help="decide the mode of a statement"
-    )
-    p_dis.add_argument("world")
-    p_dis.add_argument("statement_id")
-
-    p_explain = sub.add_parser(
-        "explain", parents=[common], help="decide and evaluate every reading"
-    )
-    p_explain.add_argument("world")
-    p_explain.add_argument("statement_id")
-
+    for name, help_text, positionals in _SUBCOMMANDS:
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for positional in positionals:
+            command.add_argument(positional)
     return parser
+
+
+# What `check` counts, in report order.
+_CHECK_COUNTS = (
+    "entities", "predicates", "facts", "measures", "ticks", "collections", "statements"
+)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -437,46 +389,23 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else int(e.code or 0)
 
     report = Report()
-    world = _load_world(report, args.world)
-    if args.command == "check":
-        if world is not None:
-            report.commands.append(
-                CommandOutcome(
-                    "check",
-                    (
-                        f"check {args.world}: ok (entities={len(world.entities)}, "
-                        f"predicates={len(world.predicates)}, facts={len(world.facts)}, "
-                        f"measures={len(world.measures)}, ticks={len(world.ticks)}, "
-                        f"collections={len(world.collections)}, "
-                        f"statements={len(world.statements)})",
-                    ),
-                    {
-                        "kind": "check",
-                        "source": args.world,
-                        "ok": True,
-                        "entities": len(world.entities),
-                        "predicates": len(world.predicates),
-                        "facts": len(world.facts),
-                        "measures": len(world.measures),
-                        "ticks": len(world.ticks),
-                        "collections": len(world.collections),
-                        "statements": len(world.statements),
-                    },
-                )
+    world = _load(report, args.world, parse_world)
+    if world is not None and args.command == "check":
+        counts = {name: len(getattr(world, name)) for name in _CHECK_COUNTS}
+        summary = ", ".join(f"{name}={n}" for name, n in counts.items())
+        report.commands.append(
+            CommandOutcome(
+                "check",
+                (f"check {args.world}: ok ({summary})",),
+                {"kind": "check", "source": args.world, "ok": True, **counts},
             )
+        )
+    elif world is not None and args.command == "eval":
+        script = _load(report, args.script, parse_script)
+        if script is not None:
+            _run_script(report, world, script, args.policy, args.script)
     elif world is not None:
-        if args.command == "eval":
-            script = _load_script(report, args.script)
-            if script is not None:
-                _run_script(report, world, script, args.policy, args.script)
-        elif args.command == "disambiguate":
-            _run_decision_command(
-                report, world, args.statement_id, "disambiguate", args.world, 1
-            )
-        elif args.command == "explain":
-            _run_decision_command(
-                report, world, args.statement_id, "explain", args.world, 1
-            )
+        _run_decision_command(report, world, args.statement_id, args.command, args.world, 1)
 
     sys.stdout.write(format_report(report, args.format))
     return exit_code(report)

@@ -234,6 +234,28 @@ class Statement:
     species_bound: int | None = None
     explicit_mode: Mode | None = None
 
+    def __post_init__(self) -> None:
+        # Every check that needs no world lives here, so a statement made
+        # by `dataclasses.replace` is as well-formed as a built one.
+        times = self.eval_times
+        if len(times) != 2:
+            raise MalformedStatement(
+                f"a statement needs exactly two evaluation times, got {len(times)}"
+            )
+        if any(not t.is_point for t in times):
+            raise MalformedStatement("evaluation times must be single ticks")
+        if times[0] == times[1]:
+            raise MalformedStatement("evaluation times must be distinct")
+        for t in times:
+            if not within(t, self.span):
+                raise MalformedStatement(f"span {self.span} does not cover evaluation time {t}")
+        if self.profile.direction not in ("less", "more", "changed"):
+            raise MalformedStatement(f"unknown direction '{self.profile.direction}'")
+        if self.species_bound is not None and self.species_bound < 1:
+            raise MalformedStatement("species bound must be a positive tick count")
+        if self.explicit_mode not in (None, MODE_RE, MODE_DICTO):
+            raise MalformedStatement(f"unknown mode '{self.explicit_mode}'")
+
 
 def _fact_key(f: Fact) -> tuple:
     return (f.predicate, f.args, f.at is not None, f.at.start if f.at else 0)
@@ -391,6 +413,8 @@ class WorldBuilder:
     ) -> None:
         if name in self._predicates:
             raise InvalidDeclaration(f"duplicate predicate '{name}'")
+        if name in self._measure_names:
+            raise InvalidDeclaration(f"'{name}' is already a measure name")
         if arity < 1:
             raise InvalidDeclaration(f"predicate '{name}' needs arity >= 1")
         self._predicates[name] = PredicateDecl(name, arity, invariant, cohort)
@@ -483,20 +507,6 @@ class WorldBuilder:
             raise InvalidDeclaration(f"duplicate statement '{statement_id}'")
         if subject not in self._collections:
             raise UnknownCollection(f"unknown subject collection '{subject}'")
-        times = tuple(
-            t if isinstance(t, TimeRef) else TimeRef.point(t) for t in eval_times
-        )
-        if len(times) != 2:
-            raise MalformedStatement(
-                f"a statement needs exactly two evaluation times, got {len(times)}"
-            )
-        if any(not t.is_point for t in times):
-            raise MalformedStatement("evaluation times must be single ticks")
-        if len({t.tick for t in times}) != len(times):
-            raise MalformedStatement("evaluation times must be distinct")
-        for t in times:
-            if not within(t, span):
-                raise MalformedStatement(f"span {span} does not cover evaluation time {t}")
         pattern = tuple(property_pattern) if property_pattern is not None else None
         decl = self._predicates.get(compared_property)
         if decl is not None:
@@ -524,12 +534,7 @@ class WorldBuilder:
                 f"property '{compared_property}' is neither a declared predicate "
                 "nor a recorded measure"
             )
-        if direction not in ("less", "more", "changed"):
-            raise MalformedStatement(f"unknown direction '{direction}'")
-        if species_bound is not None and species_bound < 1:
-            raise MalformedStatement("species bound must be a positive tick count")
-        if explicit_mode not in (None, MODE_RE, MODE_DICTO):
-            raise MalformedStatement(f"unknown mode '{explicit_mode}'")
+        times = tuple(t if isinstance(t, TimeRef) else TimeRef.point(t) for t in eval_times)
         profile = PredicationProfile(evolutive, compared_property, direction, pattern)
         self._statements[statement_id] = Statement(
             statement_id, subject, profile, times, span, species_bound, explicit_mode

@@ -24,17 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Literal
+from itertools import combinations
+from typing import Callable, Literal
 
 from .algebra import Instantiation, aggregate_sum, filter_members, instantiate, ratio
 from .core import extension, measure_value
-from .errors import (
-    MalformedStatement,
-    MissingMeasure,
-    TempcollError,
-    UnboundedSpan,
-    UnknownCollection,
-)
+from .errors import MalformedStatement, TempcollError, UnboundedSpan, UnknownCollection
 from .model import (
     HOLE,
     MODE_DICTO,
@@ -131,40 +126,18 @@ def _subject(world: World, stmt: Statement) -> Collection:
         raise MalformedStatement(str(e)) from e
 
 
-def _property_kind(world: World, stmt: Statement) -> Literal["predicate", "measure"]:
-    name = stmt.profile.compared_property
-    if name in world.predicates:
-        return "predicate"
-    if name in world.measure_names:
-        return "measure"
-    raise MalformedStatement(
-        f"property '{name}' is neither a declared predicate nor a recorded measure"
-    )
+def _is_measure(world: World, stmt: Statement) -> bool:
+    # The builder admits only a declared predicate or a recorded measure.
+    return stmt.profile.compared_property not in world.predicates
 
 
 def _two_ticks(stmt: Statement) -> tuple[int, int]:
-    if len(stmt.eval_times) != 2:
-        raise MalformedStatement(
-            f"directional evaluation needs exactly two times, got {len(stmt.eval_times)}"
-        )
-    a, b = (t.tick for t in stmt.eval_times)
-    return (a, b) if a < b else (b, a)
-
-
-def _check_statement(world: World, stmt: Statement) -> Collection:
-    if len(stmt.eval_times) < 2:
-        raise MalformedStatement("a statement needs at least two evaluation times")
-    if any(not t.is_point for t in stmt.eval_times):
-        raise MalformedStatement("evaluation times must be single ticks")
-    coll = _subject(world, stmt)
-    _property_kind(world, stmt)
-    return coll
+    a, b = sorted(t.tick for t in stmt.eval_times)
+    return a, b
 
 
 def cohort_disjoint(
-    world: World,
-    subject: Collection | str | tuple[str, tuple[str, ...]],
-    eval_times: tuple[TimeRef, ...],
+    world: World, subject: Collection | str, eval_times: tuple[TimeRef, ...]
 ) -> bool:
     """True iff the subject's realizations at the evaluation times are
     pairwise disjoint and each non-empty.
@@ -174,21 +147,11 @@ def cohort_disjoint(
     """
     if isinstance(subject, str):
         subject = world.collection(subject)
-    if isinstance(subject, Collection):
-        predicate, pattern = subject.predicate, subject.pattern
-    else:
-        predicate, pattern = subject
     id_sets = [
-        {s.entity_id for s in extension(world, predicate, pattern, t)}
+        {s.entity_id for s in extension(world, subject.predicate, subject.pattern, t)}
         for t in eval_times
     ]
-    if any(not ids for ids in id_sets):
-        return False
-    for i in range(len(id_sets)):
-        for j in range(i + 1, len(id_sets)):
-            if id_sets[i] & id_sets[j]:
-                return False
-    return True
+    return all(id_sets) and not any(a & b for a, b in combinations(id_sets, 2))
 
 
 def lifespan_check(world: World, stmt: Statement) -> LifespanCheck:
@@ -232,7 +195,7 @@ def decide_mode(world: World, stmt: Statement) -> Decision:
     and all hits are recorded. With no hit, R0 records the de re
     default. An explicit mode on the statement short-circuits as E0.
     """
-    coll = _check_statement(world, stmt)
+    coll = _subject(world, stmt)
     if stmt.explicit_mode is not None:
         return Decision(
             stmt.explicit_mode,
@@ -306,7 +269,7 @@ def _effective_collection(world: World, stmt: Statement, mode: Mode) -> Collecti
         return coll
     if mode == MODE_DICTO:
         return Collection(coll.name, MODE_DICTO, coll.predicate, coll.pattern, None)
-    anchor = coll.anchor or TimeRef.point(_two_ticks(stmt)[0])
+    anchor = TimeRef.point(_two_ticks(stmt)[0])
     return Collection(coll.name, MODE_RE, coll.predicate, coll.pattern, anchor)
 
 
@@ -318,20 +281,18 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
     only the fixed-membership ratio when it is a predicate (nothing to
     sum without a measure).
     """
-    coll = _check_statement(world, stmt)
-    kind = _property_kind(world, stmt)
+    coll = _effective_collection(world, stmt, mode)
     t1, t2 = _two_ticks(stmt)
     cmp = _CMP[stmt.profile.direction]
     name = coll.name
     prop = stmt.profile.compared_property
-    if kind == "predicate":
+    if not _is_measure(world, stmt):
         pattern = ", ".join(stmt.profile.property_pattern or (HOLE,))
         sub1 = f"{name}@{t1} | {prop}({pattern})"
         sub2 = f"{name}@{t2} | {prop}({pattern})"
         formula = f"ratio({sub2}, {name}@{t2}) {cmp} ratio({sub1}, {name}@{t1})"
         if mode == MODE_RE:
-            anchor = _effective_collection(world, stmt, mode).anchor
-            formula += f" with membership fixed at {anchor}"
+            formula += f" with membership fixed at {coll.anchor}"
         return (Reading("ratio_evolution", mode, formula),)
     if mode == MODE_DICTO:
         # A measure cannot partition fresh realizations; the ratio reading
@@ -341,11 +302,10 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
             f"the same ratio within {name}@{t1}"
         )
         return (Reading("ratio_evolution", mode, formula),)
-    anchor = _effective_collection(world, stmt, mode).anchor
     individual = Reading(
         "individual_evolution",
         mode,
-        f"for each member x of {name} fixed at {anchor}: "
+        f"for each member x of {name} fixed at {coll.anchor}: "
         f"{prop}(x@{t2}) {cmp} {prop}(x@{t1})",
     )
     aggregate = Reading(
@@ -368,17 +328,6 @@ def _undefined(reading: Reading, reason: str) -> Reading:
     return replace(reading, truth=None, reason=reason, witnesses=())
 
 
-def _instantiate_both(
-    world: World, coll: Collection, t1: int, t2: int
-) -> tuple[Instantiation, Instantiation]:
-    """Lenient instantiations at both ticks; a dropped member makes the
-    reading undefined, reported by the caller."""
-    return (
-        instantiate(world, coll, TimeRef.point(t1), "lenient"),
-        instantiate(world, coll, TimeRef.point(t2), "lenient"),
-    )
-
-
 def _dropped_reason(inst: Instantiation, world: World) -> str | None:
     if not inst.dropped:
         return None
@@ -389,113 +338,104 @@ def _dropped_reason(inst: Instantiation, world: World) -> str | None:
     )
 
 
-def _ratio_witness(part: Instantiation, whole: Instantiation, t: int) -> Witness:
+def _ratio_witness(part: Instantiation, whole: Instantiation) -> Witness:
     value = Fraction(len(part.members), len(whole.members))
     detail = f"{len(part.members)}/{len(whole.members)}"
     if str(value) != detail:
         detail += f" = {value}"
-    return Witness(f"ratio@{t}", detail)
+    return Witness(f"ratio@{whole.at}", detail)
 
 
-def _evaluate_ratio(world: World, stmt: Statement, reading: Reading) -> Reading:
-    if _property_kind(world, stmt) != "predicate":
-        return _undefined(
-            reading,
-            f"ratio reading needs a predicate property; "
-            f"'{stmt.profile.compared_property}' is a measure",
-        )
-    t1, t2 = _two_ticks(stmt)
-    coll = _effective_collection(world, stmt, reading.mode)
+# A body compares the subject realized at the earlier and the later
+# evaluation time; it returns (truth, witnesses) and raises on a data gap.
+_Outcome = tuple[bool, tuple[Witness, ...]]
+
+
+def _ratio_body(
+    world: World, stmt: Statement, early: Instantiation, late: Instantiation
+) -> _Outcome:
+    prop = stmt.profile.compared_property
     pattern = stmt.profile.property_pattern or (HOLE,)
-    try:
-        whole1, whole2 = _instantiate_both(world, coll, t1, t2)
-        for inst in (whole1, whole2):
-            reason = _dropped_reason(inst, world)
-            if reason is not None:
-                return _undefined(reading, reason)
-        part1 = filter_members(world, whole1, stmt.profile.compared_property, pattern)
-        part2 = filter_members(world, whole2, stmt.profile.compared_property, pattern)
-        early = ratio(part1, whole1)
-        late = ratio(part2, whole2)
-    except TempcollError as e:
-        return _undefined(reading, str(e))
-    truth = _holds(late, early, stmt.profile.direction)
-    witnesses = (
-        _ratio_witness(part1, whole1, t1),
-        _ratio_witness(part2, whole2, t2),
-    )
-    return replace(reading, truth=truth, reason=None, witnesses=witnesses)
+    part1 = filter_members(world, early, prop, pattern)
+    part2 = filter_members(world, late, prop, pattern)
+    before = ratio(part1, early)
+    after = ratio(part2, late)
+    truth = _holds(after, before, stmt.profile.direction)
+    return truth, (_ratio_witness(part1, early), _ratio_witness(part2, late))
 
 
-def _evaluate_individual(world: World, stmt: Statement, reading: Reading) -> Reading:
-    t1, t2 = _two_ticks(stmt)
-    measure = stmt.profile.compared_property
-    coll = _effective_collection(world, stmt, reading.mode)
-    inst1, inst2 = _instantiate_both(world, coll, t1, t2)
-    for inst in (inst1, inst2):
-        reason = _dropped_reason(inst, world)
-        if reason is not None:
-            return _undefined(reading, reason)
-    if inst1.member_ids() != inst2.member_ids():
-        return _undefined(
-            reading,
+def _individual_body(
+    world: World, stmt: Statement, early: Instantiation, late: Instantiation
+) -> _Outcome:
+    if early.member_ids() != late.member_ids():
+        raise TempcollError(
             "membership is not fixed across the evaluation times; "
-            "an individual evolution needs a de re subject",
+            "an individual evolution needs a de re subject"
         )
-    slices2 = {s.entity_id: s for s in inst2.members}
+    measure = stmt.profile.compared_property
+    slices2 = {s.entity_id: s for s in late.members}
     cmp = _CMP[stmt.profile.direction]
     supporting: list[Witness] = []
     refuting: list[Witness] = []
-    for s1 in inst1.sorted_members():
-        s2 = slices2[s1.entity_id]
-        try:
-            early = measure_value(world, measure, s1)
-            late = measure_value(world, measure, s2)
-        except MissingMeasure as e:
-            return _undefined(reading, str(e))
-        if _holds(late, early, stmt.profile.direction):
-            supporting.append(Witness(s1.entity_id, f"{late} {cmp} {early}"))
+    for s1 in early.sorted_members():
+        before = measure_value(world, measure, s1)
+        after = measure_value(world, measure, slices2[s1.entity_id])
+        if _holds(after, before, stmt.profile.direction):
+            supporting.append(Witness(s1.entity_id, f"{after} {cmp} {before}"))
         else:
-            refuting.append(Witness(s1.entity_id, f"{late} not {cmp} {early}"))
+            refuting.append(Witness(s1.entity_id, f"{after} not {cmp} {before}"))
     if refuting:
-        return replace(reading, truth=False, reason=None, witnesses=tuple(refuting))
-    return replace(reading, truth=True, reason=None, witnesses=tuple(supporting))
+        return False, tuple(refuting)
+    return True, tuple(supporting)
 
 
-def _evaluate_aggregate(world: World, stmt: Statement, reading: Reading) -> Reading:
-    t1, t2 = _two_ticks(stmt)
+def _aggregate_body(
+    world: World, stmt: Statement, early: Instantiation, late: Instantiation
+) -> _Outcome:
     measure = stmt.profile.compared_property
-    coll = _effective_collection(world, stmt, reading.mode)
-    inst1, inst2 = _instantiate_both(world, coll, t1, t2)
-    for inst in (inst1, inst2):
-        reason = _dropped_reason(inst, world)
-        if reason is not None:
-            return _undefined(reading, reason)
-    try:
-        early = aggregate_sum(world, measure, inst1)
-        late = aggregate_sum(world, measure, inst2)
-    except MissingMeasure as e:
-        return _undefined(reading, str(e))
-    truth = _holds(late, early, stmt.profile.direction)
-    witnesses = (Witness(f"sum@{t1}", str(early)), Witness(f"sum@{t2}", str(late)))
-    return replace(reading, truth=truth, reason=None, witnesses=witnesses)
+    before = aggregate_sum(world, measure, early)
+    after = aggregate_sum(world, measure, late)
+    truth = _holds(after, before, stmt.profile.direction)
+    witnesses = (Witness(f"sum@{early.at}", str(before)), Witness(f"sum@{late.at}", str(after)))
+    return truth, witnesses
+
+
+_BODIES: dict[str, Callable[..., _Outcome]] = {
+    "ratio_evolution": _ratio_body,
+    "individual_evolution": _individual_body,
+    "global_aggregate": _aggregate_body,
+}
 
 
 def evaluate_reading(world: World, stmt: Statement, reading: Reading) -> Reading:
     """Evaluate one reading against the world.
 
-    Data gaps (missing measures, members without a slice at a time, an
-    empty denominator) come back as an undefined truth with a reason;
-    only malformed statements raise.
+    Every reading realizes the subject, in the decided mode, at both
+    evaluation times. Data gaps (missing measures, members without a
+    slice at a time, an empty denominator) come back as an undefined
+    truth with a reason; only malformed statements raise.
     """
-    _check_statement(world, stmt)
-    if reading.kind == "ratio_evolution":
-        return _evaluate_ratio(world, stmt, reading)
-    if reading.kind == "individual_evolution":
-        return _evaluate_individual(world, stmt, reading)
-    if reading.kind == "global_aggregate":
-        return _evaluate_aggregate(world, stmt, reading)
-    raise MalformedStatement(f"unknown reading kind '{reading.kind}'")
+    if reading.kind == "ratio_evolution" and _is_measure(world, stmt):
+        return _undefined(
+            reading,
+            f"ratio reading needs a predicate property; "
+            f"'{stmt.profile.compared_property}' is a measure",
+        )
+    body = _BODIES.get(reading.kind)
+    if body is None:
+        raise MalformedStatement(f"unknown reading kind '{reading.kind}'")
+    coll = _effective_collection(world, stmt, reading.mode)
+    try:
+        early, late = (
+            instantiate(world, coll, TimeRef.point(t), "lenient") for t in _two_ticks(stmt)
+        )
+        reason = _dropped_reason(early, world) or _dropped_reason(late, world)
+        if reason is not None:
+            return _undefined(reading, reason)
+        truth, witnesses = body(world, stmt, early, late)
+    except TempcollError as e:
+        return _undefined(reading, str(e))
+    return replace(reading, truth=truth, reason=None, witnesses=witnesses)
 
 
 def analyze(world: World, stmt: Statement) -> Decision:

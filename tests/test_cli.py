@@ -35,6 +35,19 @@ def test_check_malformed_world_exits_2(capsys):
     assert "status: error" in out
 
 
+def test_check_accepts_a_byte_order_mark(tmp_path, capsys):
+    world = tmp_path / "bom.tcw"
+    world.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "youth.tcw").read_bytes())
+    code, out = _run(capsys, "check", str(world), "--format", "json")
+    assert code == 0
+    _, plain = _run(capsys, "check", _fx("youth.tcw"), "--format", "json")
+    (with_bom,) = json.loads(out)["commands"]
+    (without,) = json.loads(plain)["commands"]
+    assert with_bom.pop("source") == str(world)
+    assert without.pop("source") == _fx("youth.tcw")
+    assert with_bom == without
+
+
 def test_missing_file_exits_2(capsys):
     code, out = _run(capsys, "check", _fx("no_such.tcw"))
     assert code == 2

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import load_world
-from tempcoll import MODE_DICTO, MalformedStatement, TimeRef, WorldBuilder
+from tempcoll import (
+    MODE_DICTO,
+    InvalidDeclaration,
+    MalformedStatement,
+    PredicationProfile,
+    TimeRef,
+    WorldBuilder,
+)
 
 P = TimeRef.point
 
@@ -66,6 +74,28 @@ def test_builder_needs_exactly_two_evaluation_times(times):
         )
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"eval_times": (P(2002),)}, "exactly two evaluation times, got 1"),
+        ({"eval_times": (P(2002), TimeRef(2003, 2004))}, "must be single ticks"),
+        ({"eval_times": (P(2003), P(2003))}, "must be distinct"),
+        ({"span": TimeRef(2002, 2002)}, "span 2002 does not cover evaluation time 2003"),
+        ({"species_bound": 0}, "must be a positive tick count"),
+        ({"explicit_mode": "sideways"}, "unknown mode 'sideways'"),
+        (
+            {"profile": PredicationProfile(True, "cons_tobacco", "up")},  # type: ignore[arg-type]
+            "unknown direction 'up'",
+        ),
+    ],
+    ids=["one-time", "interval", "repeated", "uncovered", "bound", "mode", "direction"],
+)
+def test_statement_shape_is_checked_on_construction(friends, changes, message):
+    # `replace` re-runs the checks, so no statement can skip them.
+    with pytest.raises(MalformedStatement, match=message):
+        replace(friends.statements["S1"], **changes)
+
+
 def test_builder_knows_measures_recorded_before_a_statement():
     builder = _statement_builder()
     builder.add_statement(
@@ -88,3 +118,12 @@ def test_builder_knows_measures_recorded_before_a_statement():
             span=TimeRef(2002, 2003),
         )
     assert set(builder.build().statements) == {"S"}
+
+
+def test_builder_rejects_a_predicate_named_like_a_recorded_measure():
+    # The reverse order is rejected by add_measure; without this check the
+    # world would hold `m` as both, which render_world cannot round-trip.
+    builder = _statement_builder()
+    with pytest.raises(InvalidDeclaration, match="'m' is already a measure name"):
+        builder.add_predicate("m", 1)
+    assert "m" not in builder.build().predicates

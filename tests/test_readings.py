@@ -116,15 +116,12 @@ def test_all_applicable_rules_are_recorded_in_order():
 
 
 def test_more_than_two_times_rejected_for_directional_readings(friends):
-    stmt = replace(
-        friends.statements["S1"],
-        eval_times=(P(2002), P(2003), P(2004)),
-        span=TimeRef(2002, 2004),
-    )
-    decision = decide_mode(friends, stmt)  # pairwise rules still work
-    assert decision.mode in (MODE_RE, MODE_DICTO)
-    with pytest.raises(MalformedStatement):
-        enumerate_readings(friends, stmt, MODE_RE)
+    with pytest.raises(MalformedStatement, match="exactly two evaluation times"):
+        replace(
+            friends.statements["S1"],
+            eval_times=(P(2002), P(2003), P(2004)),
+            span=TimeRef(2002, 2004),
+        )
 
 
 # ---------------------------------------------------------------------------
