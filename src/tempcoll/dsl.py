@@ -25,6 +25,9 @@ Script grammar:
     explain ID
     EXPR := card(INST) | ratio(INST, INST) | sum ID over INST | INST
     INST := ID @ TICK [| ID(PATTERN)]
+
+`card`, `ratio` and `sum` start an expression only when no `@` follows
+them; `card@2` is the bare instantiation of a collection named `card`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal
+from functools import partial
+from typing import Callable, Literal, Mapping, NamedTuple, TypeVar
 
 from .errors import TempcollError
 from .model import (
@@ -156,37 +160,35 @@ _TOKEN_RE = re.compile(
       | (?P<int>-?\d+)
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>:=|[()\[\],@=|<>*])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     column: int  # 1-based
 
 
 class _LineError(Exception):
-    def __init__(self, message: str, column: int) -> None:
-        super().__init__(message)
-        self.message = message
-        self.column = column
+    """A problem that ends its line; args are (message, 1-based column)."""
 
 
 def _tokenize(line: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            raise _LineError(f"unexpected character {line[pos]!r}", pos + 1)
+    for m in _TOKEN_RE.finditer(line):
         kind = m.lastgroup or ""
+        if kind == "bad":
+            raise _LineError(f"unexpected character {m.group()!r}", m.start() + 1)
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), pos + 1))
-        pos = m.end()
+            tokens.append(_Token(kind, m.group(), m.start() + 1))
     return tokens
+
+
+_EXPECTED_KIND = {"id": "a name", "int": "an integer"}
+_T = TypeVar("_T")
 
 
 class _Cursor:
@@ -195,11 +197,9 @@ class _Cursor:
         self._idx = 0
         self._end_column = line_length + 1
 
-    def done(self) -> bool:
-        return self._idx >= len(self._tokens)
-
-    def peek(self) -> _Token | None:
-        return self._tokens[self._idx] if not self.done() else None
+    def peek(self, ahead: int = 0) -> _Token | None:
+        idx = self._idx + ahead
+        return self._tokens[idx] if idx < len(self._tokens) else None
 
     def column(self) -> int:
         tok = self.peek()
@@ -212,41 +212,18 @@ class _Cursor:
         self._idx += 1
         return tok
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.take(f"'{text}'")
-        if tok.kind != "punct" or tok.text != text:
-            raise _LineError(f"expected '{text}', got {tok.text!r}", tok.column)
+    def expect(self, *words: str, kind: str = "id") -> _Token:
+        """The next token: one of `words` when given, else any `kind` token.
+        A word's text fixes its kind, as punctuation and names never share one."""
+        what = " or ".join(f"'{w}'" for w in words) or _EXPECTED_KIND[kind]
+        tok = self.take(what)
+        if tok.text not in words if words else tok.kind != kind:
+            raise _LineError(f"expected {what}, got {tok.text!r}", tok.column)
         return tok
 
-    def expect_id(self) -> _Token:
-        tok = self.take("a name")
-        if tok.kind != "id":
-            raise _LineError(f"expected a name, got {tok.text!r}", tok.column)
-        return tok
-
-    def expect_keyword(self, *words: str) -> _Token:
-        tok = self.take(" or ".join(f"'{w}'" for w in words))
-        if tok.kind != "id" or tok.text not in words:
-            expected = " or ".join(f"'{w}'" for w in words)
-            raise _LineError(f"expected {expected}, got {tok.text!r}", tok.column)
-        return tok
-
-    def expect_int(self) -> int:
-        tok = self.take("an integer")
-        if tok.kind != "int":
-            raise _LineError(f"expected an integer, got {tok.text!r}", tok.column)
-        return int(tok.text)
-
-    def accept_punct(self, text: str) -> bool:
+    def accept(self, text: str) -> bool:
         tok = self.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == text:
-            self._idx += 1
-            return True
-        return False
-
-    def accept_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.kind == "id" and tok.text == word:
+        if tok is not None and tok.text == text:
             self._idx += 1
             return True
         return False
@@ -257,39 +234,43 @@ class _Cursor:
             raise _LineError(f"unexpected trailing input {tok.text!r}", tok.column)
 
 
+def _parse_int(cur: _Cursor) -> int:
+    return int(cur.expect(kind="int").text)
+
+
 def _parse_interval(cur: _Cursor) -> TimeRef:
-    opening = cur.expect_punct("[")
-    start = cur.expect_int()
-    cur.expect_punct(",")
-    if cur.accept_punct("*"):
+    opening = cur.expect("[").column
+    start = _parse_int(cur)
+    cur.expect(",")
+    if cur.accept("*"):
         end: int | None = None
     else:
-        end = cur.expect_int()
-    cur.expect_punct("]")
+        end = _parse_int(cur)
+    cur.expect("]")
     try:
         return TimeRef(start, end)
     except TempcollError as e:
-        raise _LineError(str(e), opening.column) from e
+        raise _LineError(str(e), opening) from e
 
 
 def _parse_args(cur: _Cursor, *, allow_hole: bool) -> tuple[str, ...]:
-    opening = cur.expect_punct("(")
+    opening = cur.expect("(").column
     args: list[str] = []
-    if not cur.accept_punct(")"):
+    if not cur.accept(")"):
         while True:
             tok = cur.peek()
             if tok is None:
-                raise _LineError("unbalanced '('", opening.column)
+                raise _LineError("unbalanced '('", opening)
             if tok.kind != "id":
                 raise _LineError(f"expected an argument, got {tok.text!r}", tok.column)
             if tok.text == HOLE and not allow_hole:
                 raise _LineError(f"'{HOLE}' is not allowed here", tok.column)
             args.append(tok.text)
             cur.take("argument")
-            if cur.accept_punct(")"):
+            if cur.accept(")"):
                 break
-            if not cur.accept_punct(","):
-                raise _LineError("unbalanced '('", opening.column)
+            if not cur.accept(","):
+                raise _LineError("unbalanced '('", opening)
     return tuple(args)
 
 
@@ -303,152 +284,166 @@ def _parse_rational(cur: _Cursor) -> Fraction:
         raise _LineError(f"bad rational literal {tok.text!r}", tok.column) from e
 
 
+def _parse_lines(
+    text: str,
+    source_name: str,
+    noun: str,
+    parsers: Mapping[str, Callable[[_Cursor], _T]],
+    keep: Callable[[_Token, _T, int, str], None],
+) -> list[Diagnostic]:
+    """The one line loop of both formats. A line that holds a token
+    starts with a word from `parsers`, whose parser must take the rest
+    of the line; `keep` gets that word, the parsed value, the line
+    number and the line. An error ends its line as a diagnostic."""
+    diagnostics: list[Diagnostic] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            tokens = _tokenize(line)
+            if tokens:
+                head = tokens[0]
+                if head.text not in parsers:
+                    raise _LineError(f"unknown {noun} {head.text!r}", head.column)
+                cur = _Cursor(tokens, len(line))
+                cur.take(noun)
+                value = parsers[head.text](cur)
+                cur.expect_end()
+                keep(head, value, lineno, line)
+        except _LineError as e:
+            message, column = e.args
+            diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
+    return diagnostics
+
+
 # ---------------------------------------------------------------------------
 # World parsing
 
-# One record per parsed declaration: an apply-to-builder closure plus an
-# optional post-build lint returning a warning message.
-_Apply = Callable[[WorldBuilder], None]
-_Check = Callable[[World], "str | None"]
-_Parsed = tuple[_Apply, "_Check | None"]
-_Record = tuple[_Apply, int, int]
+# Each declaration parses to a closure that applies it to a builder and
+# returns an optional post-build lint, which returns a warning message.
+_Lint = Callable[[World], "str | None"]
+_Apply = Callable[[WorldBuilder], "_Lint | None"]
 
 
-def _parse_entity(cur: _Cursor) -> _Parsed:
-    entity_id = cur.expect_id().text
-    cur.expect_keyword("lifespan")
+def _parse_entity(cur: _Cursor) -> _Apply:
+    entity_id = cur.expect().text
+    cur.expect("lifespan")
     lifespan = _parse_interval(cur)
-    invariant = cur.accept_keyword("invariant")
+    invariant = cur.accept("invariant")
     species = None
-    if cur.accept_keyword("species"):
-        species = cur.expect_id().text
-    cur.expect_end()
-    return (
-        lambda b: b.add_entity(entity_id, lifespan, invariant=invariant, species=species),
-        None,
-    )
+    if cur.accept("species"):
+        species = cur.expect().text
+    return lambda b: b.add_entity(entity_id, lifespan, invariant=invariant, species=species)
 
 
-def _parse_predicate(cur: _Cursor) -> _Parsed:
-    name = cur.expect_id().text
-    cur.expect_keyword("arity")
-    arity = cur.expect_int()
-    profile = cur.expect_keyword("mutable", "invariant").text
-    cohort = cur.accept_keyword("cohort")
-    cur.expect_end()
-    return (
-        lambda b: b.add_predicate(
-            name, arity, invariant=profile == "invariant", cohort=cohort
-        ),
-        None,
-    )
+def _parse_predicate(cur: _Cursor) -> _Apply:
+    name = cur.expect().text
+    cur.expect("arity")
+    arity = _parse_int(cur)
+    invariant = cur.expect("mutable", "invariant").text == "invariant"
+    cohort = cur.accept("cohort")
+    return lambda b: b.add_predicate(name, arity, invariant=invariant, cohort=cohort)
 
 
-def _parse_fact(cur: _Cursor) -> _Parsed:
-    name = cur.expect_id().text
+def _lint_fact(name: str, args: tuple[str, ...], at: TimeRef, world: World) -> str | None:
+    for arg in args:
+        entity = world.entities.get(arg)
+        if entity is not None and not within(at, entity.lifespan):
+            return (
+                f"fact {name}({', '.join(args)}) @ {at} falls outside the "
+                f"life span of {arg} ({entity.lifespan})"
+            )
+    return None
+
+
+def _parse_fact(cur: _Cursor) -> _Apply:
+    name = cur.expect().text
     args = _parse_args(cur, allow_hole=False)
-    cur.expect_punct("@")
-    if cur.accept_punct("*"):
+    cur.expect("@")
+    if cur.accept("*"):
         at: TimeRef | None = None
     else:
-        at = TimeRef.point(cur.expect_int())
-    cur.expect_end()
+        at = TimeRef.point(_parse_int(cur))
 
-    def lint(world: World) -> str | None:
-        if at is None:
-            return None
-        for arg in args:
-            entity = world.entities.get(arg)
-            if entity is not None and not within(at, entity.lifespan):
-                return (
-                    f"fact {name}({', '.join(args)}) @ {at} falls outside the "
-                    f"life span of {arg} ({entity.lifespan})"
-                )
-        return None
+    # The lint is made on apply, so a parsed fact waits as one closure, not two.
+    def apply(b: WorldBuilder) -> _Lint | None:
+        b.add_fact(name, args, at)
+        return None if at is None else partial(_lint_fact, name, args, at)
 
-    return lambda b: b.add_fact(name, args, at), lint
+    return apply
 
 
-def _parse_measure(cur: _Cursor) -> _Parsed:
-    name = cur.expect_id().text
+def _parse_measure(cur: _Cursor) -> _Apply:
+    name = cur.expect().text
     args = _parse_args(cur, allow_hole=False)
     if len(args) != 1:
         raise _LineError("a measure is recorded for exactly one entity", cur.column())
-    cur.expect_punct("@")
-    at = TimeRef.point(cur.expect_int())
-    cur.expect_punct("=")
+    cur.expect("@")
+    at = TimeRef.point(_parse_int(cur))
+    cur.expect("=")
     value = _parse_rational(cur)
-    cur.expect_end()
-    return lambda b: b.add_measure(name, args[0], at, value), None
+    return lambda b: b.add_measure(name, args[0], at, value)
 
 
-def _parse_collection(cur: _Cursor) -> _Parsed:
-    name = cur.expect_id().text
-    mode_tok = cur.expect_keyword("dicto", "re")
+def _parse_collection(cur: _Cursor) -> _Apply:
+    name = cur.expect().text
+    mode_tok = cur.expect("dicto", "re")
     anchor: TimeRef | None = None
     mode: Mode = MODE_DICTO
     if mode_tok.text == "re":
         mode = MODE_RE
-        if not cur.accept_punct("@"):
+        if not cur.accept("@"):
             raise _LineError(
                 f"de re collection '{name}' needs an anchor: re@TICK", mode_tok.column
             )
-        anchor = TimeRef.point(cur.expect_int())
-    cur.expect_punct(":=")
-    predicate = cur.expect_id().text
+        anchor = TimeRef.point(_parse_int(cur))
+    cur.expect(":=")
+    predicate = cur.expect().text
     pattern = _parse_args(cur, allow_hole=True)
-    cur.expect_end()
-    return lambda b: b.add_collection(name, mode, predicate, pattern, anchor), None
+    return lambda b: b.add_collection(name, mode, predicate, pattern, anchor)
 
 
-def _parse_statement(cur: _Cursor) -> _Parsed:
-    statement_id = cur.expect_id().text
-    cur.expect_keyword("subject")
-    subject = cur.expect_id().text
-    cur.expect_keyword("profile")
-    evolutive = cur.expect_keyword("evolutive", "static").text == "evolutive"
-    cur.expect_keyword("property")
-    compared = cur.expect_id().text
+def _parse_statement(cur: _Cursor) -> _Apply:
+    statement_id = cur.expect().text
+    cur.expect("subject")
+    subject = cur.expect().text
+    cur.expect("profile")
+    evolutive = cur.expect("evolutive", "static").text == "evolutive"
+    cur.expect("property")
+    compared = cur.expect().text
     pattern: tuple[str, ...] | None = None
     tok = cur.peek()
-    if tok is not None and tok.kind == "punct" and tok.text == "(":
+    if tok is not None and tok.text == "(":
         pattern = _parse_args(cur, allow_hole=True)
-    cur.expect_keyword("direction")
-    direction = cur.expect_keyword("less", "more", "changed").text
-    cur.expect_keyword("times")
-    t1 = cur.expect_int()
-    cur.expect_punct(",")
-    t2 = cur.expect_int()
-    cur.expect_keyword("span")
+    cur.expect("direction")
+    direction = cur.expect("less", "more", "changed").text
+    cur.expect("times")
+    t1 = _parse_int(cur)
+    cur.expect(",")
+    t2 = _parse_int(cur)
+    cur.expect("span")
     span = _parse_interval(cur)
     bound = None
-    if cur.accept_keyword("bound"):
-        bound = cur.expect_int()
+    if cur.accept("bound"):
+        bound = _parse_int(cur)
     explicit_mode: Mode | None = None
-    if cur.accept_keyword("mode"):
-        explicit_mode = (
-            MODE_RE if cur.expect_keyword("re", "dicto").text == "re" else MODE_DICTO
-        )
-    cur.expect_end()
-
-    def apply(b: WorldBuilder) -> None:
-        b.add_statement(
-            statement_id,
-            subject,
-            evolutive=evolutive,
-            compared_property=compared,
-            direction=direction,  # type: ignore[arg-type]
-            eval_times=(t1, t2),
-            span=span,
-            property_pattern=pattern,
-            species_bound=bound,
-            explicit_mode=explicit_mode,
-        )
-
-    return apply, None
+    if cur.accept("mode"):
+        explicit_mode = MODE_RE if cur.expect("re", "dicto").text == "re" else MODE_DICTO
+    return lambda b: b.add_statement(
+        statement_id,
+        subject,
+        evolutive=evolutive,
+        compared_property=compared,
+        direction=direction,  # type: ignore[arg-type]
+        eval_times=(t1, t2),
+        span=span,
+        property_pattern=pattern,
+        species_bound=bound,
+        explicit_mode=explicit_mode,
+    )
 
 
-_LINE_PARSERS: dict[str, Callable[[_Cursor], _Parsed]] = {
+# In build order: each kind needs only kinds above it; within a kind,
+# declarations apply in file order.
+_LINE_PARSERS: dict[str, Callable[[_Cursor], _Apply]] = {
     "entity": _parse_entity,
     "pred": _parse_predicate,
     "fact": _parse_fact,
@@ -456,9 +451,6 @@ _LINE_PARSERS: dict[str, Callable[[_Cursor], _Parsed]] = {
     "collection": _parse_collection,
     "statement": _parse_statement,
 }
-
-# Dependency order for the build phase; within a kind, file order.
-_BUILD_ORDER = ("entity", "pred", "fact", "measure", "collection", "statement")
 
 
 def parse_world(
@@ -470,54 +462,31 @@ def parse_world(
     is an error. Warnings (facts timed outside their subject's life
     span) do not block the build.
     """
-    diagnostics: list[Diagnostic] = []
-    records: dict[str, list[_Record]] = {kind: [] for kind in _BUILD_ORDER}
-    checks: list[tuple[Callable[[World], str | None], int, int]] = []
+    records: dict[str, list[tuple[_Apply, int, int]]] = {kind: [] for kind in _LINE_PARSERS}
 
-    def error(message: str, line: int, column: int) -> None:
-        diagnostics.append(Diagnostic("error", message, line, column, source_name))
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
-            tokens = _tokenize(line)
-        except _LineError as e:
-            error(e.message, lineno, e.column)
-            continue
-        if not tokens:
-            continue
-        head = tokens[0]
-        cur = _Cursor(tokens, len(line))
-        if head.kind != "id" or head.text not in _LINE_PARSERS:
-            error(f"unknown declaration {head.text!r}", lineno, head.column)
-            continue
-        cur.take("keyword")
-        try:
-            apply, check = _LINE_PARSERS[head.text](cur)
-        except _LineError as e:
-            error(e.message, lineno, e.column)
-            continue
+    def keep(head: _Token, apply: _Apply, lineno: int, line: str) -> None:
         records[head.text].append((apply, lineno, head.column))
-        if check is not None:
-            checks.append((check, lineno, head.column))
 
+    diagnostics = _parse_lines(text, source_name, "declaration", _LINE_PARSERS, keep)
     builder = WorldBuilder()
-    for kind in _BUILD_ORDER:
-        for apply, lineno, column in records[kind]:
+    lints: list[tuple[_Lint, int, int]] = []
+    for kind_records in records.values():
+        for apply, lineno, column in kind_records:
             try:
-                apply(builder)
+                lint = apply(builder)
             except TempcollError as e:
-                error(str(e), lineno, column)
+                diagnostics.append(Diagnostic("error", str(e), lineno, column, source_name))
+                continue
+            if lint is not None:
+                lints.append((lint, lineno, column))
 
-    diagnostics.sort(key=lambda d: (d.line, d.column))
-    if any(d.severity == "error" for d in diagnostics):
-        return None, diagnostics
-    world = builder.build()
-    for check, lineno, column in checks:
-        message = check(world)
-        if message is not None:
-            diagnostics.append(
-                Diagnostic("warning", message, lineno, column, source_name)
-            )
+    world = None
+    if not diagnostics:  # only errors so far; lints run on a clean build
+        world = builder.build()
+        for lint, lineno, column in lints:
+            message = lint(world)
+            if message is not None:
+                diagnostics.append(Diagnostic("warning", message, lineno, column, source_name))
     diagnostics.sort(key=lambda d: (d.line, d.column))
     return world, diagnostics
 
@@ -527,56 +496,74 @@ def parse_world(
 
 
 def _parse_inst(cur: _Cursor) -> InstExpr:
-    name = cur.expect_id().text
-    cur.expect_punct("@")
-    at = TimeRef.point(cur.expect_int())
-    if cur.accept_punct("|"):
-        predicate = cur.expect_id().text
-        pattern = _parse_args(cur, allow_hole=True)
-        return InstExpr(name, at, predicate, pattern)
+    name = cur.expect().text
+    cur.expect("@")
+    at = TimeRef.point(_parse_int(cur))
+    if cur.accept("|"):
+        predicate = cur.expect().text
+        return InstExpr(name, at, predicate, _parse_args(cur, allow_hole=True))
     return InstExpr(name, at)
 
 
-def _parse_parenthesized(cur: _Cursor, parse_body: Callable[[_Cursor], object]) -> object:
+def _parse_insts(cur: _Cursor, count: int) -> list[InstExpr]:
+    """`count` comma-separated instantiations in parentheses."""
     # A body that dies at end of line means the '(' was never closed;
     # report that at the opening column, as mid-line errors stay put.
-    opening = cur.expect_punct("(")
+    opening = cur.expect("(").column
     try:
-        body = parse_body(cur)
+        insts = [_parse_inst(cur)]
+        while len(insts) < count:
+            cur.expect(",")
+            insts.append(_parse_inst(cur))
     except _LineError as e:
-        if cur.done():
-            raise _LineError("unbalanced '('", opening.column) from e
+        if cur.peek() is None:
+            raise _LineError("unbalanced '('", opening) from e
         raise
-    if not cur.accept_punct(")"):
-        raise _LineError("unbalanced '('", opening.column)
-    return body
+    if not cur.accept(")"):
+        raise _LineError("unbalanced '('", opening)
+    return insts
 
 
 def _parse_expr(cur: _Cursor) -> Expr:
     tok = cur.peek()
     if tok is None:
         raise _LineError("expected an expression at end of line", cur.column())
-    if tok.kind == "id" and tok.text == "card":
-        cur.take("card")
-        inst = _parse_parenthesized(cur, _parse_inst)
-        assert isinstance(inst, InstExpr)
-        return CardExpr(inst)
-    if tok.kind == "id" and tok.text == "ratio":
-        cur.take("ratio")
+    after = cur.peek(1)
+    # `card`, `ratio` and `sum` are also collection names when `@` follows.
+    if tok.text not in ("card", "ratio", "sum") or (after is not None and after.text == "@"):
+        return _parse_inst(cur)
+    cur.take(tok.text)
+    if tok.text == "card":
+        return CardExpr(*_parse_insts(cur, 1))
+    if tok.text == "ratio":
+        return RatioExpr(*_parse_insts(cur, 2))
+    measure = cur.expect().text
+    cur.expect("over")
+    return SumExpr(measure, _parse_inst(cur))
 
-        def pair(c: _Cursor) -> tuple[InstExpr, InstExpr]:
-            part = _parse_inst(c)
-            c.expect_punct(",")
-            return part, _parse_inst(c)
 
-        part, whole = _parse_parenthesized(cur, pair)  # type: ignore[misc]
-        return RatioExpr(part, whole)
-    if tok.kind == "id" and tok.text == "sum":
-        cur.take("sum")
-        measure = cur.expect_id().text
-        cur.expect_keyword("over")
-        return SumExpr(measure, _parse_inst(cur))
-    return _parse_inst(cur)
+# Each command parses to its constructor, waiting for (line number, text).
+_MakeCommand = Callable[[int, str], Command]
+
+
+def _parse_assert(cur: _Cursor) -> _MakeCommand:
+    left = _parse_expr(cur)
+    op = cur.take("a comparison (<, > or =)")
+    if op.text not in ("<", ">", "="):
+        raise _LineError(f"expected '<', '>' or '=', got {op.text!r}", op.column)
+    return partial(AssertCommand, left, op.text, _parse_expr(cur))
+
+
+def _parse_reference(command: type[Command], cur: _Cursor) -> _MakeCommand:
+    return partial(command, cur.expect().text)
+
+
+_COMMANDS: dict[str, Callable[[_Cursor], _MakeCommand]] = {
+    "eval": lambda cur: partial(EvalCommand, _parse_expr(cur)),
+    "assert": _parse_assert,
+    "disambiguate": partial(_parse_reference, DisambiguateCommand),
+    "explain": partial(_parse_reference, ExplainCommand),
+}
 
 
 def parse_script(
@@ -587,54 +574,13 @@ def parse_script(
     Statement and collection references are resolved later, against a
     loaded world; here only the syntax is checked.
     """
-    diagnostics: list[Diagnostic] = []
     commands: list[Command] = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
-            tokens = _tokenize(line)
-        except _LineError as e:
-            diagnostics.append(Diagnostic("error", e.message, lineno, e.column, source_name))
-            continue
-        if not tokens:
-            continue
-        head = tokens[0]
-        cur = _Cursor(tokens, len(line))
-        stripped = line.split(";")[0].strip()
-        try:
-            if head.kind != "id":
-                raise _LineError(f"unknown command {head.text!r}", head.column)
-            cur.take("command")
-            if head.text == "eval":
-                expr = _parse_expr(cur)
-                cur.expect_end()
-                commands.append(EvalCommand(expr, lineno, stripped))
-            elif head.text == "assert":
-                left = _parse_expr(cur)
-                op_tok = cur.take("a comparison (<, > or =)")
-                if op_tok.kind != "punct" or op_tok.text not in ("<", ">", "="):
-                    raise _LineError(
-                        f"expected '<', '>' or '=', got {op_tok.text!r}", op_tok.column
-                    )
-                right = _parse_expr(cur)
-                cur.expect_end()
-                commands.append(
-                    AssertCommand(left, op_tok.text, right, lineno, stripped)  # type: ignore[arg-type]
-                )
-            elif head.text == "disambiguate":
-                statement_id = cur.expect_id().text
-                cur.expect_end()
-                commands.append(DisambiguateCommand(statement_id, lineno, stripped))
-            elif head.text == "explain":
-                statement_id = cur.expect_id().text
-                cur.expect_end()
-                commands.append(ExplainCommand(statement_id, lineno, stripped))
-            else:
-                raise _LineError(f"unknown command {head.text!r}", head.column)
-        except _LineError as e:
-            diagnostics.append(Diagnostic("error", e.message, lineno, e.column, source_name))
+    def keep(head: _Token, make: _MakeCommand, lineno: int, line: str) -> None:
+        commands.append(make(lineno, line.split(";")[0].strip()))
 
-    if any(d.severity == "error" for d in diagnostics):
+    diagnostics = _parse_lines(text, source_name, "command", _COMMANDS, keep)
+    if diagnostics:
         return None, diagnostics
     return Script(tuple(commands)), diagnostics
 

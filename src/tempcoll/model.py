@@ -343,10 +343,6 @@ class World:
         seen.update(tick for (_, _, tick) in self.measures)
         return tuple(sorted(seen))
 
-    @cached_property
-    def measure_names(self) -> frozenset[str]:
-        return frozenset(m for (m, _, _) in self.measures)
-
     def measure_facts(self) -> tuple[MeasureFact, ...]:
         return tuple(
             MeasureFact(m, e, TimeRef.point(tick), v)

@@ -212,6 +212,40 @@ def test_parse_script_expressions():
     assert isinstance(explain, ExplainCommand) and explain.statement_id == "S1"
 
 
+def test_collections_named_like_expression_keywords():
+    world, diagnostics = parse_world(
+        "pred p arity 1 mutable\n"
+        "collection card dicto := p(_)\n"
+        "collection ratio re@2 := p(_)\n"
+        "collection sum dicto := p(_)\n"
+    )
+    assert world is not None and not diagnostics
+    script, diagnostics = parse_script(
+        "eval card@2\n"
+        "eval ratio @ 2\n"
+        "eval sum@2 | p(_)\n"
+        "assert card@2 = sum@2\n"
+        "eval card(card@2)\n"
+        "eval ratio(card@2, ratio@2)\n"
+        "eval sum sum over sum@2\n"
+    )
+    assert not diagnostics, [d.render() for d in diagnostics]
+    at = TimeRef.point(2)
+    card, ratio, total = InstExpr("card", at), InstExpr("ratio", at), InstExpr("sum", at)
+    assert [c.expr for c in script.commands[:3]] == [
+        card,
+        ratio,
+        InstExpr("sum", at, "p", ("_",)),
+    ]
+    assertion = script.commands[3]
+    assert (assertion.left, assertion.op, assertion.right) == (card, "=", total)
+    assert [c.expr for c in script.commands[4:]] == [
+        CardExpr(card),
+        RatioExpr(card, ratio),
+        SumExpr("sum", total),
+    ]
+
+
 def test_unbalanced_paren_reported_at_opening_column():
     script, diagnostics = parse_script("eval card(")
     assert script is None
