@@ -6,6 +6,11 @@ Subcommands:
     disambiguate WORLD STMT    decide the mode of one statement
     explain WORLD STMT         decide, enumerate, and evaluate readings
 
+Each executed command records one JSON payload, and the payloads are the
+report: `--format json` prints them, and `--format text` is rendered
+from them by `format_report`. Values are `rational`, `natural`,
+`instantiation` or `undefined` payloads.
+
 Exit codes: 0 all asserts true and no errors; 1 some assert false or
 undefined; 2 diagnostics or usage errors. Reports are deterministic:
 identical inputs give byte-identical output in both formats.
@@ -46,34 +51,27 @@ from .errors import (
 from .model import Policy, World
 from .readings import Decision, Reading, analyze, decide_mode
 
-__all__ = ["Report", "CommandOutcome", "run", "format_report", "exit_code", "main"]
+__all__ = ["Report", "run", "format_report", "exit_code", "main"]
 
 # Data conditions render as undefined values; everything else in this
 # family is an encoding bug and becomes an error diagnostic.
 _UNDEFINED_ERRORS = (MissingMeasure, EmptyDenominator, OutsideLifeSpan)
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
-    """One executed command: text lines for humans, a JSON payload for
-    machines, and whether it counts as a failure for the exit code."""
-
-    kind: str
-    lines: tuple[str, ...]
-    data: dict
-    failed: bool = False
-
-
 @dataclass
 class Report:
-    commands: list[CommandOutcome] = field(default_factory=list)
+    """The JSON payload of each executed command, and the diagnostics.
+    The payloads are the report: the text format is rendered from them."""
+
+    commands: list[dict] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
     def status(self) -> str:
         if any(d.severity == "error" for d in self.diagnostics):
             return "error"
-        if any(c.failed for c in self.commands):
+        # An assert that is false or undefined fails; nothing else does.
+        if any(c["kind"] == "assert" and c["truth"] is not True for c in self.commands):
             return "fail"
         return "ok"
 
@@ -116,27 +114,27 @@ def _value_json(value: object) -> dict:
     raise TypeError(f"unrenderable value {value!r}")
 
 
-def _value_text(value: object) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value)
-        return f"{value} ({_decimal(value)})"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Instantiation):
-        inner = ", ".join(str(s) for s in value.sorted_members())
-        text = "{" + inner + "}"
-        if value.dropped:
-            text += f" dropped: {', '.join(sorted(value.dropped))}"
+def _value_text(payload: dict) -> str:
+    kind = payload["type"]
+    if kind == "rational":
+        if payload["den"] == 1:
+            return str(payload["num"])
+        return f"{payload['num']}/{payload['den']} ({payload['decimal']})"
+    if kind == "natural":
+        return str(payload["value"])
+    if kind == "instantiation":
+        text = "{" + ", ".join(payload["members"]) + "}"
+        if payload["dropped"]:
+            text += f" dropped: {', '.join(payload['dropped'])}"
         return text
-    raise TypeError(f"unrenderable value {value!r}")
+    return f"undefined ({payload['reason']})"
 
 
 def _operand_text(value: object) -> str:
     # Compact form used inside assert details: exact fractions, no decimals.
     if isinstance(value, (Fraction, int)):
         return str(value)
-    return _value_text(value)
+    return _value_text(_value_json(value))
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +205,6 @@ def _reading_json(reading: Reading) -> dict:
     return data
 
 
-def _decision_lines(statement_id: str, decision: Decision, kind: str) -> list[str]:
-    rule_ids = ", ".join(decision.rule_ids)
-    lines = [f"{kind} {statement_id}: {decision.mode} [{rule_ids}]"]
-    for rule in decision.fired_rules:
-        lines.append(f"  rule {rule.id}: {rule.justification}")
-    if kind == "explain":
-        for reading in decision.readings:
-            lines.append(f"  reading {reading.kind}: {reading.truth_label}")
-            lines.append(f"    formula: {reading.formula}")
-            if reading.reason is not None:
-                lines.append(f"    reason: {reading.reason}")
-            for w in reading.witnesses:
-                lines.append(f"    witness {w.label}: {w.detail}")
-    return lines
-
-
 def _run_decision_command(
     report: Report, world: World, statement_id: str, kind: str, source: str, line: int
 ) -> None:
@@ -234,13 +216,7 @@ def _run_decision_command(
     except TempcollError as e:
         report.diagnostics.append(Diagnostic("error", str(e), line, 1, source))
         return
-    report.commands.append(
-        CommandOutcome(
-            kind,
-            tuple(_decision_lines(statement_id, decision, kind)),
-            _decision_json(statement_id, decision, kind),
-        )
-    )
+    report.commands.append(_decision_json(statement_id, decision, kind))
 
 
 _COMMAND_KINDS = {
@@ -262,25 +238,19 @@ def _run_script(report: Report, world: World, script: Script, policy: Policy, so
         data: dict = {"kind": kind, "index": index, "expression": cmd.text}
         try:
             if isinstance(cmd, EvalCommand):
-                value = _eval_expr(world, cmd.expr, policy)
-                result, failed = _value_text(value), False
-                data["value"] = _value_json(value)
+                data["value"] = _value_json(_eval_expr(world, cmd.expr, policy))
             else:
                 left = _eval_expr(world, cmd.left, policy)
                 right = _eval_expr(world, cmd.right, policy)
-                truth = _compare(left, cmd.op, right)
-                detail = f"{_operand_text(left)} {cmd.op} {_operand_text(right)}"
-                result, failed = f"{str(truth).lower()} ({detail})", not truth
                 data.update(
-                    truth=truth,
+                    truth=_compare(left, cmd.op, right),
                     op=cmd.op,
                     left=_value_json(left),
                     right=_value_json(right),
-                    detail=detail,
+                    detail=f"{_operand_text(left)} {cmd.op} {_operand_text(right)}",
                 )
         except _UNDEFINED_ERRORS as e:
             # An undefined eval is a value; an undefined assert fails.
-            result, failed = f"undefined ({e})", kind == "assert"
             if kind == "eval":
                 data["value"] = {"type": "undefined", "reason": str(e)}
             else:
@@ -288,13 +258,43 @@ def _run_script(report: Report, world: World, script: Script, policy: Policy, so
         except TempcollError as e:
             report.diagnostics.append(Diagnostic("error", str(e), cmd.line, 1, source))
             continue
-        report.commands.append(
-            CommandOutcome(kind, (f"{kind} #{index}: {result}",), data, failed)
-        )
+        report.commands.append(data)
 
 
 # ---------------------------------------------------------------------------
 # Report formatting
+
+# What `check` counts, in report order.
+_CHECK_COUNTS = (
+    "entities", "predicates", "facts", "measures", "ticks", "collections", "statements"
+)
+
+
+def _text_lines(payload: dict) -> list[str]:
+    """The text report lines of one command, rendered from its payload."""
+    kind = payload["kind"]
+    if kind == "check":
+        summary = ", ".join(f"{name}={payload[name]}" for name in _CHECK_COUNTS)
+        return [f"check {payload['source']}: ok ({summary})"]
+    if kind == "eval":
+        return [f"eval #{payload['index']}: {_value_text(payload['value'])}"]
+    if kind == "assert":
+        # A truth is True, False or "undefined"; each prints in lower case.
+        truth = payload["truth"]
+        detail = payload["detail"] if truth != "undefined" else payload["reason"]
+        return [f"assert #{payload['index']}: {str(truth).lower()} ({detail})"]
+    rule_ids = ", ".join(rule["id"] for rule in payload["rules"])
+    lines = [f"{kind} {payload['statement']}: {payload['mode']} [{rule_ids}]"]
+    for rule in payload["rules"]:
+        lines.append(f"  rule {rule['id']}: {rule['justification']}")
+    for reading in payload.get("readings", ()):  # explain only
+        lines.append(f"  reading {reading['kind']}: {str(reading['truth']).lower()}")
+        lines.append(f"    formula: {reading['formula']}")
+        if "reason" in reading:
+            lines.append(f"    reason: {reading['reason']}")
+        for w in reading["witnesses"]:
+            lines.append(f"    witness {w['label']}: {w['detail']}")
+    return lines
 
 
 def format_report(report: Report, fmt: str = "text") -> str:
@@ -302,7 +302,7 @@ def format_report(report: Report, fmt: str = "text") -> str:
     if fmt == "json":
         document = {
             "status": report.status,
-            "commands": [c.data for c in report.commands],
+            "commands": report.commands,
             "diagnostics": [
                 {
                     "severity": d.severity,
@@ -316,8 +316,8 @@ def format_report(report: Report, fmt: str = "text") -> str:
         }
         return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
     lines: list[str] = []
-    for outcome in report.commands:
-        lines.extend(outcome.lines)
+    for payload in report.commands:
+        lines.extend(_text_lines(payload))
     for d in report.diagnostics:
         lines.append(d.render())
     lines.append(f"status: {report.status}")
@@ -372,12 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# What `check` counts, in report order.
-_CHECK_COUNTS = (
-    "entities", "predicates", "facts", "measures", "ticks", "collections", "statements"
-)
-
-
 def run(argv: list[str] | None = None) -> int:
     """Execute one invocation; prints the report to stdout, returns the
     exit code."""
@@ -392,14 +386,7 @@ def run(argv: list[str] | None = None) -> int:
     world = _load(report, args.world, parse_world)
     if world is not None and args.command == "check":
         counts = {name: len(getattr(world, name)) for name in _CHECK_COUNTS}
-        summary = ", ".join(f"{name}={n}" for name, n in counts.items())
-        report.commands.append(
-            CommandOutcome(
-                "check",
-                (f"check {args.world}: ok ({summary})",),
-                {"kind": "check", "source": args.world, "ok": True, **counts},
-            )
-        )
+        report.commands.append({"kind": "check", "source": args.world, "ok": True, **counts})
     elif world is not None and args.command == "eval":
         script = _load(report, args.script, parse_script)
         if script is not None:

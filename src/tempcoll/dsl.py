@@ -155,9 +155,9 @@ class Script:
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>;.*)
-      | (?P<rational>-?\d+/\d+)
-      | (?P<decimal>-?\d+\.\d+)
-      | (?P<int>-?\d+)
+      | (?P<rational>-?[0-9]+/[0-9]+)
+      | (?P<decimal>-?[0-9]+\.[0-9]+)
+      | (?P<int>-?[0-9]+)
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>:=|[()\[\],@=|<>*])
       | (?P<bad>.)
@@ -296,7 +296,11 @@ def _parse_lines(
     of the line; `keep` gets that word, the parsed value, the line
     number and the line. An error ends its line as a diagnostic."""
     diagnostics: list[Diagnostic] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end only at \r\n, \r or \n; str.splitlines would also end
+    # them at a form feed or U+2028, even inside a comment.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         try:
             tokens = _tokenize(line)
             if tokens:

@@ -90,14 +90,6 @@ class Reading:
     reason: str | None = None
     witnesses: tuple[Witness, ...] = ()
 
-    @property
-    def truth_label(self) -> str:
-        if self.truth is True:
-            return "true"
-        if self.truth is False:
-            return "false"
-        return "undefined" if self.reason is not None else "unevaluated"
-
 
 @dataclass(frozen=True)
 class Decision:

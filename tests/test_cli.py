@@ -225,3 +225,18 @@ def test_exit_code_contract_over_corpus(capsys):
     assert _run(capsys, "eval", _fx("youth.tcw"), _fx("youth.tcq"))[0] == 0
     assert _run(capsys, "eval", _fx("friends.tcw"), _fx("friends.tcq"))[0] == 0
     assert _run(capsys, "eval", _fx("origins.tcw"), _fx("origins.tcq"))[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_readme_worked_example_is_the_real_output(capsys, monkeypatch):
+    root = FIXTURES.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Worked example", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    command, expected = block.split("\n", 1)
+    assert command == "$ tempcoll eval fixtures/youth.tcw fixtures/youth.tcq"
+    monkeypatch.chdir(root)
+    code, out = _run(capsys, *command.split()[2:])
+    assert (code, out) == (0, expected)

@@ -100,6 +100,30 @@ def test_unknown_declaration_keyword():
     assert (d.line, d.column) == (1, 1)
 
 
+def test_lines_end_only_at_newlines():
+    # Form feed, vertical tab, \x1c-\x1e, \x85, U+2028 and U+2029 are
+    # whitespace inside a line: they neither end a comment nor shift
+    # the line numbers of later diagnostics.
+    for char in "\x0b\x0c\x1c\x1d\x1e\x85  ":
+        text = f"; a comment with {char} inside\nentity a lifespan [0, 1]{char}\r\nentety b\rentety c\n"
+        world, diagnostics = parse_world(text)
+        assert world is None
+        assert [(d.line, d.column, d.message) for d in diagnostics] == [
+            (3, 1, "unknown declaration 'entety'"),
+            (4, 1, "unknown declaration 'entety'"),
+        ], repr(char)
+
+
+def test_only_ascii_digits_are_numbers():
+    world, diagnostics = parse_world("entity a lifespan [٢٠٠٠, 2005]\n")
+    assert world is None
+    (d,) = diagnostics
+    assert (d.line, d.column, d.message) == (1, 20, "unexpected character '٢'")
+    script, diagnostics = parse_script("eval card(C@٢)\n")
+    assert script is None
+    assert [(d.column, d.message) for d in diagnostics] == [(13, "unexpected character '٢'")]
+
+
 def test_duplicate_measure_conflict():
     text = (
         "entity a lifespan [2000, 2005]\n"

@@ -34,7 +34,10 @@ FORMATS = ("text", "json")
 def invocations() -> list[list[str]]:
     """The grid: each world x (check, disambiguate/explain per statement,
     eval per script under both policies) x both formats. Only `eval`
-    reads the policy, so the other commands run under the default."""
+    reads the policy, so the other commands run under the default. Then
+    `tests/shapes.tcq` on `tests/shapes.tcw`, under both policies and in
+    both formats, for the value shapes no fixture script reaches (kept
+    out of `fixtures/`, which the diagnostics corpus fuzzes)."""
     grid: list[list[str]] = []
     for world in (f"fixtures/{name}" for name in WORLDS):
         for fmt in FORMATS:
@@ -47,6 +50,11 @@ def invocations() -> list[list[str]]:
                     grid.append(
                         ["eval", world, f"fixtures/{script}", "--format", fmt, "--policy", policy]
                     )
+    for fmt in FORMATS:
+        for policy in ("strict", "lenient"):
+            grid.append(
+                ["eval", "tests/shapes.tcw", "tests/shapes.tcq", "--format", fmt, "--policy", policy]
+            )
     return grid
 
 
