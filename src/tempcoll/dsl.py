@@ -28,6 +28,15 @@ Script grammar:
 
 `card`, `ratio` and `sum` start an expression only when no `@` follows
 them; `card@2` is the bare instantiation of a collection named `card`.
+
+Every line goes through one tokenizer and cursor parser, except that
+most world lines are plain `entity`, `fact` and `measure` declarations,
+and each of those kinds also has one full-line pattern built from the
+tokenizer's pieces. A line that pattern matches is either accepted, with
+the value its cursor parser would give (both build it through one
+constructor per kind), or declined and left to the tokenizer path. A
+pattern never rejects a line, so every diagnostic comes from the
+tokenizer path.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Literal, Mapping, NamedTuple, TypeVar
+from typing import Callable, Literal, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import TempcollError
 from .model import (
@@ -152,13 +161,21 @@ class Script:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# Token pieces, shared with the full-line declaration patterns below.
+# Numbers take ASCII digits only; `\s` is Unicode whitespace.
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_INT = r"-?[0-9]+"
+_RATIONAL = r"-?[0-9]+/[0-9]+"
+_DECIMAL = r"-?[0-9]+\.[0-9]+"
+_COMMENT = r";.*"
+
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>;.*)
-      | (?P<rational>-?[0-9]+/[0-9]+)
-      | (?P<decimal>-?[0-9]+\.[0-9]+)
-      | (?P<int>-?[0-9]+)
-      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    rf"""(?P<ws>\s+)
+      | (?P<comment>{_COMMENT})
+      | (?P<rational>{_RATIONAL})
+      | (?P<decimal>{_DECIMAL})
+      | (?P<int>{_INT})
+      | (?P<id>{_ID})
       | (?P<punct>:=|[()\[\],@=|<>*])
       | (?P<bad>.)
     """,
@@ -289,32 +306,45 @@ def _parse_lines(
     source_name: str,
     noun: str,
     parsers: Mapping[str, Callable[[_Cursor], _T]],
-    keep: Callable[[_Token, _T, int, str], None],
+    fast: Sequence[tuple[str, re.Pattern[str], Callable[[re.Match[str]], _T | None]]],
+    keep: Callable[[str, int, _T, int, str], None],
 ) -> list[Diagnostic]:
     """The one line loop of both formats. A line that holds a token
     starts with a word from `parsers`, whose parser must take the rest
-    of the line; `keep` gets that word, the parsed value, the line
-    number and the line. An error ends its line as a diagnostic."""
+    of the line; `keep` gets that word, its column, the parsed value,
+    the line number and the line. An error ends its line as a diagnostic.
+
+    `fast` holds (word, full-line pattern whose group 1 is the
+    indentation, maker). A line that fully matches a pattern, and whose
+    value that maker builds, skips the tokenizer: a maker never raises,
+    and builds what the word's parser would or returns None to leave
+    the line to the tokenizer."""
     diagnostics: list[Diagnostic] = []
     # Lines end only at \r\n, \r or \n; str.splitlines would also end
     # them at a form feed or U+2028, even inside a comment.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, line in enumerate(text.split("\n"), start=1):
-        try:
-            tokens = _tokenize(line)
-            if tokens:
-                head = tokens[0]
-                if head.text not in parsers:
-                    raise _LineError(f"unknown {noun} {head.text!r}", head.column)
-                cur = _Cursor(tokens, len(line))
-                cur.take(noun)
-                value = parsers[head.text](cur)
-                cur.expect_end()
-                keep(head, value, lineno, line)
-        except _LineError as e:
-            message, column = e.args
-            diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
+        for word, pattern, make in fast:
+            m = pattern.fullmatch(line)
+            if m is not None and (value := make(m)) is not None:
+                keep(word, m.end(1) + 1, value, lineno, line)
+                break
+        else:
+            try:
+                tokens = _tokenize(line)
+                if tokens:
+                    head = tokens[0]
+                    if head.text not in parsers:
+                        raise _LineError(f"unknown {noun} {head.text!r}", head.column)
+                    cur = _Cursor(tokens, len(line))
+                    cur.take(noun)
+                    value = parsers[head.text](cur)
+                    cur.expect_end()
+                    keep(head.text, head.column, value, lineno, line)
+            except _LineError as e:
+                message, column = e.args
+                diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
     return diagnostics
 
 
@@ -327,24 +357,12 @@ _Lint = Callable[[World], "str | None"]
 _Apply = Callable[[WorldBuilder], "_Lint | None"]
 
 
-def _parse_entity(cur: _Cursor) -> _Apply:
-    entity_id = cur.expect().text
-    cur.expect("lifespan")
-    lifespan = _parse_interval(cur)
-    invariant = cur.accept("invariant")
-    species = None
-    if cur.accept("species"):
-        species = cur.expect().text
+# One constructor per declaration kind that both the cursor parsers and
+# the full-line patterns below build through.
+
+
+def _entity(entity_id: str, lifespan: TimeRef, invariant: bool, species: str | None) -> _Apply:
     return lambda b: b.add_entity(entity_id, lifespan, invariant=invariant, species=species)
-
-
-def _parse_predicate(cur: _Cursor) -> _Apply:
-    name = cur.expect().text
-    cur.expect("arity")
-    arity = _parse_int(cur)
-    invariant = cur.expect("mutable", "invariant").text == "invariant"
-    cohort = cur.accept("cohort")
-    return lambda b: b.add_predicate(name, arity, invariant=invariant, cohort=cohort)
 
 
 def _lint_fact(name: str, args: tuple[str, ...], at: TimeRef, world: World) -> str | None:
@@ -358,21 +376,46 @@ def _lint_fact(name: str, args: tuple[str, ...], at: TimeRef, world: World) -> s
     return None
 
 
-def _parse_fact(cur: _Cursor) -> _Apply:
-    name = cur.expect().text
-    args = _parse_args(cur, allow_hole=False)
-    cur.expect("@")
-    if cur.accept("*"):
-        at: TimeRef | None = None
-    else:
-        at = TimeRef.point(_parse_int(cur))
-
+def _fact(name: str, args: tuple[str, ...], at: TimeRef | None) -> _Apply:
     # The lint is made on apply, so a parsed fact waits as one closure, not two.
     def apply(b: WorldBuilder) -> _Lint | None:
         b.add_fact(name, args, at)
         return None if at is None else partial(_lint_fact, name, args, at)
 
     return apply
+
+
+def _measure(name: str, entity_id: str, at: TimeRef, value: Fraction) -> _Apply:
+    return lambda b: b.add_measure(name, entity_id, at, value)
+
+
+def _parse_entity(cur: _Cursor) -> _Apply:
+    entity_id = cur.expect().text
+    cur.expect("lifespan")
+    lifespan = _parse_interval(cur)
+    invariant = cur.accept("invariant")
+    species = None
+    if cur.accept("species"):
+        species = cur.expect().text
+    return _entity(entity_id, lifespan, invariant, species)
+
+
+def _parse_predicate(cur: _Cursor) -> _Apply:
+    name = cur.expect().text
+    cur.expect("arity")
+    arity = _parse_int(cur)
+    invariant = cur.expect("mutable", "invariant").text == "invariant"
+    cohort = cur.accept("cohort")
+    return lambda b: b.add_predicate(name, arity, invariant=invariant, cohort=cohort)
+
+
+def _parse_fact(cur: _Cursor) -> _Apply:
+    name = cur.expect().text
+    args = _parse_args(cur, allow_hole=False)
+    cur.expect("@")
+    if cur.accept("*"):
+        return _fact(name, args, None)
+    return _fact(name, args, TimeRef.point(_parse_int(cur)))
 
 
 def _parse_measure(cur: _Cursor) -> _Apply:
@@ -383,8 +426,7 @@ def _parse_measure(cur: _Cursor) -> _Apply:
     cur.expect("@")
     at = TimeRef.point(_parse_int(cur))
     cur.expect("=")
-    value = _parse_rational(cur)
-    return lambda b: b.add_measure(name, args[0], at, value)
+    return _measure(name, args[0], at, _parse_rational(cur))
 
 
 def _parse_collection(cur: _Cursor) -> _Apply:
@@ -456,6 +498,74 @@ _LINE_PARSERS: dict[str, Callable[[_Cursor], _Apply]] = {
     "statement": _parse_statement,
 }
 
+# One full-line pattern per common declaration kind (see the module
+# docstring); a line it matches gets its value straight from the match
+# groups. Group 1 is the indentation, so the head column is the
+# tokenizer's, leading whitespace included.
+_END = rf"\s*(?:{_COMMENT})?"
+_ENTITY_LINE = re.compile(
+    rf"""(\s*)entity\s+({_ID})\s+lifespan
+         \s*\[\s*({_INT})\s*,\s*(?:({_INT})|\*)\s*\]
+         (?:\s+(invariant))?(?:\s+species\s+({_ID}))?{_END}""",
+    re.VERBOSE,
+)
+_FACT_LINE = re.compile(
+    rf"""(\s*)fact\s+({_ID})\s*\(\s*({_ID}(?:\s*,\s*{_ID})*)\s*\)
+         \s*@\s*(?:({_INT})|\*){_END}""",
+    re.VERBOSE,
+)
+_MEASURE_LINE = re.compile(
+    rf"""(\s*)measure\s+({_ID})\s*\(\s*({_ID})\s*\)\s*@\s*({_INT})
+         \s*=\s*({_RATIONAL}|{_DECIMAL}|{_INT}){_END}""",
+    re.VERBOSE,
+)
+
+
+# Each maker declines (returns None) what its cursor parser would reject:
+# a `_` argument, an empty interval, a zero denominator.
+
+
+def _entity_line(m: re.Match[str]) -> _Apply | None:
+    _, entity_id, start, end, invariant, species = m.groups()
+    try:
+        lifespan = TimeRef(int(start), None if end is None else int(end))
+    except TempcollError:
+        return None
+    return _entity(entity_id, lifespan, invariant is not None, species)
+
+
+def _fact_line(m: re.Match[str]) -> _Apply | None:
+    _, name, arg_text, tick = m.groups()
+    args = tuple(map(str.strip, arg_text.split(",")))  # strips just what `\s` matches
+    if HOLE in args:
+        return None
+    return _fact(name, args, None if tick is None else TimeRef.point(int(tick)))
+
+
+def _measure_line(m: re.Match[str]) -> _Apply | None:
+    _, name, entity_id, tick, literal = m.groups()
+    if entity_id == HOLE:
+        return None
+    # An int or rational literal makes its Fraction from two ints, over
+    # twice as fast as Fraction's string parser; a decimal needs that.
+    numerator, _, denominator = literal.partition("/")
+    try:
+        if "." in literal:
+            value = Fraction(literal)
+        else:
+            value = Fraction(int(numerator), int(denominator or 1))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return _measure(name, entity_id, TimeRef.point(int(tick)), value)
+
+
+# Tried in order on every world line: the most frequent kind first.
+_FAST_LINES = (
+    ("fact", _FACT_LINE, _fact_line),
+    ("measure", _MEASURE_LINE, _measure_line),
+    ("entity", _ENTITY_LINE, _entity_line),
+)
+
 
 def parse_world(
     text: str, source_name: str = "<world>"
@@ -468,10 +578,10 @@ def parse_world(
     """
     records: dict[str, list[tuple[_Apply, int, int]]] = {kind: [] for kind in _LINE_PARSERS}
 
-    def keep(head: _Token, apply: _Apply, lineno: int, line: str) -> None:
-        records[head.text].append((apply, lineno, head.column))
+    def keep(word: str, column: int, apply: _Apply, lineno: int, line: str) -> None:
+        records[word].append((apply, lineno, column))
 
-    diagnostics = _parse_lines(text, source_name, "declaration", _LINE_PARSERS, keep)
+    diagnostics = _parse_lines(text, source_name, "declaration", _LINE_PARSERS, _FAST_LINES, keep)
     builder = WorldBuilder()
     lints: list[tuple[_Lint, int, int]] = []
     for kind_records in records.values():
@@ -580,10 +690,10 @@ def parse_script(
     """
     commands: list[Command] = []
 
-    def keep(head: _Token, make: _MakeCommand, lineno: int, line: str) -> None:
+    def keep(word: str, column: int, make: _MakeCommand, lineno: int, line: str) -> None:
         commands.append(make(lineno, line.split(";")[0].strip()))
 
-    diagnostics = _parse_lines(text, source_name, "command", _COMMANDS, keep)
+    diagnostics = _parse_lines(text, source_name, "command", _COMMANDS, (), keep)
     if diagnostics:
         return None, diagnostics
     return Script(tuple(commands)), diagnostics

@@ -257,10 +257,6 @@ class Statement:
             raise MalformedStatement(f"unknown mode '{self.explicit_mode}'")
 
 
-def _fact_key(f: Fact) -> tuple:
-    return (f.predicate, f.args, f.at is not None, f.at.start if f.at else 0)
-
-
 # Hole index key: (predicate, hole position, the other arguments in order).
 # Value: the declared entities filling that hole, by tick for mutable facts,
 # and at any tick for `always` facts and every fact of an invariant predicate.
@@ -386,7 +382,9 @@ class WorldBuilder:
     def __init__(self) -> None:
         self._entities: dict[str, Entity] = {}
         self._predicates: dict[str, PredicateDecl] = {}
-        self._facts: set[Fact] = set()
+        # Keyed by the canonical sort key, so duplicates collapse and
+        # `build` sorts plain tuples: (predicate, args, timed, tick or 0).
+        self._facts: dict[tuple[str, tuple[str, ...], bool, int], Fact] = {}
         self._measures: dict[tuple[str, str, int], Fraction] = {}
         self._measure_names: set[str] = set()
         self._collections: dict[str, Collection] = {}
@@ -432,7 +430,9 @@ class WorldBuilder:
             )
         if at is not None and not at.is_point:
             raise InvalidDeclaration("fact time must be a single tick or '*'")
-        self._facts.add(Fact(predicate, args, at))
+        self._facts[(predicate, args, at is not None, 0 if at is None else at.start)] = Fact(
+            predicate, args, at
+        )
 
     def add_measure(
         self, measure: str, entity_id: str, at: TimeRef, value: Fraction
@@ -541,7 +541,7 @@ class WorldBuilder:
         return World(
             entities=self._entities,
             predicates=self._predicates,
-            facts=tuple(sorted(self._facts, key=_fact_key)),
+            facts=tuple(self._facts[key] for key in sorted(self._facts)),
             measures=self._measures,
             collections=self._collections,
             statements=self._statements,

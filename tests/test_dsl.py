@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_text
-from tempcoll import TimeRef, parse_script, parse_world, render_world
+import test_dsl_corpus as corpus
+from conftest import FIXTURES, fixture_text
+from tempcoll import TimeRef, dsl, parse_script, parse_world, render_world
 from tempcoll.dsl import (
     AssertCommand,
     CardExpr,
@@ -164,6 +167,26 @@ def test_canonical_render_ignores_declaration_order():
     assert scrambled == original
 
 
+def test_facts_render_deduplicated_in_canonical_order():
+    # By predicate, then arguments, then `*` before any tick, then tick.
+    world, diagnostics = parse_world(
+        "entity a lifespan [-9, 9]\nentity b lifespan [-9, 9]\n"
+        "pred q arity 1 invariant\npred p arity 2 mutable\n"
+        "fact q(b) @ 3\nfact p(b, a) @ 1\nfact q(b) @ -2\nfact q(b) @ *\nfact p(a, b) @ 2\n"
+        "fact q(a) @ -1\nfact p(a, b) @ -4\nfact q(b) @ 3\n"
+    )
+    assert world is not None and not diagnostics
+    assert [line for line in render_world(world).splitlines() if line.startswith("fact")] == [
+        "fact p(a, b) @ -4",
+        "fact p(a, b) @ 2",
+        "fact p(b, a) @ 1",
+        "fact q(a) @ -1",
+        "fact q(b) @ *",
+        "fact q(b) @ -2",
+        "fact q(b) @ 3",
+    ]
+
+
 def test_open_lifespan_renders_star():
     world, _ = parse_world("entity e lifespan [1990, *]\n")
     assert world.entities["e"].lifespan == TimeRef(1990, None)
@@ -190,6 +213,134 @@ def test_round_trip_on_generated_statement_worlds(seed):
     assert not [d for d in diagnostics if d.severity == "error"]
     assert reparsed == world
     assert render_world(reparsed) == rendered
+
+
+# ---------------------------------------------------------------------------
+# the full-line patterns: accept with the cursor parser's value, or decline
+
+
+def _outcomes(text: str) -> list[tuple[object, list[str]]]:
+    """The world and rendered diagnostics of `text`, with the line
+    patterns in use and with their table emptied."""
+    results = []
+    for fast in (dsl._FAST_LINES, ()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dsl, "_FAST_LINES", fast)
+            world, diagnostics = parse_world(text, source_name="w.tcw")
+        results.append((world, [d.render() for d in diagnostics]))
+    return results
+
+
+_SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000"]
+_DIGITS_2001 = "\u0662\u0660\u0660\u0661"  # Arabic-Indic
+# slot: (valid choices, near misses)
+_SLOTS = {
+    "space": (_SPACES, [""]),
+    "name": (
+        ["a", "b", "z", "p", "q", "m", "n", "_x", "e1", "invariant", "fact"],
+        ["_", "1", "a-1", "\u00e9"],
+    ),
+    "tick": (
+        ["2001", "2003", "0", "-0", "-7", "*"],
+        ["2002abc", "2002/3", "1.5", _DIGITS_2001, "200\u0661", "x"],
+    ),
+    "value": (
+        ["1", "0", "-0", "-2", "1/2", "-0/5", "0.25"],
+        ["1/0", "0/0", "1.", "3 4", "x", "\u0663"],
+    ),
+    "tail": (["", " ", " ; a comment", ";c", "\u00a0;\u2028c"], [" x", " $", ")", "invariant"]),
+}
+
+
+@st.composite
+def _declaration_line(draw) -> str:
+    """An entity, fact or measure line, reversed intervals, `-0` and
+    odd whitespace included; most are near misses in one kind of slot:
+    glued words, `_` or bad names, bad numbers, argument counts, junk."""
+    broken = draw(st.sampled_from([None, "args", *_SLOTS]))
+
+    def pick(slot: str) -> str:
+        valid, misses = _SLOTS[slot]
+        return draw(st.sampled_from(misses if slot == broken and draw(st.booleans()) else valid))
+
+    def gap() -> str:
+        return draw(st.sampled_from(["", pick("space")]))
+
+    kind = draw(st.sampled_from(["entity", "fact", "measure"]))
+    indent = draw(st.sampled_from(["", " ", "\t", "   ", "\u00a0"]))
+    line = indent + kind + pick("space") + pick("name")
+    if kind == "entity":
+        start, end = pick("tick"), pick("tick")
+        line += f"{pick('space')}lifespan{gap()}[{gap()}{start}{gap()},{gap()}{end}{gap()}]"
+        if draw(st.booleans()):
+            line += pick("space") + "invariant"
+        if draw(st.booleans()):
+            line += f"{pick('space')}species{pick('space')}{pick('name')}"
+    else:
+        counts = [0, 2] if broken == "args" else {"fact": [1, 2, 3], "measure": [1]}[kind]
+        names = [pick("name") for _ in range(draw(st.sampled_from(counts)))]
+        args = (gap() + "," + gap()).join(names)
+        line += f"{gap()}({gap()}{args}{gap()}){gap()}@{gap()}{pick('tick')}"
+        if kind == "measure":
+            line += f"{gap()}={gap()}{pick('value')}"
+    return line + pick("tail")
+
+
+@given(st.lists(_declaration_line(), min_size=1, max_size=6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_line_patterns_agree_with_the_tokenizer(lines, prelude):
+    text = (corpus.WORLD_PRELUDE if prelude else "") + "\n".join(lines)
+    fast, slow = _outcomes(text)
+    assert fast == slow
+
+
+def test_line_patterns_agree_on_fixtures_and_corpus_worlds():
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.tcw"))]
+    texts.append((Path(__file__).parent / "shapes.tcw").read_text(encoding="utf-8"))
+    texts += [corpus._full_text(c) for c in corpus.hand_cases() if c["parser"] == "world"]
+    texts += [
+        corpus.fuzz_text(name, index)
+        for name in corpus.fuzz_fixtures()
+        if name.endswith(".tcw")
+        for index in range(corpus.FUZZ_PER_FIXTURE)
+    ]
+    for text in texts:
+        fast, slow = _outcomes(text)
+        assert fast == slow, text
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_generated_declarations_take_the_line_patterns(seed, statements):
+    world = (random_statement_world if statements else random_world)(random.Random(seed))
+    text = render_world(world)
+    kinds = ("entity", "fact", "measure")
+    built = {kind: 0 for kind in kinds}
+    slow = []
+
+    def counted(kind, make):
+        def count(*args):
+            built[kind] += 1
+            return make(*args)
+
+        return count
+
+    def spied(parse):
+        def spy(cur):
+            slow.append(parse.__name__)
+            return parse(cur)
+
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        for kind in kinds:
+            mp.setattr(dsl, f"_{kind}", counted(kind, getattr(dsl, f"_{kind}")))
+            mp.setitem(dsl._LINE_PARSERS, kind, spied(dsl._LINE_PARSERS[kind]))
+        reparsed, _ = parse_world(text)
+    assert reparsed == world
+    assert slow == []
+    lines = text.splitlines()
+    assert built == {kind: sum(l.startswith(kind + " ") for l in lines) for kind in kinds}
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,33 @@ WORLD_LINES = (
     "entity z lifespan [2000, 2001]\npred r arity 1 mutable\nfact r(z) @ 2004\nfact r(z) @ 2004",
     "entity z lifespan [2000, 2001]\npred r arity 1 mutable\nfact r(z) @ 2004\nentity z lifespan [0, 1]",
     "entity z lifespan [2000, 2001]\npred r arity 1 invariant\nfact r(z) @ 2004",
+    # boundaries of the one-pattern-per-kind lines (entity, fact, measure)
+    "entity z lifespan [0, 1]invariant",
+    "entity z lifespan [0, *]invariant species s",
+    "entity z lifespan[0,*] invariant species s;c",
+    "entity z lifespan [*, 1]",
+    "entityz lifespan [0, 1]",
+    "fact p(a) @2002abc",
+    "fact p(a) @ 2002/3",
+    "fact p(a) @ 2002.5",
+    "fact p(a) @ 200١",
+    "fact p(a) @ ٢٠٠١",
+    "fact\u00a0p(a)\u00a0@\u00a02001",
+    "fact p(a) @\u20282001",
+    "fact p(a)@2001;c",
+    "fact p(a) @ 2001 x",
+    "fact q(a, _) @ *",
+    "factp(a) @ 2001",
+    "measure n(a) @ 2001 = 10/0",
+    "measure n(a) @ 2001 = -0",
+    "measure n(a) @ 2001 = -0/5",
+    "measure n(a) @ 2001 = 0.25 ; c",
+    "measure n(a) @ 2001abc = 1",
+    "measure n(a)@2001=1/3",
+    "entity z lifespan [0, 1]\n   entity z lifespan [0, 2]",
+    "\tentity a lifespan [0, 1]",
+    "  fact zz(a) @ 2001",
+    "  measure p(a) @ 2001 = 1",
 )
 
 SCRIPT_LINES = (
