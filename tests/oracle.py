@@ -162,3 +162,65 @@ def global_reading(world: World, stmt: Statement) -> bool | str:
     if early is None or late is None:
         return "undefined"
     return _compare(late, early, stmt.profile.direction)
+
+
+# ---------------------------------------------------------------------------
+# Mode decision, from the rule table in the README
+
+
+def _exceeds_life_span(world: World, stmt: Statement, candidates: set[str]) -> bool:
+    """R3: the span is longer than the members' possible life span.
+
+    That life span is the declared species bound, else the longest life
+    span among the candidate members. An open span is longer than any
+    finite bound; no candidate, or one that lives on without end, leaves
+    nothing to exceed.
+    """
+    bound = stmt.species_bound
+    if bound is None:
+        spans = [world.entities[e].lifespan for e in candidates]
+        if not spans or any(span.end is None for span in spans):
+            return False
+        bound = max(span.end - span.start for span in spans)
+    if stmt.span.end is None:
+        return True
+    return stmt.span.end - stmt.span.start > bound
+
+
+def decide(world: World, stmt: Statement) -> tuple[str, tuple[str, ...]]:
+    """(mode, fired rule ids in order).
+
+    E0: an explicit mode overrides everything. R1: an evolutive
+    statement over a predicate fixed per individual. R2: a subject
+    declared as a cohort, or realizations at the two times that are both
+    non-empty and share no member. R3: see `_exceeds_life_span`. Any of
+    R1-R3 forces de dicto; with none, R0 records the de re default.
+    """
+    if stmt.explicit_mode is not None:
+        return stmt.explicit_mode, ("E0",)
+    coll = world.collections[stmt.subject]
+    fired: list[str] = []
+    prop = world.predicates.get(stmt.profile.compared_property)
+    if stmt.profile.evolutive and prop is not None and prop.invariant:
+        fired.append("R1")
+    early, late = (
+        extension_ids(world, coll.predicate, coll.pattern, t) for t in stmt.eval_times
+    )
+    if world.predicates[coll.predicate].cohort or (early and late and not early & late):
+        fired.append("R2")
+    if _exceeds_life_span(world, stmt, early | late):
+        fired.append("R3")
+    if fired:
+        return MODE_DICTO, tuple(fired)
+    return MODE_RE, ("R0",)
+
+
+def readings(world: World, stmt: Statement, mode: str) -> list[tuple[str, bool | str]]:
+    """(kind, truth or 'undefined') of each reading a mode licenses:
+    individual and global over a measure read de re, the ratio otherwise."""
+    if mode == MODE_RE and stmt.profile.compared_property not in world.predicates:
+        return [
+            ("individual_evolution", individual_reading(world, stmt)),
+            ("global_aggregate", global_reading(world, stmt)),
+        ]
+    return [("ratio_evolution", ratio_reading(world, stmt, mode))]

@@ -375,3 +375,17 @@ def test_readings_agree_with_oracle(seed):
             expected = oracle.global_reading(world, stmt)
         got = "undefined" if reading.truth is None else reading.truth
         assert got == expected, (reading.kind, reading.reason)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=300, deadline=None)
+def test_analyze_agrees_with_oracle_decision(seed):
+    world = random_statement_world(random.Random(seed))
+    stmt = world.statements["S"]
+    decision = analyze(world, stmt)
+    mode, rule_ids = oracle.decide(world, stmt)
+    assert (decision.mode, decision.rule_ids) == (mode, rule_ids)
+    got = [
+        (r.kind, "undefined" if r.truth is None else r.truth) for r in decision.readings
+    ]
+    assert got == oracle.readings(world, stmt, mode)

@@ -113,26 +113,43 @@ def random_statement_world(
     """A world carrying one statement S over a collection C.
 
     Membership facts sit at the two evaluation times; measures are
-    recorded with a gap now and then so undefined readings occur.
+    recorded with a gap now and then so undefined readings occur. The
+    subject predicate `p0` is sometimes a cohort and sometimes takes a
+    second argument (a constant, not always the collection's); life spans
+    are sometimes open. The statement compares `m0`, `p0` or a second
+    predicate `p1`, and its span may outlast the life spans or stay open,
+    with or without a declared bound and an explicit mode, so every rule
+    of the mode decision fires now and then.
     """
     t1, t2 = sorted(rng.sample(TICKS, 2))
     builder = WorldBuilder()
     names = [f"e{i}" for i in range(rng.randint(1, 6))]
     for name in names:
         start = t1 - rng.randint(0, 5)
-        if rng.random() < 0.8:
+        roll = rng.random()
+        if roll < 0.1:
+            lifespan = TimeRef(start, None)
+        elif roll < 0.8:
             lifespan = TimeRef(start, t2 + rng.randint(0, 5))
         else:
             lifespan = TimeRef(start, max(start, t2 - rng.randint(1, 2)))
         builder.add_entity(name, lifespan, invariant=rng.random() < 0.1)
 
+    arity = 2 if rng.random() < 0.25 else 1
+    hole = rng.randrange(arity)
+    pattern = tuple(HOLE if i == hole else CONSTANTS[0] for i in range(arity))
     builder.add_predicate(
-        "p0", 1, invariant=rng.random() < 0.3, cohort=rng.random() < 0.2
+        "p0", arity, invariant=rng.random() < 0.3, cohort=rng.random() < 0.2
     )
+    builder.add_predicate("p1", 1, invariant=rng.random() < 0.5)
     for name in names:
         for tick in (t1, t2):
             if rng.random() < 0.8:
-                builder.add_fact("p0", (name,), TimeRef.point(tick))
+                other = CONSTANTS[0] if rng.random() < 0.85 else CONSTANTS[1]
+                args = tuple(name if i == hole else other for i in range(arity))
+                builder.add_fact("p0", args, TimeRef.point(tick))
+            if rng.random() < 0.5:
+                builder.add_fact("p1", (name,), TimeRef.point(tick))
     recorded = 0
     for name in names:
         for tick in (t1, t2):
@@ -149,13 +166,25 @@ def random_statement_world(
         builder.add_measure("m0", names[0], TimeRef.point(t1), Fraction(1))
 
     if rng.random() < 0.5:
-        builder.add_collection("C", MODE_RE, "p0", (HOLE,), TimeRef.point(t1))
+        builder.add_collection("C", MODE_RE, "p0", pattern, TimeRef.point(t1))
     else:
-        builder.add_collection("C", MODE_DICTO, "p0", (HOLE,))
+        builder.add_collection("C", MODE_DICTO, "p0", pattern)
 
     if measure_property is None:
         measure_property = rng.random() < 0.5
-    compared = "m0" if measure_property else "p0"
+    if measure_property:
+        compared, property_pattern = "m0", None
+    elif rng.random() < 0.6:
+        compared, property_pattern = "p0", pattern
+    else:
+        compared, property_pattern = "p1", None
+    roll = rng.random()
+    if roll < 0.6:
+        span = TimeRef(t1, t2)
+    elif roll < 0.85:
+        span = TimeRef(t1 - rng.randint(0, 20), t2 + rng.randint(0, 20))
+    else:
+        span = TimeRef(t1, None)
     builder.add_statement(
         "S",
         "C",
@@ -163,7 +192,10 @@ def random_statement_world(
         compared_property=compared,
         direction=rng.choice(directions),  # type: ignore[arg-type]
         eval_times=(t1, t2),
-        span=TimeRef(t1, t2),
-        species_bound=rng.choice((None, None, 30)),
+        span=span,
+        property_pattern=property_pattern,
+        # sometimes exactly the span's length, which R3 must not exceed
+        species_bound=rng.choice((None, None, 30, rng.randint(1, 12), span.length())),
+        explicit_mode=rng.choice((None, None, None, None, MODE_RE, MODE_DICTO)),
     )
     return builder.build()
