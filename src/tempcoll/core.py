@@ -45,12 +45,18 @@ def extension(
     time inside the member's life span. Only declared entities can fill
     the hole; other symbols are constants and have no slices. Members are
     always clipped to their life spans, so every returned slice is a
-    live stage. The answer comes from the World's hole index, built on
-    the first call, so its cost follows the output, not the number of
-    facts of the predicate.
+    live stage. The World's hole index, built on the first call, makes
+    the cost follow the output, not the number of facts of the
+    predicate, and the World's extension memo keeps each answer, so a
+    later call for the same (predicate, pattern, time) returns it at
+    once. An invalid key is never kept: it raises on every call.
     """
-    decl = world.predicate(predicate)
     pattern = tuple(pattern)
+    key = (predicate, pattern, t)
+    known = world._extensions.get(key)
+    if known is not None:
+        return known
+    decl = world.predicate(predicate)
     if len(pattern) != decl.arity:
         raise ArityMismatch(
             f"arity mismatch: {predicate} takes {decl.arity} argument(s), "
@@ -60,11 +66,13 @@ def extension(
     by_tick, always = world.hole_fillers(predicate, hole, pattern[:hole] + pattern[hole + 1 :])
     # A mutable fact holds at a single tick, so it never matches an interval.
     candidates = chain(by_tick.get(t.tick, ()), always) if t.is_point else always
-    return frozenset(
+    answer = frozenset(
         Slice(entity.id, t, invariant=entity.invariant)
         for entity in candidates
         if within(t, entity.lifespan)
     )
+    world._extensions[key] = answer
+    return answer
 
 
 def measure_value(world: World, measure: str, s: Slice) -> Fraction:

@@ -272,9 +272,13 @@ class World:
     """An immutable knowledge base; equality and hash are structural.
 
     The mappings are read-only views over private copies, so the lazy
-    indices below (facts by predicate, and the hole index that answers
-    :func:`tempcoll.core.extension`, built on its first call) can never
-    go stale.
+    indices below can never go stale: facts by predicate; the hole index,
+    built on the first :func:`tempcoll.core.extension` call; and the
+    extension memo, which keeps each answer of that function by
+    (predicate, pattern, time). They live only in the instance's
+    ``__dict__``, outside equality, hash and ``repr``, and die with the
+    World. Two threads racing on one memo key both compute and store
+    equal frozensets, so the race is harmless.
     """
 
     entities: Mapping[str, Entity] = field(default_factory=dict)
@@ -331,6 +335,11 @@ class World:
         """The entities filling position `hole` of `predicate` when the
         other arguments are `others`, in order; empty when none do."""
         return self._hole_index.get((predicate, hole, others), _NO_FILLERS)
+
+    @cached_property
+    def _extensions(self) -> dict[tuple[str, tuple[str, ...], TimeRef], frozenset[Slice]]:
+        # Filled by `tempcoll.core.extension`, with successful answers only.
+        return {}
 
     @cached_property
     def ticks(self) -> tuple[int, ...]:

@@ -3,8 +3,13 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tempcoll import World, parse_world
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run,
+# so a property cannot pass on one run and fail on the next.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -17,6 +17,14 @@ def _fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["youth", "friends", "origins"])
+def test_two_runs_in_one_process_print_the_same_report(capsys, name, fmt):
+    argv = ["eval", _fx(f"{name}.tcw"), _fx(f"{name}.tcq"), "--format", fmt]
+    first = _run(capsys, *argv)
+    assert _run(capsys, *argv) == first
+
+
 # ---------------------------------------------------------------------------
 # check
 

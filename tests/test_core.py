@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,15 +19,19 @@ from tempcoll import (
     MissingMeasure,
     MultipleHoles,
     OutsideLifeSpan,
+    TempcollError,
     TimeRef,
     UnknownEntity,
     UnknownPredicate,
     WorldBuilder,
     extension,
     measure_value,
+    parse_world,
+    render_world,
     slice_at,
     within,
 )
+from conftest import load_world
 from worldgen import CONSTANTS, random_world
 
 P = TimeRef.point
@@ -225,6 +233,95 @@ def test_invariant_extension_stable_while_alive(seed):
                 for entity in world.entities.values():
                     if within(P(t1), entity.lifespan) and within(P(t2), entity.lifespan):
                         assert (entity.id in ids1) == (entity.id in ids2)
+
+
+def _answer(world, key):
+    """What `extension` gives for `key`: the slices, each with its time
+    and invariant flag, or the error's type and message."""
+    try:
+        got = extension(world, *key)
+    except TempcollError as e:
+        return type(e), str(e)
+    return sorted((s.entity_id, s.at.start, s.at.end, s.invariant) for s in got)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_extension_memo_answers_like_a_fresh_world(seed):
+    # A shuffled run of valid keys, each asked twice, and invalid ones
+    # (unknown predicate, wrong arity, two holes or none) on one world:
+    # every answer and error equals the one a freshly parsed copy gives,
+    # and the valid answers equal the oracle's.
+    rng = random.Random(seed)
+    world = random_world(rng)
+    text, shown = render_world(world), repr(world)
+    times = ORACLE_TIMES + (TimeRef(2000, 2004), TimeRef(1999, None))
+    fillers = sorted({a for f in world.facts for a in f.args} | set(CONSTANTS))
+    valid = []
+    for decl in world.predicates.values():
+        for _ in range(4):
+            hole = rng.randrange(decl.arity)
+            pattern = tuple(
+                "_" if i == hole else rng.choice(fillers) for i in range(decl.arity)
+            )
+            valid.append((decl.name, pattern, rng.choice(times)))
+    invalid = [("nope", ("_",), P(2002))]
+    for decl in world.predicates.values():
+        invalid.append((decl.name, ("_",) * (decl.arity + 1), P(2001)))
+        invalid.append((decl.name, ("_", "_") if decl.arity == 2 else ("c0",), P(2003)))
+    calls = valid * 2 + invalid * 2
+    rng.shuffle(calls)
+    for key in calls:
+        got = _answer(world, key)
+        fresh, _ = parse_world(text)
+        assert got == _answer(fresh, key)
+        if key in valid:
+            assert {slice_[0] for slice_ in got} == oracle.extension_ids(world, *key)
+    fresh, _ = parse_world(text)
+    assert world == fresh and hash(world) == hash(fresh)
+    assert repr(world) == shown
+    assert set(world._extensions) == set(valid)
+
+
+def test_extension_memo_dies_with_the_world():
+    world = load_world("youth.tcw")
+    extension(world, "eighteen", ("_",), P(2002))
+    assert world._extensions
+    ref = weakref.ref(world)
+    del world
+    gc.collect()
+    assert ref() is None
+
+
+def test_extension_memo_under_racing_threads():
+    # More threads than cores, switching often, race on the first call
+    # for each key of 50 fresh copies of one world: every answer is the
+    # unshared one, and so is every answer the memos keep.
+    base = load_world("youth.tcw")
+    keys = [("eighteen", ("_",), P(t)) for t in (2001, 2002, 2003)]
+    keys += [("smokes", ("_", "tobacco"), t) for t in (P(2002), P(2003), TimeRef(2002, None))]
+    expected = {key: _answer(load_world("youth.tcw"), key) for key in keys}
+    worlds = [replace(base) for _ in range(50)]
+    wrong = []
+
+    def work():
+        for world in worlds:
+            wrong.extend(key for key in keys if _answer(world, key) != expected[key])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    for world in worlds:
+        assert all(_answer(world, key) == expected[key] for key in world._extensions)
 
 
 # ---------------------------------------------------------------------------

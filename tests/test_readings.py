@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import load_world
 from tempcoll import (
     MODE_DICTO,
     MODE_RE,
     MalformedStatement,
     TimeRef,
     UnboundedSpan,
+    World,
     WorldBuilder,
     analyze,
     cohort_disjoint,
@@ -122,6 +124,27 @@ def test_more_than_two_times_rejected_for_directional_readings(friends):
             eval_times=(P(2002), P(2003), P(2004)),
             span=TimeRef(2002, 2004),
         )
+
+
+def test_each_realization_is_looked_up_once(monkeypatch):
+    # friends S1 realizes friend(_, paul) at 2002 and 2003: R2 and R3
+    # both need it, and so do the readings, whose anchor is 2002. Each
+    # key reaches the hole index once; every repeat is a memo hit.
+    lookups = []
+    hole_fillers = World.hole_fillers
+
+    def spy(self, *args):
+        lookups.append(args)
+        return hole_fillers(self, *args)
+
+    monkeypatch.setattr(World, "hole_fillers", spy)
+    world = load_world("friends.tcw")
+    decide_mode(world, world.statements["S1"])
+    assert len(lookups) == 2
+    lookups.clear()
+    world = load_world("friends.tcw")
+    analyze(world, world.statements["S1"])
+    assert len(lookups) == 2
 
 
 # ---------------------------------------------------------------------------
