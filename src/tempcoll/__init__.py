@@ -45,7 +45,6 @@ from .model import (
     Entity,
     Fact,
     LifeSpan,
-    MeasureFact,
     Mode,
     Policy,
     PredicateDecl,
@@ -84,7 +83,6 @@ __all__ = [
     "Slice",
     "PredicateDecl",
     "Fact",
-    "MeasureFact",
     "Collection",
     "PredicationProfile",
     "Statement",

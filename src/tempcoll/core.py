@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .errors import ArityMismatch, MissingMeasure, OutsideLifeSpan
+from .errors import MissingMeasure, OutsideLifeSpan
 from .model import Policy, Slice, TimeRef, World, hole_index, within
 
 __all__ = ["within", "slice_at", "extension", "measure_value"]
@@ -56,14 +56,9 @@ def extension(
     known = world._extensions.get(key)
     if known is not None:
         return known
-    decl = world.predicate(predicate)
-    if len(pattern) != decl.arity:
-        raise ArityMismatch(
-            f"arity mismatch: {predicate} takes {decl.arity} argument(s), "
-            f"got {len(pattern)}"
-        )
-    hole = hole_index(pattern)
-    by_tick, always = world.hole_fillers(predicate, hole, pattern[:hole] + pattern[hole + 1 :])
+    world.predicate(predicate).check_arity(pattern)
+    hole_index(pattern)
+    by_tick, always = world._hole_index.get((predicate, pattern), ({}, ()))
     # A mutable fact holds at a single tick, so it never matches an interval.
     candidates = chain(by_tick.get(t.tick, ()), always) if t.is_point else always
     answer = frozenset(

@@ -56,7 +56,6 @@ from .model import (
     TimeRef,
     World,
     WorldBuilder,
-    within,
 )
 
 __all__ = [
@@ -352,9 +351,8 @@ def _parse_lines(
 # World parsing
 
 # Each declaration parses to a closure that applies it to a builder and
-# returns an optional post-build lint, which returns a warning message.
-_Lint = Callable[[World], "str | None"]
-_Apply = Callable[[WorldBuilder], "_Lint | None"]
+# returns the builder's warning message, if any.
+_Apply = Callable[[WorldBuilder], "str | None"]
 
 
 # One constructor per declaration kind that both the cursor parsers and
@@ -365,24 +363,8 @@ def _entity(entity_id: str, lifespan: TimeRef, invariant: bool, species: str | N
     return lambda b: b.add_entity(entity_id, lifespan, invariant=invariant, species=species)
 
 
-def _lint_fact(name: str, args: tuple[str, ...], at: TimeRef, world: World) -> str | None:
-    for arg in args:
-        entity = world.entities.get(arg)
-        if entity is not None and not within(at, entity.lifespan):
-            return (
-                f"fact {name}({', '.join(args)}) @ {at} falls outside the "
-                f"life span of {arg} ({entity.lifespan})"
-            )
-    return None
-
-
 def _fact(name: str, args: tuple[str, ...], at: TimeRef | None) -> _Apply:
-    # The lint is made on apply, so a parsed fact waits as one closure, not two.
-    def apply(b: WorldBuilder) -> _Lint | None:
-        b.add_fact(name, args, at)
-        return None if at is None else partial(_lint_fact, name, args, at)
-
-    return apply
+    return lambda b: b.add_fact(name, args, at)
 
 
 def _measure(name: str, entity_id: str, at: TimeRef, value: Fraction) -> _Apply:
@@ -573,8 +555,9 @@ def parse_world(
     """Parse a world file.
 
     Returns (world, diagnostics); the world is None iff any diagnostic
-    is an error. Warnings (facts timed outside their subject's life
-    span) do not block the build.
+    is an error. Warnings come from the builder (facts timed outside an
+    entity argument's life span); they do not block the build and are
+    kept only when there is no error.
     """
     records: dict[str, list[tuple[_Apply, int, int]]] = {kind: [] for kind in _LINE_PARSERS}
 
@@ -583,24 +566,21 @@ def parse_world(
 
     diagnostics = _parse_lines(text, source_name, "declaration", _LINE_PARSERS, _FAST_LINES, keep)
     builder = WorldBuilder()
-    lints: list[tuple[_Lint, int, int]] = []
+    warnings: list[Diagnostic] = []
     for kind_records in records.values():
         for apply, lineno, column in kind_records:
             try:
-                lint = apply(builder)
+                message = apply(builder)
             except TempcollError as e:
                 diagnostics.append(Diagnostic("error", str(e), lineno, column, source_name))
                 continue
-            if lint is not None:
-                lints.append((lint, lineno, column))
+            if message is not None:
+                warnings.append(Diagnostic("warning", message, lineno, column, source_name))
 
     world = None
-    if not diagnostics:  # only errors so far; lints run on a clean build
+    if not diagnostics:  # only errors so far
         world = builder.build()
-        for lint, lineno, column in lints:
-            message = lint(world)
-            if message is not None:
-                diagnostics.append(Diagnostic("warning", message, lineno, column, source_name))
+        diagnostics = warnings
     diagnostics.sort(key=lambda d: (d.line, d.column))
     return world, diagnostics
 
@@ -730,10 +710,8 @@ def render_world(world: World) -> str:
     for fact in world.facts:  # already canonically sorted by the builder
         at = "*" if fact.at is None else str(fact.at.tick)
         lines.append(f"fact {fact.predicate}({', '.join(fact.args)}) @ {at}")
-    for mf in world.measure_facts():
-        lines.append(
-            f"measure {mf.measure}({mf.entity_id}) @ {mf.at.tick} = {mf.value}"
-        )
+    for (measure, entity_id, tick), value in sorted(world.measures.items()):
+        lines.append(f"measure {measure}({entity_id}) @ {tick} = {value}")
     for coll in sorted(world.collections.values(), key=lambda c: c.name):
         mode = "dicto" if coll.mode == MODE_DICTO else f"re@{coll.anchor}"
         lines.append(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -168,6 +168,12 @@ class PredicateDecl:
     invariant: bool = False
     cohort: bool = False
 
+    def check_arity(self, args: tuple[str, ...]) -> None:
+        if len(args) != self.arity:
+            raise ArityMismatch(
+                f"arity mismatch: {self.name} takes {self.arity} argument(s), got {len(args)}"
+            )
+
 
 @dataclass(frozen=True)
 class Fact:
@@ -180,16 +186,6 @@ class Fact:
     predicate: str
     args: tuple[str, ...]
     at: TimeRef | None = None
-
-
-@dataclass(frozen=True)
-class MeasureFact:
-    """An exact quantity attached to one entity at one tick."""
-
-    measure: str
-    entity_id: str
-    at: TimeRef
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -257,28 +253,18 @@ class Statement:
             raise MalformedStatement(f"unknown mode '{self.explicit_mode}'")
 
 
-# Hole index key: (predicate, hole position, the other arguments in order).
-# Value: the declared entities filling that hole, by tick for mutable facts,
-# and at any tick for `always` facts and every fact of an invariant predicate.
-# An invariant fact stated at several ticks lists its entity once per tick.
-HoleKey = tuple[str, int, tuple[str, ...]]
-HoleFillers = tuple[Mapping[int, Sequence[Entity]], Sequence[Entity]]
-
-_NO_FILLERS: HoleFillers = (MappingProxyType({}), ())
-
-
 @dataclass(frozen=True)
 class World:
     """An immutable knowledge base; equality and hash are structural.
 
     The mappings are read-only views over private copies, so the lazy
-    indices below can never go stale: facts by predicate; the hole index,
-    built on the first :func:`tempcoll.core.extension` call; and the
-    extension memo, which keeps each answer of that function by
-    (predicate, pattern, time). They live only in the instance's
-    ``__dict__``, outside equality, hash and ``repr``, and die with the
-    World. Two threads racing on one memo key both compute and store
-    equal frozensets, so the race is harmless.
+    indices below can never go stale. Two of them are dicts that only
+    :func:`tempcoll.core.extension` reads and fills: the hole index,
+    keyed (predicate, pattern), and the extension memo, keyed
+    (predicate, pattern, time). Like every lazy index they live only in
+    the instance's ``__dict__``, outside equality, hash and ``repr``,
+    and die with the World. Two threads racing on one memo key both
+    compute and store equal frozensets, so the race is harmless.
     """
 
     entities: Mapping[str, Entity] = field(default_factory=dict)
@@ -315,26 +301,28 @@ class World:
         return self._facts_by_predicate.get(predicate, ())
 
     @cached_property
-    def _hole_index(self) -> dict[HoleKey, HoleFillers]:
-        index: dict[HoleKey, HoleFillers] = {}
+    def _hole_index(
+        self,
+    ) -> dict[tuple[str, tuple[str, ...]], tuple[dict[int, list[Entity]], list[Entity]]]:
+        # Key: (predicate, pattern), a fact's arguments with one declared
+        # entity replaced by the hole. Value: the entities filling that hole,
+        # by tick for mutable facts, and at any tick for `always` facts and
+        # every fact of an invariant predicate. An invariant fact stated at
+        # several ticks lists its entity once per tick.
+        index: dict = {}
         for f in self.facts:
             anytime = f.at is None or self.predicates[f.predicate].invariant
             for hole, arg in enumerate(f.args):
                 entity = self.entities.get(arg)
                 if entity is None:
                     continue
-                key = (f.predicate, hole, f.args[:hole] + f.args[hole + 1 :])
-                by_tick, always = index.setdefault(key, ({}, []))
+                pattern = f.args[:hole] + (HOLE,) + f.args[hole + 1 :]
+                by_tick, always = index.setdefault((f.predicate, pattern), ({}, []))
                 if anytime:
                     always.append(entity)
                 else:
                     by_tick.setdefault(f.at.tick, []).append(entity)
         return index
-
-    def hole_fillers(self, predicate: str, hole: int, others: tuple[str, ...]) -> HoleFillers:
-        """The entities filling position `hole` of `predicate` when the
-        other arguments are `others`, in order; empty when none do."""
-        return self._hole_index.get((predicate, hole, others), _NO_FILLERS)
 
     @cached_property
     def _extensions(self) -> dict[tuple[str, tuple[str, ...], TimeRef], frozenset[Slice]]:
@@ -347,12 +335,6 @@ class World:
         seen = {f.at.tick for f in self.facts if f.at is not None}
         seen.update(tick for (_, _, tick) in self.measures)
         return tuple(sorted(seen))
-
-    def measure_facts(self) -> tuple[MeasureFact, ...]:
-        return tuple(
-            MeasureFact(m, e, TimeRef.point(tick), v)
-            for (m, e, tick), v in sorted(self.measures.items())
-        )
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -422,15 +404,15 @@ class WorldBuilder:
             raise InvalidDeclaration(f"predicate '{name}' needs arity >= 1")
         self._predicates[name] = PredicateDecl(name, arity, invariant, cohort)
 
-    def add_fact(self, predicate: str, args: Iterable[str], at: TimeRef | None) -> None:
+    def add_fact(self, predicate: str, args: Iterable[str], at: TimeRef | None) -> str | None:
+        """Record a fact. Returns a warning when a timed fact falls outside
+        the life span of an entity argument (the first in order), else
+        None; entities declared later are not checked."""
         args = tuple(args)
         decl = self._predicates.get(predicate)
         if decl is None:
             raise UnknownPredicate(f"unknown predicate '{predicate}' in fact")
-        if len(args) != decl.arity:
-            raise ArityMismatch(
-                f"arity mismatch: {predicate} takes {decl.arity} argument(s), got {len(args)}"
-            )
+        decl.check_arity(args)
         if HOLE in args:
             raise InvalidDeclaration(f"facts are ground; '{HOLE}' is not an argument")
         if at is None and not decl.invariant:
@@ -442,6 +424,15 @@ class WorldBuilder:
         self._facts[(predicate, args, at is not None, 0 if at is None else at.start)] = Fact(
             predicate, args, at
         )
+        if at is not None:
+            for arg in args:
+                entity = self._entities.get(arg)
+                if entity is not None and not within(at, entity.lifespan):
+                    return (
+                        f"fact {predicate}({', '.join(args)}) @ {at} falls outside the "
+                        f"life span of {arg} ({entity.lifespan})"
+                    )
+        return None
 
     def add_measure(
         self, measure: str, entity_id: str, at: TimeRef, value: Fraction
@@ -477,10 +468,7 @@ class WorldBuilder:
         decl = self._predicates.get(predicate)
         if decl is None:
             raise UnknownPredicate(f"unknown predicate '{predicate}' in collection '{name}'")
-        if len(pattern) != decl.arity:
-            raise ArityMismatch(
-                f"arity mismatch: {predicate} takes {decl.arity} argument(s), got {len(pattern)}"
-            )
+        decl.check_arity(pattern)
         hole_index(pattern)
         if mode == MODE_RE:
             if anchor is None:
@@ -523,11 +511,7 @@ class WorldBuilder:
                     )
                 pattern = (HOLE,)
             else:
-                if len(pattern) != decl.arity:
-                    raise ArityMismatch(
-                        f"arity mismatch: {compared_property} takes {decl.arity} "
-                        f"argument(s), got {len(pattern)}"
-                    )
+                decl.check_arity(pattern)
                 hole_index(pattern)
         elif compared_property in self._measure_names:
             if pattern is not None:

@@ -93,6 +93,13 @@ def test_fact_outside_lifespan_is_a_warning():
     assert d.severity == "warning"
     assert d.line == 3
     assert "outside the life span" in d.message
+    # An error anywhere drops the warnings along with the world.
+    world, diagnostics = parse_world(text + "fact p(a, a) @ 2001\n")
+    assert world is None
+    (d,) = diagnostics
+    assert d.severity == "error"
+    assert d.line == 4
+    assert "arity mismatch" in d.message
 
 
 def test_unknown_declaration_keyword():
@@ -168,12 +175,16 @@ def test_canonical_render_ignores_declaration_order():
 
 
 def test_facts_render_deduplicated_in_canonical_order():
-    # By predicate, then arguments, then `*` before any tick, then tick.
+    # By predicate, then arguments, then `*` before any tick, then tick;
+    # measures by measure, then entity, then tick, with exact values.
     world, diagnostics = parse_world(
         "entity a lifespan [-9, 9]\nentity b lifespan [-9, 9]\n"
         "pred q arity 1 invariant\npred p arity 2 mutable\n"
         "fact q(b) @ 3\nfact p(b, a) @ 1\nfact q(b) @ -2\nfact q(b) @ *\nfact p(a, b) @ 2\n"
         "fact q(a) @ -1\nfact p(a, b) @ -4\nfact q(b) @ 3\n"
+        "measure n(b) @ 3 = 7\nmeasure m(b) @ -1 = 1/2\nmeasure n(a) @ -9 = 2.5\n"
+        "measure m(a) @ 4 = 0.125\nmeasure m(b) @ -9 = 12/8\nmeasure n(b) @ 3 = 7\n"
+        "measure m(a) @ -1 = 0\n"
     )
     assert world is not None and not diagnostics
     assert [line for line in render_world(world).splitlines() if line.startswith("fact")] == [
@@ -184,6 +195,14 @@ def test_facts_render_deduplicated_in_canonical_order():
         "fact q(b) @ *",
         "fact q(b) @ -2",
         "fact q(b) @ 3",
+    ]
+    assert [line for line in render_world(world).splitlines() if line.startswith("measure")] == [
+        "measure m(a) @ -1 = 0",
+        "measure m(a) @ 4 = 1/8",
+        "measure m(b) @ -9 = 3/2",
+        "measure m(b) @ -1 = 1/2",
+        "measure n(a) @ -9 = 5/2",
+        "measure n(b) @ 3 = 7",
     ]
 
 

@@ -28,6 +28,25 @@ def _statement_builder() -> WorldBuilder:
     return builder
 
 
+def test_add_fact_returns_a_warning_outside_an_entity_life_span():
+    builder = WorldBuilder()
+    builder.add_entity("a", TimeRef(2000, 2001))
+    builder.add_entity("b", TimeRef(1990, 2010))
+    builder.add_predicate("p", 2)
+    builder.add_predicate("q", 1, invariant=True)
+    # The first entity argument whose life span misses the tick is named.
+    assert builder.add_fact("p", ("b", "a"), P(2004)) == (
+        "fact p(b, a) @ 2004 falls outside the life span of a ([2000, 2001])"
+    )
+    assert builder.add_fact("p", ("a", "b"), P(2011)) == (
+        "fact p(a, b) @ 2011 falls outside the life span of a ([2000, 2001])"
+    )
+    assert builder.add_fact("q", ("a",), None) is None
+    assert builder.add_fact("q", ("k",), P(1800)) is None
+    assert builder.add_fact("p", ("k", "b"), P(2010)) is None
+    assert builder.add_fact("p", ("a", "b"), P(2000)) is None
+
+
 def test_world_mappings_are_read_only(friends):
     for mapping in (
         friends.entities,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import tempcoll.core
 from conftest import load_world
 from tempcoll import (
     MODE_DICTO,
@@ -15,7 +16,6 @@ from tempcoll import (
     MalformedStatement,
     TimeRef,
     UnboundedSpan,
-    World,
     WorldBuilder,
     analyze,
     cohort_disjoint,
@@ -129,15 +129,16 @@ def test_more_than_two_times_rejected_for_directional_readings(friends):
 def test_each_realization_is_looked_up_once(monkeypatch):
     # friends S1 realizes friend(_, paul) at 2002 and 2003: R2 and R3
     # both need it, and so do the readings, whose anchor is 2002. Each
-    # key reaches the hole index once; every repeat is a memo hit.
+    # key reaches the hole index once; every repeat is a memo hit, which
+    # returns before the pattern's hole is checked.
     lookups = []
-    hole_fillers = World.hole_fillers
+    hole_index = tempcoll.core.hole_index
 
-    def spy(self, *args):
-        lookups.append(args)
-        return hole_fillers(self, *args)
+    def spy(pattern):
+        lookups.append(pattern)
+        return hole_index(pattern)
 
-    monkeypatch.setattr(World, "hole_fillers", spy)
+    monkeypatch.setattr(tempcoll.core, "hole_index", spy)
     world = load_world("friends.tcw")
     decide_mode(world, world.statements["S1"])
     assert len(lookups) == 2
