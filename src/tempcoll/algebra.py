@@ -73,8 +73,7 @@ def instantiate(
     if coll.mode == MODE_DICTO:
         members = extension(world, coll.predicate, coll.pattern, t)
         return Instantiation(coll.name, t, members, frozenset(), label)
-    assert coll.anchor is not None
-    base = extension(world, coll.predicate, coll.pattern, coll.anchor)
+    base = extension(world, coll.predicate, coll.pattern, TimeRef.point(coll.anchor))
     members: set[Slice] = set()
     dropped: set[str] = set()
     for entity_id in sorted(s.entity_id for s in base):

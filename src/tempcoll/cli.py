@@ -360,13 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tempcoll",
         description="Evaluate temporal collection worlds, scripts, and statements.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--policy", choices=("strict", "lenient"), default="strict")
     sub = parser.add_subparsers(dest="command", required=True)
-
     for name, help_text, positionals in _SUBCOMMANDS:
-        command = sub.add_parser(name, parents=[common], help=help_text)
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--format", choices=("text", "json"), default="text")
+        if name == "eval":  # only a script's instantiations read the policy
+            command.add_argument("--policy", choices=("strict", "lenient"), default="strict")
         for positional in positionals:
             command.add_argument(positional)
     return parser

@@ -363,11 +363,11 @@ def _entity(entity_id: str, lifespan: TimeRef, invariant: bool, species: str | N
     return lambda b: b.add_entity(entity_id, lifespan, invariant=invariant, species=species)
 
 
-def _fact(name: str, args: tuple[str, ...], at: TimeRef | None) -> _Apply:
+def _fact(name: str, args: tuple[str, ...], at: int | None) -> _Apply:
     return lambda b: b.add_fact(name, args, at)
 
 
-def _measure(name: str, entity_id: str, at: TimeRef, value: Fraction) -> _Apply:
+def _measure(name: str, entity_id: str, at: int, value: Fraction) -> _Apply:
     return lambda b: b.add_measure(name, entity_id, at, value)
 
 
@@ -397,7 +397,7 @@ def _parse_fact(cur: _Cursor) -> _Apply:
     cur.expect("@")
     if cur.accept("*"):
         return _fact(name, args, None)
-    return _fact(name, args, TimeRef.point(_parse_int(cur)))
+    return _fact(name, args, _parse_int(cur))
 
 
 def _parse_measure(cur: _Cursor) -> _Apply:
@@ -406,7 +406,7 @@ def _parse_measure(cur: _Cursor) -> _Apply:
     if len(args) != 1:
         raise _LineError("a measure is recorded for exactly one entity", cur.column())
     cur.expect("@")
-    at = TimeRef.point(_parse_int(cur))
+    at = _parse_int(cur)
     cur.expect("=")
     return _measure(name, args[0], at, _parse_rational(cur))
 
@@ -414,7 +414,7 @@ def _parse_measure(cur: _Cursor) -> _Apply:
 def _parse_collection(cur: _Cursor) -> _Apply:
     name = cur.expect().text
     mode_tok = cur.expect("dicto", "re")
-    anchor: TimeRef | None = None
+    anchor: int | None = None
     mode: Mode = MODE_DICTO
     if mode_tok.text == "re":
         mode = MODE_RE
@@ -422,7 +422,7 @@ def _parse_collection(cur: _Cursor) -> _Apply:
             raise _LineError(
                 f"de re collection '{name}' needs an anchor: re@TICK", mode_tok.column
             )
-        anchor = TimeRef.point(_parse_int(cur))
+        anchor = _parse_int(cur)
     cur.expect(":=")
     predicate = cur.expect().text
     pattern = _parse_args(cur, allow_hole=True)
@@ -521,7 +521,7 @@ def _fact_line(m: re.Match[str]) -> _Apply | None:
     args = tuple(map(str.strip, arg_text.split(",")))  # strips just what `\s` matches
     if HOLE in args:
         return None
-    return _fact(name, args, None if tick is None else TimeRef.point(int(tick)))
+    return _fact(name, args, None if tick is None else int(tick))
 
 
 def _measure_line(m: re.Match[str]) -> _Apply | None:
@@ -538,7 +538,7 @@ def _measure_line(m: re.Match[str]) -> _Apply | None:
             value = Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError):
         return None
-    return _measure(name, entity_id, TimeRef.point(int(tick)), value)
+    return _measure(name, entity_id, int(tick), value)
 
 
 # Tried in order on every world line: the most frequent kind first.
@@ -708,7 +708,7 @@ def render_world(world: World) -> str:
             line += " cohort"
         lines.append(line)
     for fact in world.facts:  # already canonically sorted by the builder
-        at = "*" if fact.at is None else str(fact.at.tick)
+        at = "*" if fact.at is None else fact.at
         lines.append(f"fact {fact.predicate}({', '.join(fact.args)}) @ {at}")
     for (measure, entity_id, tick), value in sorted(world.measures.items()):
         lines.append(f"measure {measure}({entity_id}) @ {tick} = {value}")
@@ -721,7 +721,7 @@ def render_world(world: World) -> str:
         prop = stmt.profile.compared_property
         if stmt.profile.property_pattern is not None:
             prop += f"({', '.join(stmt.profile.property_pattern)})"
-        ticks = ", ".join(str(t.tick) for t in stmt.eval_times)
+        ticks = ", ".join(map(str, stmt.eval_times))
         line = (
             f"statement {stmt.id} subject {stmt.subject} "
             f"profile {'evolutive' if stmt.profile.evolutive else 'static'} "

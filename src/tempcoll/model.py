@@ -73,6 +73,9 @@ class TimeRef:
         """Tick distance end - start, or None when open-ended."""
         return None if self.end is None else self.end - self.start
 
+    def __contains__(self, tick: int) -> bool:
+        return self.start <= tick and (self.end is None or tick <= self.end)
+
     def __str__(self) -> str:
         if self.is_point:
             return str(self.start)
@@ -185,7 +188,7 @@ class Fact:
 
     predicate: str
     args: tuple[str, ...]
-    at: TimeRef | None = None
+    at: int | None = None
 
 
 @dataclass(frozen=True)
@@ -193,15 +196,27 @@ class Collection:
     """A named intensional collection over one predicate pattern.
 
     De dicto collections get a fresh realization at every time; de re
-    collections fix their membership at `anchor` and re-slice those same
-    members at other times.
+    collections fix their membership at the `anchor` tick and re-slice
+    those same members at other times.
     """
 
     name: str
     mode: Mode
     predicate: str
     pattern: tuple[str, ...]
-    anchor: TimeRef | None = None
+    anchor: int | None = None
+
+    def __post_init__(self) -> None:
+        # Every check that needs no world lives here, as for `Statement`.
+        hole_index(self.pattern)
+        if self.mode == MODE_RE:
+            if self.anchor is None:
+                raise InvalidDeclaration(f"de re collection '{self.name}' needs an anchor time")
+        elif self.mode == MODE_DICTO:
+            if self.anchor is not None:
+                raise InvalidDeclaration(f"de dicto collection '{self.name}' takes no anchor")
+        else:
+            raise InvalidDeclaration(f"unknown collection mode '{self.mode}'")
 
 
 @dataclass(frozen=True)
@@ -225,7 +240,7 @@ class Statement:
     id: str
     subject: str
     profile: PredicationProfile
-    eval_times: tuple[TimeRef, ...]
+    eval_times: tuple[int, ...]
     span: TimeRef
     species_bound: int | None = None
     explicit_mode: Mode | None = None
@@ -238,12 +253,10 @@ class Statement:
             raise MalformedStatement(
                 f"a statement needs exactly two evaluation times, got {len(times)}"
             )
-        if any(not t.is_point for t in times):
-            raise MalformedStatement("evaluation times must be single ticks")
         if times[0] == times[1]:
             raise MalformedStatement("evaluation times must be distinct")
         for t in times:
-            if not within(t, self.span):
+            if t not in self.span:
                 raise MalformedStatement(f"span {self.span} does not cover evaluation time {t}")
         if self.profile.direction not in ("less", "more", "changed"):
             raise MalformedStatement(f"unknown direction '{self.profile.direction}'")
@@ -290,6 +303,19 @@ class World:
             )
         )
 
+    def __reduce__(self) -> tuple:
+        # A read-only view does not pickle, so pickle and deepcopy rebuild
+        # the World from plain copies, and the copy starts with no lazy
+        # index or memo.
+        return World, (
+            dict(self.entities),
+            dict(self.predicates),
+            self.facts,
+            dict(self.measures),
+            dict(self.collections),
+            dict(self.statements),
+        )
+
     @cached_property
     def _facts_by_predicate(self) -> dict[str, tuple[Fact, ...]]:
         index: dict[str, list[Fact]] = {}
@@ -321,7 +347,7 @@ class World:
                 if anytime:
                     always.append(entity)
                 else:
-                    by_tick.setdefault(f.at.tick, []).append(entity)
+                    by_tick.setdefault(f.at, []).append(entity)
         return index
 
     @cached_property
@@ -332,7 +358,7 @@ class World:
     @cached_property
     def ticks(self) -> tuple[int, ...]:
         """Distinct ticks mentioned by point facts and measures, sorted."""
-        seen = {f.at.tick for f in self.facts if f.at is not None}
+        seen = {f.at for f in self.facts if f.at is not None}
         seen.update(tick for (_, _, tick) in self.measures)
         return tuple(sorted(seen))
 
@@ -404,7 +430,7 @@ class WorldBuilder:
             raise InvalidDeclaration(f"predicate '{name}' needs arity >= 1")
         self._predicates[name] = PredicateDecl(name, arity, invariant, cohort)
 
-    def add_fact(self, predicate: str, args: Iterable[str], at: TimeRef | None) -> str | None:
+    def add_fact(self, predicate: str, args: Iterable[str], at: int | None) -> str | None:
         """Record a fact. Returns a warning when a timed fact falls outside
         the life span of an entity argument (the first in order), else
         None; entities declared later are not checked."""
@@ -419,37 +445,31 @@ class WorldBuilder:
             raise InvalidDeclaration(
                 f"'always' fact needs an invariant predicate; '{predicate}' is mutable"
             )
-        if at is not None and not at.is_point:
-            raise InvalidDeclaration("fact time must be a single tick or '*'")
-        self._facts[(predicate, args, at is not None, 0 if at is None else at.start)] = Fact(
+        self._facts[(predicate, args, at is not None, 0 if at is None else at)] = Fact(
             predicate, args, at
         )
         if at is not None:
             for arg in args:
                 entity = self._entities.get(arg)
-                if entity is not None and not within(at, entity.lifespan):
+                if entity is not None and at not in entity.lifespan:
                     return (
                         f"fact {predicate}({', '.join(args)}) @ {at} falls outside the "
                         f"life span of {arg} ({entity.lifespan})"
                     )
         return None
 
-    def add_measure(
-        self, measure: str, entity_id: str, at: TimeRef, value: Fraction
-    ) -> None:
+    def add_measure(self, measure: str, entity_id: str, at: int, value: Fraction) -> None:
         if measure in self._predicates:
             raise InvalidDeclaration(f"'{measure}' is already a predicate name")
         if entity_id not in self._entities:
             raise UnknownEntity(f"unknown entity '{entity_id}' in measure")
-        if not at.is_point:
-            raise InvalidDeclaration("measure time must be a single tick")
         if value < 0:
             raise InvalidDeclaration(f"measure value must be non-negative, got {value}")
-        key = (measure, entity_id, at.tick)
+        key = (measure, entity_id, at)
         known = self._measures.get(key)
         if known is not None and known != value:
             raise InvalidDeclaration(
-                f"conflicting values for {measure}({entity_id}) @ {at.tick}: {known} vs {value}"
+                f"conflicting values for {measure}({entity_id}) @ {at}: {known} vs {value}"
             )
         self._measures[key] = value
         self._measure_names.add(measure)
@@ -460,7 +480,7 @@ class WorldBuilder:
         mode: Mode,
         predicate: str,
         pattern: Iterable[str],
-        anchor: TimeRef | None = None,
+        anchor: int | None = None,
     ) -> None:
         pattern = tuple(pattern)
         if name in self._collections:
@@ -469,17 +489,6 @@ class WorldBuilder:
         if decl is None:
             raise UnknownPredicate(f"unknown predicate '{predicate}' in collection '{name}'")
         decl.check_arity(pattern)
-        hole_index(pattern)
-        if mode == MODE_RE:
-            if anchor is None:
-                raise InvalidDeclaration(f"de re collection '{name}' needs an anchor time")
-            if not anchor.is_point:
-                raise InvalidDeclaration(f"anchor of collection '{name}' must be a single tick")
-        elif mode == MODE_DICTO:
-            if anchor is not None:
-                raise InvalidDeclaration(f"de dicto collection '{name}' takes no anchor")
-        else:
-            raise InvalidDeclaration(f"unknown collection mode '{mode}'")
         self._collections[name] = Collection(name, mode, predicate, pattern, anchor)
 
     def add_statement(
@@ -490,7 +499,7 @@ class WorldBuilder:
         evolutive: bool,
         compared_property: str,
         direction: Direction,
-        eval_times: Iterable[int | TimeRef],
+        eval_times: Iterable[int],
         span: TimeRef,
         property_pattern: Iterable[str] | None = None,
         species_bound: int | None = None,
@@ -523,10 +532,9 @@ class WorldBuilder:
                 f"property '{compared_property}' is neither a declared predicate "
                 "nor a recorded measure"
             )
-        times = tuple(t if isinstance(t, TimeRef) else TimeRef.point(t) for t in eval_times)
         profile = PredicationProfile(evolutive, compared_property, direction, pattern)
         self._statements[statement_id] = Statement(
-            statement_id, subject, profile, times, span, species_bound, explicit_mode
+            statement_id, subject, profile, tuple(eval_times), span, species_bound, explicit_mode
         )
 
     def build(self) -> World:

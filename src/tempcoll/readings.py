@@ -124,12 +124,12 @@ def _is_measure(world: World, stmt: Statement) -> bool:
 
 
 def _two_ticks(stmt: Statement) -> tuple[int, int]:
-    a, b = sorted(t.tick for t in stmt.eval_times)
+    a, b = sorted(stmt.eval_times)
     return a, b
 
 
 def cohort_disjoint(
-    world: World, subject: Collection | str, eval_times: tuple[TimeRef, ...]
+    world: World, subject: Collection | str, eval_times: tuple[int, ...]
 ) -> bool:
     """True iff the subject's realizations at the evaluation times are
     pairwise disjoint and each non-empty.
@@ -140,7 +140,10 @@ def cohort_disjoint(
     if isinstance(subject, str):
         subject = world.collection(subject)
     id_sets = [
-        {s.entity_id for s in extension(world, subject.predicate, subject.pattern, t)}
+        {
+            s.entity_id
+            for s in extension(world, subject.predicate, subject.pattern, TimeRef.point(t))
+        }
         for t in eval_times
     ]
     return all(id_sets) and not any(a & b for a, b in combinations(id_sets, 2))
@@ -161,7 +164,8 @@ def lifespan_check(world: World, stmt: Statement) -> LifespanCheck:
         candidates: set[str] = set()
         for t in stmt.eval_times:
             candidates |= {
-                s.entity_id for s in extension(world, coll.predicate, coll.pattern, t)
+                s.entity_id
+                for s in extension(world, coll.predicate, coll.pattern, TimeRef.point(t))
             }
         lengths = [world.entities[c].lifespan.length() for c in sorted(candidates)]
         if lengths and None not in lengths:
@@ -261,8 +265,7 @@ def _effective_collection(world: World, stmt: Statement, mode: Mode) -> Collecti
         return coll
     if mode == MODE_DICTO:
         return Collection(coll.name, MODE_DICTO, coll.predicate, coll.pattern, None)
-    anchor = TimeRef.point(_two_ticks(stmt)[0])
-    return Collection(coll.name, MODE_RE, coll.predicate, coll.pattern, anchor)
+    return Collection(coll.name, MODE_RE, coll.predicate, coll.pattern, _two_ticks(stmt)[0])
 
 
 def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Reading, ...]:

@@ -43,7 +43,7 @@ def extension_ids(
                 continue
             if not covers(entity.lifespan, t):
                 continue
-            if decl.invariant or fact.at is None or fact.at == t:
+            if decl.invariant or fact.at is None or TimeRef.point(fact.at) == t:
                 found.add(entity.id)
                 break
     return found
@@ -56,7 +56,7 @@ def instantiate_ids(
     if coll.mode == MODE_DICTO:
         return extension_ids(world, coll.predicate, coll.pattern, t), set()
     assert coll.anchor is not None
-    base = extension_ids(world, coll.predicate, coll.pattern, coll.anchor)
+    base = extension_ids(world, coll.predicate, coll.pattern, TimeRef.point(coll.anchor))
     members = {e for e in base if covers(world.entities[e].lifespan, t)}
     return members, base - members
 
@@ -103,12 +103,12 @@ def _effective(world: World, stmt: Statement, mode: str) -> Collection:
         return coll
     if mode == MODE_DICTO:
         return Collection(coll.name, MODE_DICTO, coll.predicate, coll.pattern, None)
-    anchor = coll.anchor or TimeRef.point(min(t.tick for t in stmt.eval_times))
+    anchor = coll.anchor if coll.anchor is not None else min(stmt.eval_times)
     return Collection(coll.name, MODE_RE, coll.predicate, coll.pattern, anchor)
 
 
 def _two_ticks(stmt: Statement) -> tuple[int, int]:
-    a, b = sorted(t.tick for t in stmt.eval_times)
+    a, b = sorted(stmt.eval_times)
     return a, b
 
 
@@ -204,7 +204,8 @@ def decide(world: World, stmt: Statement) -> tuple[str, tuple[str, ...]]:
     if stmt.profile.evolutive and prop is not None and prop.invariant:
         fired.append("R1")
     early, late = (
-        extension_ids(world, coll.predicate, coll.pattern, t) for t in stmt.eval_times
+        extension_ids(world, coll.predicate, coll.pattern, TimeRef.point(t))
+        for t in stmt.eval_times
     )
     if world.predicates[coll.predicate].cohort or (early and late and not early & late):
         fired.append("R2")

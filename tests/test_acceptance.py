@@ -176,7 +176,7 @@ def test_c6_individual_implies_global():
         if individual.truth is not True or aggregate.truth is None:
             continue
         anchor = instantiate(
-            world, world.collections["C"], stmt.eval_times[0], "lenient"
+            world, world.collections["C"], TimeRef.point(stmt.eval_times[0]), "lenient"
         )
         if not anchor.members:
             continue

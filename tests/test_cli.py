@@ -64,6 +64,10 @@ def test_missing_file_exits_2(capsys):
 def test_usage_error_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
+    # Only `eval` reads a policy, so no other command takes one.
+    world = _fx("friends.tcw")
+    for argv in (["check", world], ["disambiguate", world, "S1"], ["explain", world, "S1"]):
+        assert run([*argv, "--policy", "lenient"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,23 @@ def test_undefined_assert_exits_1(tmp_path, capsys):
     code, out = _run(capsys, "eval", _fx("missing.tcw"), str(script))
     assert code == 1
     assert "assert #1: undefined (missing measure cons_tobacco for f3@2003)" in out
+
+
+def test_assert_comparisons_of_mixed_or_ordered_values(tmp_path, capsys):
+    script = tmp_path / "cmp.tcq"
+    script.write_text(
+        "assert card(Y@2002) = card(Y@2003)\n"
+        "assert Y@2002 < Y@2003\n"
+        "assert card(Y@2002) = Y@2002\n"
+    )
+    code, out = _run(capsys, "eval", _fx("youth.tcw"), str(script))
+    assert code == 2
+    assert out.splitlines() == [
+        "assert #1: false (4 = 5)",
+        f"{script}:2:1: error: instantiations only compare with '='",
+        f"{script}:3:1: error: comparison needs two numbers or two instantiations",
+        "status: error",
+    ]
 
 
 def test_unknown_collection_in_script_exits_2(tmp_path, capsys):

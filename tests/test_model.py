@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import pickle
+from copy import deepcopy
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -8,22 +10,25 @@ import pytest
 from conftest import load_world
 from tempcoll import (
     MODE_DICTO,
+    MODE_RE,
+    Collection,
     InvalidDeclaration,
     MalformedStatement,
+    MultipleHoles,
     PredicationProfile,
     TimeRef,
+    World,
     WorldBuilder,
+    extension,
 )
-
-P = TimeRef.point
 
 
 def _statement_builder() -> WorldBuilder:
     builder = WorldBuilder()
     builder.add_entity("a", TimeRef(1990, 2030))
     builder.add_predicate("p", 1)
-    builder.add_fact("p", ("a",), P(2002))
-    builder.add_measure("m", "a", P(2002), Fraction(3))
+    builder.add_fact("p", ("a",), 2002)
+    builder.add_measure("m", "a", 2002, Fraction(3))
     builder.add_collection("C", MODE_DICTO, "p", ("_",))
     return builder
 
@@ -35,16 +40,58 @@ def test_add_fact_returns_a_warning_outside_an_entity_life_span():
     builder.add_predicate("p", 2)
     builder.add_predicate("q", 1, invariant=True)
     # The first entity argument whose life span misses the tick is named.
-    assert builder.add_fact("p", ("b", "a"), P(2004)) == (
+    assert builder.add_fact("p", ("b", "a"), 2004) == (
         "fact p(b, a) @ 2004 falls outside the life span of a ([2000, 2001])"
     )
-    assert builder.add_fact("p", ("a", "b"), P(2011)) == (
+    assert builder.add_fact("p", ("a", "b"), 2011) == (
         "fact p(a, b) @ 2011 falls outside the life span of a ([2000, 2001])"
     )
     assert builder.add_fact("q", ("a",), None) is None
-    assert builder.add_fact("q", ("k",), P(1800)) is None
-    assert builder.add_fact("p", ("k", "b"), P(2010)) is None
-    assert builder.add_fact("p", ("a", "b"), P(2000)) is None
+    assert builder.add_fact("q", ("k",), 1800) is None
+    assert builder.add_fact("p", ("k", "b"), 2010) is None
+    assert builder.add_fact("p", ("a", "b"), 2000) is None
+
+
+def test_api_only_rejections():
+    builder = WorldBuilder()
+    builder.add_predicate("p", 1)
+    with pytest.raises(InvalidDeclaration, match="facts are ground; '_' is not an argument"):
+        builder.add_fact("p", ("_",), 2002)
+    with pytest.raises(InvalidDeclaration, match=r"\[2001, 2003\] is not a single tick"):
+        TimeRef(2001, 2003).tick
+
+
+@pytest.mark.parametrize(
+    "mode, pattern, anchor, error, message",
+    [
+        (MODE_RE, ("_", "paul"), None, InvalidDeclaration, "de re collection 'X' needs an anchor"),
+        (MODE_DICTO, ("_", "paul"), 2002, InvalidDeclaration, "de dicto collection 'X' takes no"),
+        ("sideways", ("_", "paul"), None, InvalidDeclaration, "unknown collection mode 'sideways'"),
+        (MODE_RE, ("f1", "paul"), 2002, MultipleHoles, "needs exactly one '_', found 0"),
+        ("sideways", ("_", "_"), None, MultipleHoles, "needs exactly one '_', found 2"),
+    ],
+    ids=["re-without-anchor", "dicto-with-anchor", "mode", "no-hole", "holes-before-mode"],
+)
+def test_collection_shape_is_checked_on_construction(mode, pattern, anchor, error, message):
+    with pytest.raises(error, match=message):
+        Collection("X", mode, "friend", pattern, anchor)
+
+
+@pytest.mark.parametrize(
+    "copy_world", [lambda w: pickle.loads(pickle.dumps(w)), deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_world_pickles_and_deep_copies_without_its_lazy_state(copy_world):
+    world = load_world("youth.tcw")
+    queries = [
+        (coll.predicate, coll.pattern, TimeRef.point(tick))
+        for coll in world.collections.values()
+        for tick in world.ticks
+    ]
+    answers = [extension(world, *query) for query in queries]
+    twin = copy_world(world)
+    assert twin == world and hash(twin) == hash(world)
+    assert set(vars(twin)) == {f.name for f in fields(World)}
+    assert [extension(twin, *query) for query in queries] == answers
 
 
 def test_world_mappings_are_read_only(friends):
@@ -96,9 +143,8 @@ def test_builder_needs_exactly_two_evaluation_times(times):
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"eval_times": (P(2002),)}, "exactly two evaluation times, got 1"),
-        ({"eval_times": (P(2002), TimeRef(2003, 2004))}, "must be single ticks"),
-        ({"eval_times": (P(2003), P(2003))}, "must be distinct"),
+        ({"eval_times": (2002,)}, "exactly two evaluation times, got 1"),
+        ({"eval_times": (2003, 2003)}, "must be distinct"),
         ({"span": TimeRef(2002, 2002)}, "span 2002 does not cover evaluation time 2003"),
         ({"species_bound": 0}, "must be a positive tick count"),
         ({"explicit_mode": "sideways"}, "unknown mode 'sideways'"),
@@ -107,7 +153,7 @@ def test_builder_needs_exactly_two_evaluation_times(times):
             "unknown direction 'up'",
         ),
     ],
-    ids=["one-time", "interval", "repeated", "uncovered", "bound", "mode", "direction"],
+    ids=["one-time", "repeated", "uncovered", "bound", "mode", "direction"],
 )
 def test_statement_shape_is_checked_on_construction(friends, changes, message):
     # `replace` re-runs the checks, so no statement can skip them.

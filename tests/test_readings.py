@@ -14,6 +14,7 @@ from tempcoll import (
     MODE_DICTO,
     MODE_RE,
     MalformedStatement,
+    Reading,
     TimeRef,
     UnboundedSpan,
     WorldBuilder,
@@ -96,8 +97,8 @@ def test_all_applicable_rules_are_recorded_in_order():
         builder.add_entity(name, TimeRef(birth, birth + 80), species="human")
     builder.add_predicate("cohort_of", 1, invariant=False, cohort=True)
     builder.add_predicate("birthplace", 2, invariant=True)
-    builder.add_fact("cohort_of", ("x1",), TimeRef.point(1710))
-    builder.add_fact("cohort_of", ("x2",), TimeRef.point(1810))
+    builder.add_fact("cohort_of", ("x1",), 1710)
+    builder.add_fact("cohort_of", ("x2",), 1810)
     builder.add_fact("birthplace", ("x1", "north"), None)
     builder.add_collection("G", MODE_DICTO, "cohort_of", ("_",))
     builder.add_statement(
@@ -117,11 +118,17 @@ def test_all_applicable_rules_are_recorded_in_order():
     assert decision.rule_ids == ("R1", "R2", "R3")
 
 
+def test_unknown_reading_kind_is_rejected(friends):
+    reading = Reading("bogus", MODE_RE, "formula")  # type: ignore[arg-type]
+    with pytest.raises(MalformedStatement, match="unknown reading kind 'bogus'"):
+        evaluate_reading(friends, friends.statements["S1"], reading)
+
+
 def test_more_than_two_times_rejected_for_directional_readings(friends):
     with pytest.raises(MalformedStatement, match="exactly two evaluation times"):
         replace(
             friends.statements["S1"],
-            eval_times=(P(2002), P(2003), P(2004)),
+            eval_times=(2002, 2003, 2004),
             span=TimeRef(2002, 2004),
         )
 
@@ -164,12 +171,12 @@ def test_friends_share_members(friends):
 
 def test_single_shared_member_defeats_disjointness(origins):
     # s2 and s3 are enrolled in both years
-    assert not cohort_disjoint(origins, "SC", (P(2002), P(2003)))
+    assert not cohort_disjoint(origins, "SC", (2002, 2003))
 
 
 def test_empty_realization_is_not_a_cohort(centuries):
     # nobody is alive at 1950, which proves nothing about re-realization
-    assert not cohort_disjoint(centuries, "A4", (P(1700), P(1950)))
+    assert not cohort_disjoint(centuries, "A4", (1700, 1950))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ def test_open_span_exceeds_any_declared_bound():
     builder = WorldBuilder()
     builder.add_entity("e0", TimeRef(0, 80))
     builder.add_predicate("p", 1, invariant=False)
-    builder.add_fact("p", ("e0",), P(0))
+    builder.add_fact("p", ("e0",), 0)
     builder.add_collection("C", MODE_DICTO, "p", ("_",))
     builder.add_statement(
         "S",
@@ -337,7 +344,7 @@ def test_r2_soundness(seed):
                 for s in instantiate(
                     world,
                     replace(coll, mode=MODE_DICTO, anchor=None),
-                    t,
+                    P(t),
                     "lenient",
                 ).members
             }
@@ -357,7 +364,7 @@ def test_r1_soundness(seed):
         return
     prop = stmt.profile.compared_property
     pattern = stmt.profile.property_pattern or ("_",)
-    t1, t2 = stmt.eval_times
+    t1, t2 = (P(t) for t in stmt.eval_times)
     ids1 = oracle.extension_ids(world, prop, pattern, t1)
     ids2 = oracle.extension_ids(world, prop, pattern, t2)
     for entity in world.entities.values():
@@ -378,7 +385,7 @@ def test_individual_implies_global(seed):
     )
     if individual.truth is True and aggregate.truth is not None:
         anchor_members = instantiate(
-            world, world.collections["C"], stmt.eval_times[0], "lenient"
+            world, world.collections["C"], P(stmt.eval_times[0]), "lenient"
         )
         if anchor_members.members:
             assert aggregate.truth is True

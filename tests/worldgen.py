@@ -69,7 +69,7 @@ def random_world(rng: random.Random, *, max_entities: int = 20, n_ticks: int = 5
         )
         at = None
         if not invariants[pred] or rng.random() < 0.5:
-            at = TimeRef.point(rng.choice(ticks))
+            at = rng.choice(ticks)
         builder.add_fact(pred, args, at)
         facts.append((pred, args))
 
@@ -79,7 +79,7 @@ def random_world(rng: random.Random, *, max_entities: int = 20, n_ticks: int = 5
             builder.add_measure(
                 rng.choice(MEASURES),
                 rng.choice(names),
-                TimeRef.point(rng.choice(ticks)),
+                rng.choice(ticks),
                 value,
             )
         except InvalidDeclaration:
@@ -99,7 +99,7 @@ def random_world(rng: random.Random, *, max_entities: int = 20, n_ticks: int = 5
     builder.add_collection("Cd", MODE_DICTO, pred, pattern_for(pred))
     pred = rng.choice(predicates)
     builder.add_collection(
-        "Cr", MODE_RE, pred, pattern_for(pred), TimeRef.point(rng.choice(ticks))
+        "Cr", MODE_RE, pred, pattern_for(pred), rng.choice(ticks)
     )
     return builder.build()
 
@@ -147,9 +147,9 @@ def random_statement_world(
             if rng.random() < 0.8:
                 other = CONSTANTS[0] if rng.random() < 0.85 else CONSTANTS[1]
                 args = tuple(name if i == hole else other for i in range(arity))
-                builder.add_fact("p0", args, TimeRef.point(tick))
+                builder.add_fact("p0", args, tick)
             if rng.random() < 0.5:
-                builder.add_fact("p1", (name,), TimeRef.point(tick))
+                builder.add_fact("p1", (name,), tick)
     recorded = 0
     for name in names:
         for tick in (t1, t2):
@@ -157,16 +157,16 @@ def random_statement_world(
                 builder.add_measure(
                     "m0",
                     name,
-                    TimeRef.point(tick),
+                    tick,
                     Fraction(rng.randint(0, 20), rng.randint(1, 3)),
                 )
                 recorded += 1
     if not recorded:
         # the statement below may name m0; it must exist somewhere
-        builder.add_measure("m0", names[0], TimeRef.point(t1), Fraction(1))
+        builder.add_measure("m0", names[0], t1, Fraction(1))
 
     if rng.random() < 0.5:
-        builder.add_collection("C", MODE_RE, "p0", pattern, TimeRef.point(t1))
+        builder.add_collection("C", MODE_RE, "p0", pattern, t1)
     else:
         builder.add_collection("C", MODE_DICTO, "p0", pattern)
 
