@@ -18,7 +18,7 @@ from .algebra import (
     instantiate,
     ratio,
 )
-from .core import extension, measure_value, slice_at, within
+from .core import extension, measure_value, slice_at
 from .dsl import Diagnostic, Script, parse_script, parse_world, render_world
 from .errors import (
     ArityMismatch,
@@ -91,7 +91,6 @@ __all__ = [
     "Policy",
     "Mode",
     # core ops
-    "within",
     "slice_at",
     "extension",
     "measure_value",

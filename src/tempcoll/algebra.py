@@ -13,15 +13,7 @@ from fractions import Fraction
 
 from .core import extension, measure_value
 from .errors import EmptyDenominator, NotASubset, OutsideLifeSpan, TickMismatch
-from .model import (
-    MODE_DICTO,
-    Collection,
-    Policy,
-    Slice,
-    TimeRef,
-    World,
-    within,
-)
+from .model import MODE_DICTO, Collection, Policy, Slice, World, check_tick
 
 __all__ = [
     "Instantiation",
@@ -35,7 +27,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Instantiation:
-    """The realization of a collection at one time.
+    """The realization of a collection at one tick.
 
     `members` are live slices sharing the tick `at`; `dropped` lists the
     entity ids a lenient de re instantiation had to exclude because their
@@ -44,7 +36,7 @@ class Instantiation:
     """
 
     source: str
-    at: TimeRef
+    at: int
     members: frozenset[Slice]
     dropped: frozenset[str] = frozenset()
     label: str = field(default="", compare=False)
@@ -59,26 +51,27 @@ class Instantiation:
 def instantiate(
     world: World,
     collection: Collection | str,
-    t: TimeRef,
+    t: int,
     policy: Policy = "strict",
 ) -> Instantiation:
-    """Realize a collection at time `t`.
+    """Realize a collection at tick `t`.
 
     De dicto: a fresh extension at `t`. De re: the membership fixed at
     the anchor, re-sliced at `t`; members not alive at `t` raise under
     strict policy and are reported in `dropped` under lenient policy.
     """
+    check_tick(t)
     coll = world.collection(collection) if isinstance(collection, str) else collection
     label = f"{coll.name}@{t}"
     if coll.mode == MODE_DICTO:
         members = extension(world, coll.predicate, coll.pattern, t)
         return Instantiation(coll.name, t, members, frozenset(), label)
-    base = extension(world, coll.predicate, coll.pattern, TimeRef.point(coll.anchor))
+    base = extension(world, coll.predicate, coll.pattern, coll.anchor)
     members: set[Slice] = set()
     dropped: set[str] = set()
     for entity_id in sorted(s.entity_id for s in base):
         entity = world.entities[entity_id]
-        if within(t, entity.lifespan):
+        if t in entity.lifespan:
             members.add(Slice(entity_id, t, invariant=entity.invariant))
         elif policy == "strict":
             raise OutsideLifeSpan(

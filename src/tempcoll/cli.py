@@ -144,7 +144,6 @@ def _operand_text(value: object) -> str:
 def _eval_inst(world: World, expr: InstExpr, policy: Policy) -> Instantiation:
     inst = instantiate(world, expr.collection, expr.at, policy)
     if expr.filter_predicate is not None:
-        assert expr.filter_pattern is not None
         inst = filter_members(world, inst, expr.filter_predicate, expr.filter_pattern)
     return inst
 

@@ -1,7 +1,7 @@
 """Ground operations over a World: slicing, extensions, measure lookup.
 
 These are the primitive queries everything else is built from. A slice
-``e@t`` is the stage of entity ``e`` at time ``t``; the extension of a
+``e@t`` is the stage of entity ``e`` at tick ``t``; the extension of a
 predicate pattern at ``t`` is the set of slices filling its single hole.
 """
 
@@ -11,13 +11,13 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import MissingMeasure, OutsideLifeSpan
-from .model import Policy, Slice, TimeRef, World, hole_index, within
+from .model import Policy, Slice, World, check_tick, hole_index
 
-__all__ = ["within", "slice_at", "extension", "measure_value"]
+__all__ = ["slice_at", "extension", "measure_value"]
 
 
 def slice_at(
-    world: World, entity_id: str, t: TimeRef, policy: Policy = "strict"
+    world: World, entity_id: str, t: int, policy: Policy = "strict"
 ) -> Slice:
     """The slice of `entity_id` at `t`.
 
@@ -26,7 +26,7 @@ def slice_at(
     ``out_of_span`` instead of an error.
     """
     entity = world.entity(entity_id)
-    inside = within(t, entity.lifespan)
+    inside = t in entity.lifespan
     if not inside and policy == "strict":
         raise OutsideLifeSpan(
             f"{entity_id} has no slice at {t}: life span is {entity.lifespan}"
@@ -35,7 +35,7 @@ def slice_at(
 
 
 def extension(
-    world: World, predicate: str, pattern: tuple[str, ...], t: TimeRef
+    world: World, predicate: str, pattern: tuple[str, ...], t: int
 ) -> frozenset[Slice]:
     """All slices ``e@t`` whose entity satisfies `predicate` at `t` in the
     hole position of `pattern`.
@@ -48,7 +48,7 @@ def extension(
     live stage. The World's hole index, built on the first call, makes
     the cost follow the output, not the number of facts of the
     predicate, and the World's extension memo keeps each answer, so a
-    later call for the same (predicate, pattern, time) returns it at
+    later call for the same (predicate, pattern, tick) returns it at
     once. An invalid key is never kept: it raises on every call.
     """
     pattern = tuple(pattern)
@@ -56,15 +56,14 @@ def extension(
     known = world._extensions.get(key)
     if known is not None:
         return known
+    check_tick(t)
     world.predicate(predicate).check_arity(pattern)
     hole_index(pattern)
     by_tick, always = world._hole_index.get((predicate, pattern), ({}, ()))
-    # A mutable fact holds at a single tick, so it never matches an interval.
-    candidates = chain(by_tick.get(t.tick, ()), always) if t.is_point else always
     answer = frozenset(
         Slice(entity.id, t, invariant=entity.invariant)
-        for entity in candidates
-        if within(t, entity.lifespan)
+        for entity in chain(by_tick.get(t, ()), always)
+        if t in entity.lifespan
     )
     world._extensions[key] = answer
     return answer
@@ -76,8 +75,7 @@ def measure_value(world: World, measure: str, s: Slice) -> Fraction:
     Raises :class:`MissingMeasure` when nothing is recorded; an absent
     value is never read as zero.
     """
-    if s.at.is_point:
-        value = world.measures.get((measure, s.entity_id, s.at.tick))
-        if value is not None:
-            return value
-    raise MissingMeasure(measure, s.entity_id, s.at)
+    value = world.measures.get((measure, s.entity_id, s.at))
+    if value is None:
+        raise MissingMeasure(measure, s.entity_id, s.at)
+    return value

@@ -94,9 +94,13 @@ class Diagnostic:
 @dataclass(frozen=True)
 class InstExpr:
     collection: str
-    at: TimeRef
+    at: int
     filter_predicate: str | None = None
     filter_pattern: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.filter_predicate is None) != (self.filter_pattern is None):
+            raise ValueError("a filter needs both a predicate and a pattern")
 
 
 @dataclass(frozen=True)
@@ -592,7 +596,7 @@ def parse_world(
 def _parse_inst(cur: _Cursor) -> InstExpr:
     name = cur.expect().text
     cur.expect("@")
-    at = TimeRef.point(_parse_int(cur))
+    at = _parse_int(cur)
     if cur.accept("|"):
         predicate = cur.expect().text
         return InstExpr(name, at, predicate, _parse_args(cur, allow_hole=True))

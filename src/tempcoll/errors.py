@@ -47,7 +47,7 @@ class MissingMeasure(TempcollError):
     Deliberately distinct from a recorded zero.
     """
 
-    def __init__(self, measure: str, entity_id: str, at: object) -> None:
+    def __init__(self, measure: str, entity_id: str, at: int) -> None:
         super().__init__(f"missing measure {measure} for {entity_id}@{at}")
         self.measure = measure
         self.entity_id = entity_id

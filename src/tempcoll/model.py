@@ -38,13 +38,22 @@ MODE_RE: Mode = "de_re"
 MODE_DICTO: Mode = "de_dicto"
 
 
+def check_tick(tick: object) -> None:
+    """Raise TypeError unless `tick` is an ``int``: a tick is never a
+    TimeRef, and a wrong type would otherwise just match nothing."""
+    if type(tick) is not int:
+        raise TypeError(f"a tick is an int, got {tick!r}")
+
+
 @dataclass(frozen=True)
 class TimeRef:
-    """A temporal reference: a closed interval of integer ticks.
+    """A closed interval of integer ticks: a life span or a statement span.
 
-    A point is the degenerate interval [t, t]; ``end is None`` marks an
-    open right end. Ticks are abstract units (years in most fixtures,
-    but nothing depends on that).
+    ``end is None`` marks an open right end. Every single time (a fact's
+    or measure's tick, an anchor, an evaluation or query time) is a plain
+    ``int``; a tick ``t`` lies in an interval iff ``t in interval``. Ticks
+    are abstract units (years in most fixtures, but nothing depends on
+    that).
     """
 
     start: int
@@ -56,18 +65,8 @@ class TimeRef:
 
     @classmethod
     def point(cls, tick: int) -> TimeRef:
+        """The degenerate interval [tick, tick]."""
         return cls(tick, tick)
-
-    @property
-    def is_point(self) -> bool:
-        return self.end == self.start
-
-    @property
-    def tick(self) -> int:
-        """The single tick of a point reference."""
-        if not self.is_point:
-            raise InvalidDeclaration(f"{self} is not a single tick")
-        return self.start
 
     def length(self) -> int | None:
         """Tick distance end - start, or None when open-ended."""
@@ -77,26 +76,13 @@ class TimeRef:
         return self.start <= tick and (self.end is None or tick <= self.end)
 
     def __str__(self) -> str:
-        if self.is_point:
+        if self.end == self.start:
             return str(self.start)
         return f"[{self.start}, {'*' if self.end is None else self.end}]"
 
 
 # An entity's life span is just an interval; the alias marks intent.
 LifeSpan = TimeRef
-
-
-def within(t: TimeRef, span: TimeRef) -> bool:
-    """True iff every tick of `t` lies inside `span`.
-
-    Open ends are treated as unbounded: an open `span` end admits any
-    future tick, while an open `t` end fits only inside an open span.
-    """
-    if t.start < span.start:
-        return False
-    if span.end is None:
-        return True
-    return t.end is not None and t.end <= span.end
 
 
 def hole_index(pattern: tuple[str, ...]) -> int:
@@ -135,7 +121,7 @@ class Slice:
     """
 
     entity_id: str
-    at: TimeRef
+    at: int
     invariant: bool = False
     out_of_span: bool = False
 
@@ -212,6 +198,7 @@ class Collection:
         if self.mode == MODE_RE:
             if self.anchor is None:
                 raise InvalidDeclaration(f"de re collection '{self.name}' needs an anchor time")
+            check_tick(self.anchor)
         elif self.mode == MODE_DICTO:
             if self.anchor is not None:
                 raise InvalidDeclaration(f"de dicto collection '{self.name}' takes no anchor")
@@ -256,6 +243,7 @@ class Statement:
         if times[0] == times[1]:
             raise MalformedStatement("evaluation times must be distinct")
         for t in times:
+            check_tick(t)
             if t not in self.span:
                 raise MalformedStatement(f"span {self.span} does not cover evaluation time {t}")
         if self.profile.direction not in ("less", "more", "changed"):
@@ -274,7 +262,7 @@ class World:
     indices below can never go stale. Two of them are dicts that only
     :func:`tempcoll.core.extension` reads and fills: the hole index,
     keyed (predicate, pattern), and the extension memo, keyed
-    (predicate, pattern, time). Like every lazy index they live only in
+    (predicate, pattern, tick). Like every lazy index they live only in
     the instance's ``__dict__``, outside equality, hash and ``repr``,
     and die with the World. Two threads racing on one memo key both
     compute and store equal frozensets, so the race is harmless.
@@ -351,7 +339,7 @@ class World:
         return index
 
     @cached_property
-    def _extensions(self) -> dict[tuple[str, tuple[str, ...], TimeRef], frozenset[Slice]]:
+    def _extensions(self) -> dict[tuple[str, tuple[str, ...], int], frozenset[Slice]]:
         # Filled by `tempcoll.core.extension`, with successful answers only.
         return {}
 
@@ -445,6 +433,8 @@ class WorldBuilder:
             raise InvalidDeclaration(
                 f"'always' fact needs an invariant predicate; '{predicate}' is mutable"
             )
+        if at is not None:
+            check_tick(at)
         self._facts[(predicate, args, at is not None, 0 if at is None else at)] = Fact(
             predicate, args, at
         )
@@ -459,6 +449,7 @@ class WorldBuilder:
         return None
 
     def add_measure(self, measure: str, entity_id: str, at: int, value: Fraction) -> None:
+        check_tick(at)
         if measure in self._predicates:
             raise InvalidDeclaration(f"'{measure}' is already a predicate name")
         if entity_id not in self._entities:

@@ -37,7 +37,6 @@ from .model import (
     Collection,
     Mode,
     Statement,
-    TimeRef,
     World,
 )
 
@@ -140,10 +139,7 @@ def cohort_disjoint(
     if isinstance(subject, str):
         subject = world.collection(subject)
     id_sets = [
-        {
-            s.entity_id
-            for s in extension(world, subject.predicate, subject.pattern, TimeRef.point(t))
-        }
+        {s.entity_id for s in extension(world, subject.predicate, subject.pattern, t)}
         for t in eval_times
     ]
     return all(id_sets) and not any(a & b for a, b in combinations(id_sets, 2))
@@ -163,10 +159,7 @@ def lifespan_check(world: World, stmt: Statement) -> LifespanCheck:
     if bound is None:
         candidates: set[str] = set()
         for t in stmt.eval_times:
-            candidates |= {
-                s.entity_id
-                for s in extension(world, coll.predicate, coll.pattern, TimeRef.point(t))
-            }
+            candidates |= {s.entity_id for s in extension(world, coll.predicate, coll.pattern, t)}
         lengths = [world.entities[c].lifespan.length() for c in sorted(candidates)]
         if lengths and None not in lengths:
             bound = max(lengths)  # type: ignore[type-var]
@@ -421,9 +414,7 @@ def evaluate_reading(world: World, stmt: Statement, reading: Reading) -> Reading
         raise MalformedStatement(f"unknown reading kind '{reading.kind}'")
     coll = _effective_collection(world, stmt, reading.mode)
     try:
-        early, late = (
-            instantiate(world, coll, TimeRef.point(t), "lenient") for t in _two_ticks(stmt)
-        )
+        early, late = (instantiate(world, coll, t, "lenient") for t in _two_ticks(stmt))
         reason = _dropped_reason(early, world) or _dropped_reason(late, world)
         if reason is not None:
             return _undefined(reading, reason)

@@ -72,7 +72,7 @@ def test_c2_ratio_formula_reproduction(capsys):
     youth = load_world("youth.tcw")
     ratios = {}
     for tick in (2002, 2003):
-        whole = instantiate(youth, "Y", P(tick))
+        whole = instantiate(youth, "Y", tick)
         part = filter_members(youth, whole, "smokes", ("_", "tobacco"))
         ratios[tick] = ratio(part, whole)
     assert ratios[2003] == Fraction(2, 5)
@@ -100,8 +100,8 @@ def test_c3_evolution_formulas_reproduction():
         "sum@2002": "15",
         "sum@2003": "12",
     }
-    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", P(2002))) == 15
-    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", P(2003))) == 12
+    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", 2002)) == 15
+    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", 2003)) == 12
     print("criterion 3 (individual and global evolution on W2): PASS")
 
 
@@ -116,8 +116,8 @@ def test_c4_de_re_composition_invariance():
         for coll in world.collections.values():
             if coll.mode != MODE_RE:
                 continue
-            a = instantiate(world, coll, P(t1), "lenient")
-            b = instantiate(world, coll, P(t2), "lenient")
+            a = instantiate(world, coll, t1, "lenient")
+            b = instantiate(world, coll, t2, "lenient")
             assert a.member_ids() | a.dropped == b.member_ids() | b.dropped
             checked += 1
     assert checked >= 1000
@@ -134,7 +134,7 @@ def test_c5_oracle_equivalence():
         tick = rng.choice(range(2000, 2005))
         t = P(tick)
         for coll in world.collections.values():
-            inst = instantiate(world, coll, t, "lenient")
+            inst = instantiate(world, coll, tick, "lenient")
             members, dropped = oracle.instantiate_ids(world, coll, t)
             assert inst.member_ids() == members
             assert inst.dropped == dropped
@@ -176,7 +176,7 @@ def test_c6_individual_implies_global():
         if individual.truth is not True or aggregate.truth is None:
             continue
         anchor = instantiate(
-            world, world.collections["C"], TimeRef.point(stmt.eval_times[0]), "lenient"
+            world, world.collections["C"], stmt.eval_times[0], "lenient"
         )
         if not anchor.members:
             continue

@@ -35,35 +35,35 @@ P = TimeRef.point
 
 
 def test_dicto_instantiation_is_fresh_per_tick(youth):
-    inst = instantiate(youth, "Y", P(2003))
+    inst = instantiate(youth, "Y", 2003)
     assert {s.entity_id for s in inst.members} == {"e", "f", "g", "h", "i"}
     assert inst.dropped == frozenset()
-    assert all(s.at == P(2003) for s in inst.members)
+    assert all(s.at == 2003 for s in inst.members)
 
 
 def test_de_re_membership_fixed_at_anchor(friends):
-    at_anchor = instantiate(friends, "F", P(2002))
-    off_anchor = instantiate(friends, "F", P(2003))
+    at_anchor = instantiate(friends, "F", 2002)
+    off_anchor = instantiate(friends, "F", 2003)
     assert at_anchor.member_ids() == off_anchor.member_ids() == {"f1", "f2"}
-    assert all(s.at == P(2003) for s in off_anchor.members)
+    assert all(s.at == 2003 for s in off_anchor.members)
 
 
 def test_empty_extension_instantiates_empty(youth):
-    inst = instantiate(youth, "Y", P(1999))
+    inst = instantiate(youth, "Y", 1999)
     assert inst.members == frozenset()
     assert cardinality(inst) == 0
 
 
 def test_unknown_collection(youth):
     with pytest.raises(UnknownCollection):
-        instantiate(youth, "Z", P(2002))
+        instantiate(youth, "Z", 2002)
 
 
 def test_de_re_off_anchor_dead_member(centuries):
     coll = Collection("A", MODE_RE, "aborigine", ("_",), 1700)
     with pytest.raises(OutsideLifeSpan):
-        instantiate(centuries, coll, P(1950), "strict")
-    lenient = instantiate(centuries, coll, P(1950), "lenient")
+        instantiate(centuries, coll, 1950, "strict")
+    lenient = instantiate(centuries, coll, 1950, "lenient")
     assert lenient.members == frozenset()
     assert lenient.dropped == {"ab1"}  # only ab1 is alive at the anchor
 
@@ -73,10 +73,10 @@ def test_de_re_off_anchor_dead_member(centuries):
 
 
 def test_filter_smokers(youth):
-    y02 = instantiate(youth, "Y", P(2002))
+    y02 = instantiate(youth, "Y", 2002)
     yt02 = filter_members(youth, y02, "smokes", ("_", "tobacco"))
     assert {s.entity_id for s in yt02.members} == {"a", "b"}
-    y03 = instantiate(youth, "Y", P(2003))
+    y03 = instantiate(youth, "Y", 2003)
     yt03 = filter_members(youth, y03, "smokes", ("_", "tobacco"))
     assert {s.entity_id for s in yt03.members} == {"e", "f"}
 
@@ -88,7 +88,7 @@ def test_filter_is_intersective_and_idempotent(seed):
     rng = random.Random(seed + 1)
     coll = world.collections[rng.choice(("Cd", "Cr"))]
     other = world.collections[rng.choice(("Cd", "Cr"))]
-    inst = instantiate(world, coll, P(rng.choice(range(2000, 2005))), "lenient")
+    inst = instantiate(world, coll, rng.choice(range(2000, 2005)), "lenient")
     once = filter_members(world, inst, other.predicate, other.pattern)
     assert once.members <= inst.members
     twice = filter_members(world, once, other.predicate, other.pattern)
@@ -100,30 +100,30 @@ def test_filter_is_intersective_and_idempotent(seed):
 
 
 def test_cardinalities(youth):
-    assert cardinality(instantiate(youth, "Y", P(2002))) == 4
-    assert cardinality(instantiate(youth, "Y", P(2003))) == 5
+    assert cardinality(instantiate(youth, "Y", 2002)) == 4
+    assert cardinality(instantiate(youth, "Y", 2003)) == 5
 
 
 def test_ratio_values(youth):
     for tick, expected in ((2002, Fraction(1, 2)), (2003, Fraction(2, 5))):
-        whole = instantiate(youth, "Y", P(tick))
+        whole = instantiate(youth, "Y", tick)
         part = filter_members(youth, whole, "smokes", ("_", "tobacco"))
         assert ratio(part, whole) == expected
 
 
 def test_ratio_identity(youth):
-    whole = instantiate(youth, "Y", P(2002))
+    whole = instantiate(youth, "Y", 2002)
     assert ratio(whole, whole) == 1
 
 
 def test_ratio_errors(youth):
-    y02 = instantiate(youth, "Y", P(2002))
-    y03 = instantiate(youth, "Y", P(2003))
-    empty = instantiate(youth, "Y", P(1999))
+    y02 = instantiate(youth, "Y", 2002)
+    y03 = instantiate(youth, "Y", 2003)
+    empty = instantiate(youth, "Y", 1999)
     with pytest.raises(TickMismatch):
         ratio(y02, y03)
     with pytest.raises(NotASubset):
-        ratio(y02, instantiate(youth, "Yt", P(2002)))
+        ratio(y02, instantiate(youth, "Yt", 2002))
     with pytest.raises(EmptyDenominator):
         ratio(empty, empty)
 
@@ -133,7 +133,7 @@ def test_ratio_errors(youth):
 def test_ratio_monotonicity(seed):
     world = random_world(random.Random(seed))
     rng = random.Random(seed + 1)
-    whole = instantiate(world, "Cd", P(rng.choice(range(2000, 2005))), "lenient")
+    whole = instantiate(world, "Cd", rng.choice(range(2000, 2005)), "lenient")
     if not whole.members:
         return
     members = sorted(whole.members, key=lambda s: s.entity_id)
@@ -152,16 +152,16 @@ def test_ratio_monotonicity(seed):
 
 
 def test_sum_values(friends):
-    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", P(2002))) == 15
-    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", P(2003))) == 12
+    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", 2002)) == 15
+    assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", 2003)) == 12
 
 
 def test_sum_of_empty_is_zero(youth):
-    assert aggregate_sum(youth, "smokes_nothing", instantiate(youth, "Y", P(1999))) == 0
+    assert aggregate_sum(youth, "smokes_nothing", instantiate(youth, "Y", 1999)) == 0
 
 
 def test_sum_missing_measure_names_the_gap(missing):
-    inst = instantiate(missing, "F", P(2003))
+    inst = instantiate(missing, "F", 2003)
     with pytest.raises(MissingMeasure) as exc:
         aggregate_sum(missing, "cons_tobacco", inst)
     assert str(exc.value) == "missing measure cons_tobacco for f3@2003"
@@ -172,7 +172,7 @@ def test_sum_missing_measure_names_the_gap(missing):
 def test_sum_additive_over_disjoint_split(seed):
     world = random_world(random.Random(seed))
     rng = random.Random(seed + 1)
-    inst = instantiate(world, "Cd", P(rng.choice(range(2000, 2005))), "lenient")
+    inst = instantiate(world, "Cd", rng.choice(range(2000, 2005)), "lenient")
     members = inst.sorted_members()
     k = rng.randint(0, len(members))
     left = Instantiation(inst.source, inst.at, frozenset(members[:k]))
@@ -197,8 +197,8 @@ def test_de_re_composition_never_varies(seed):
     for coll in world.collections.values():
         if coll.mode != MODE_RE:
             continue
-        a = instantiate(world, coll, P(t1), "lenient")
-        b = instantiate(world, coll, P(t2), "lenient")
+        a = instantiate(world, coll, t1, "lenient")
+        b = instantiate(world, coll, t2, "lenient")
         assert a.member_ids() | a.dropped == b.member_ids() | b.dropped
 
 
@@ -208,14 +208,21 @@ def test_instantiate_agrees_with_oracle(seed):
     world = random_world(random.Random(seed))
     for coll in world.collections.values():
         for tick in range(2000, 2005):
-            inst = instantiate(world, coll, P(tick), "lenient")
+            inst = instantiate(world, coll, tick, "lenient")
             members, dropped = oracle.instantiate_ids(world, coll, P(tick))
             assert inst.member_ids() == members
             assert inst.dropped == dropped
 
 
+def test_instantiate_rejects_a_timeref(youth, friends):
+    # de dicto (Y) and de re (F): neither may answer for a non-tick
+    for world, name in ((youth, "Y"), (friends, "F")):
+        with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002"):
+            instantiate(world, name, TimeRef.point(2002))
+
+
 def test_world_is_not_mutated_by_queries(youth):
     before = (youth.facts, dict(youth.entities), dict(youth.measures))
-    instantiate(youth, "Y", P(2002))
-    filter_members(youth, instantiate(youth, "Y", P(2003)), "smokes", ("_", "tobacco"))
+    instantiate(youth, "Y", 2002)
+    filter_members(youth, instantiate(youth, "Y", 2003), "smokes", ("_", "tobacco"))
     assert (youth.facts, dict(youth.entities), dict(youth.measures)) == before

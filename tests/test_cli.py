@@ -1,10 +1,22 @@
 from __future__ import annotations
 
 import json
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_world
+from tempcoll import (
+    MODE_RE,
+    Collection,
+    TempcollError,
+    filter_members,
+    instantiate,
+    measure_value,
+    ratio,
+    slice_at,
+)
 from tempcoll.cli import run
 
 
@@ -269,3 +281,75 @@ def test_readme_worked_example_is_the_real_output(capsys, monkeypatch):
     monkeypatch.chdir(root)
     code, out = _run(capsys, *command.split()[2:])
     assert (code, out) == (0, expected)
+
+
+# ---------------------------------------------------------------------------
+# texts that print a query time
+
+
+def _raised(call) -> str:
+    with pytest.raises(TempcollError) as exc:
+        call()
+    return str(exc.value)
+
+
+def _eval_line(tmp_path, line: str) -> str:
+    script = tmp_path / "one.tcq"
+    script.write_text(line + "\n", encoding="utf-8")
+    out = StringIO()
+    with redirect_stdout(out):
+        run(["eval", _fx("youth.tcw"), str(script)])
+    return out.getvalue().splitlines()[0].removeprefix(f"{script}:")
+
+
+def _youth_at(tick):
+    return instantiate(load_world("youth.tcw"), "Y", tick)
+
+
+_ABORIGINES = Collection("A", MODE_RE, "aborigine", ("_",), 1700)
+
+QUERY_TIME_TEXTS = {
+    "ratio_tick_mismatch": (
+        lambda tmp: _raised(lambda: ratio(_youth_at(2002), _youth_at(2003))),
+        "ratio across times: 2002 vs 2003",
+    ),
+    "strict_slice_at": (
+        lambda tmp: _raised(lambda: slice_at(load_world("centuries.tcw"), "ab1", 1950)),
+        "ab1 has no slice at 1950: life span is [1700, 1780]",
+    ),
+    "missing_measure": (
+        lambda tmp: _raised(
+            lambda: measure_value(
+                load_world("missing.tcw"),
+                "cons_tobacco",
+                slice_at(load_world("missing.tcw"), "f3", 2003),
+            )
+        ),
+        "missing measure cons_tobacco for f3@2003",
+    ),
+    "strict_instantiate_member": (
+        lambda tmp: _raised(lambda: instantiate(load_world("centuries.tcw"), _ABORIGINES, 1950)),
+        "member ab1 of A has no slice at 1950: life span is [1700, 1780]",
+    ),
+    "slice_str": (
+        lambda tmp: str(slice_at(load_world("friends.tcw"), "f1", 2002)),
+        "f1@2002",
+    ),
+    "label_plain": (lambda tmp: _youth_at(2002).label, "Y@2002"),
+    "label_filtered": (
+        lambda tmp: filter_members(
+            load_world("youth.tcw"), _youth_at(2002), "smokes", ("_", "tobacco")
+        ).label,
+        "Y@2002 | smokes(_, tobacco)",
+    ),
+    "cli_ratio_across_times": (
+        lambda tmp: _eval_line(tmp, "eval ratio(Y@2002, Y@2003)"),
+        "1:1: error: ratio across times: 2002 vs 2003",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUERY_TIME_TEXTS))
+def test_texts_that_print_a_query_time(case, tmp_path):
+    text, expected = QUERY_TIME_TEXTS[case]
+    assert text(tmp_path) == expected

@@ -29,7 +29,6 @@ from tempcoll import (
     parse_world,
     render_world,
     slice_at,
-    within,
 )
 from conftest import load_world
 from worldgen import CONSTANTS, random_world
@@ -38,79 +37,43 @@ P = TimeRef.point
 
 
 # ---------------------------------------------------------------------------
-# within
-
-
-def test_within_open_end():
-    assert within(P(2002), TimeRef(1984, None))
-
-
-def test_within_overhang():
-    assert not within(TimeRef(1700, 1950), TimeRef(1700, 1830))
-
-
-@given(st.integers(-(10**6), 10**6))
-def test_within_identity_point(t):
-    assert within(P(t), P(t))
-    assert P(t) == TimeRef(t, t)  # a point is the degenerate interval
-
-
-@given(
-    st.integers(-100, 100),
-    st.integers(0, 50),
-    st.integers(-100, 100),
-    st.integers(0, 50),
-)
-def test_within_is_interval_containment(a, da, b, db):
-    t = TimeRef(a, a + da)
-    span = TimeRef(b, b + db)
-    expected = all(b <= tick <= b + db for tick in (a, a + da))
-    assert within(t, span) == expected
-
-
-def test_open_t_never_fits_closed_span():
-    assert not within(TimeRef(0, None), TimeRef(0, 10))
-    assert within(TimeRef(5, None), TimeRef(0, None))
-
-
-# ---------------------------------------------------------------------------
 # slice_at
 
 
 def test_slice_inside_lifespan(friends):
-    s = slice_at(friends, "f1", P(2002))
-    assert s.entity_id == "f1" and s.at == P(2002) and not s.out_of_span
+    s = slice_at(friends, "f1", 2002)
+    assert s.entity_id == "f1" and s.at == 2002 and not s.out_of_span
 
 
 def test_slice_outside_lifespan_strict(centuries):
     assert centuries.entities["ab1"].lifespan == TimeRef(1700, 1780)
     with pytest.raises(OutsideLifeSpan):
-        slice_at(centuries, "ab1", P(1950), "strict")
+        slice_at(centuries, "ab1", 1950, "strict")
 
 
 def test_slice_outside_lifespan_lenient(centuries):
-    s = slice_at(centuries, "ab1", P(1950), "lenient")
+    s = slice_at(centuries, "ab1", 1950, "lenient")
     assert s.out_of_span
 
 
 def test_slice_unknown_entity(friends):
     with pytest.raises(UnknownEntity):
-        slice_at(friends, "nobody", P(2002))
+        slice_at(friends, "nobody", 2002)
 
 
 def test_invariant_entity_slices_are_equal():
     builder = WorldBuilder()
     builder.add_entity("france", TimeRef(1500, None), invariant=True)
     world = builder.build()
-    a = slice_at(world, "france", P(1900))
-    b = slice_at(world, "france", P(2000))
+    a = slice_at(world, "france", 1900)
+    b = slice_at(world, "france", 2000)
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
 
 
 def test_mutable_entity_slices_differ(friends):
-    assert slice_at(friends, "f1", P(2002)) != slice_at(friends, "f1", P(2003))
+    assert slice_at(friends, "f1", 2002) != slice_at(friends, "f1", 2003)
 
 
 @given(st.integers(0, 10**9))
@@ -119,7 +82,7 @@ def test_slice_equality_laws(seed):
     world = random_world(random.Random(seed), max_entities=6)
     rng = random.Random(seed + 1)
     slices = [
-        slice_at(world, e, P(rng.choice(range(2000, 2005))), "lenient")
+        slice_at(world, e, rng.choice(range(2000, 2005)), "lenient")
         for e in world.entities
         for _ in range(2)
     ]
@@ -144,19 +107,19 @@ def test_slice_equality_laws(seed):
 
 
 def test_extension_cohort_2002(youth):
-    got = extension(youth, "eighteen", ("_",), P(2002))
+    got = extension(youth, "eighteen", ("_",), 2002)
     assert {s.entity_id for s in got} == {"a", "b", "c", "d"}
-    assert all(s.at == P(2002) for s in got)
+    assert all(s.at == 2002 for s in got)
 
 
 def test_extension_smokers_2003(youth):
-    got = extension(youth, "smokes", ("_", "tobacco"), P(2003))
+    got = extension(youth, "smokes", ("_", "tobacco"), 2003)
     assert {s.entity_id for s in got} == {"e", "f"}
 
 
 def test_extension_invariant_property_is_stable(origins):
     ids_by_tick = [
-        {s.entity_id for s in extension(origins, "origin", ("_", "lower_class"), P(t))}
+        {s.entity_id for s in extension(origins, "origin", ("_", "lower_class"), t)}
         for t in (2002, 2003)
     ]
     assert ids_by_tick[0] == ids_by_tick[1] == {"s1"}
@@ -164,13 +127,20 @@ def test_extension_invariant_property_is_stable(origins):
 
 def test_extension_errors(youth):
     with pytest.raises(UnknownPredicate):
-        extension(youth, "drinks", ("_",), P(2002))
+        extension(youth, "drinks", ("_",), 2002)
     with pytest.raises(ArityMismatch):
-        extension(youth, "smokes", ("_",), P(2002))
+        extension(youth, "smokes", ("_",), 2002)
     with pytest.raises(MultipleHoles):
-        extension(youth, "smokes", ("_", "_"), P(2002))
+        extension(youth, "smokes", ("_", "_"), 2002)
     with pytest.raises(MultipleHoles):
-        extension(youth, "smokes", ("a", "tobacco"), P(2002))
+        extension(youth, "smokes", ("a", "tobacco"), 2002)
+
+
+def test_extension_rejects_a_timeref_and_keeps_nothing():
+    world = load_world("youth.tcw")
+    with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002"):
+        extension(world, "eighteen", ("_",), P(2002))
+    assert world._extensions == {}
 
 
 @given(st.integers(0, 10**9))
@@ -179,7 +149,7 @@ def test_extension_matches_oracle_and_respects_lifespans(seed):
     world = random_world(random.Random(seed))
     for coll in world.collections.values():
         for tick in range(2000, 2005):
-            got = extension(world, coll.predicate, coll.pattern, P(tick))
+            got = extension(world, coll.predicate, coll.pattern, tick)
             assert {s.entity_id for s in got} == oracle.extension_ids(
                 world, coll.predicate, coll.pattern, P(tick)
             )
@@ -187,20 +157,16 @@ def test_extension_matches_oracle_and_respects_lifespans(seed):
                 assert oracle.covers(world.entities[s.entity_id].lifespan, P(tick))
 
 
-# points inside and around the generated ticks, a closed interval, and an
-# open-ended one
-ORACLE_TIMES = tuple(P(tick) for tick in range(1999, 2006)) + (
-    TimeRef(2001, 2003),
-    TimeRef(2002, None),
-)
+# ticks inside and around the generated ones
+ORACLE_TIMES = tuple(range(1999, 2006))
 
 
 @given(st.integers(0, 10**9))
 @settings(max_examples=80, deadline=None)
 def test_extension_index_matches_oracle_on_every_pattern(seed):
     # Every predicate, the hole in every position, the other positions
-    # filled from the fact arguments and the constants, at point,
-    # interval and open-ended times. random_world states invariant facts
+    # filled from the fact arguments and the constants, at every tick in
+    # and around the generated ones. random_world states invariant facts
     # at one tick or as always, and puts constants in hole positions.
     world = random_world(random.Random(seed))
     for decl in world.predicates.values():
@@ -212,7 +178,7 @@ def test_extension_index_matches_oracle_on_every_pattern(seed):
                 for t in ORACLE_TIMES:
                     got = extension(world, decl.name, pattern, t)
                     ids = {s.entity_id for s in got}
-                    assert ids == oracle.extension_ids(world, decl.name, pattern, t)
+                    assert ids == oracle.extension_ids(world, decl.name, pattern, P(t))
                     assert ids <= set(world.entities), "constants have no slices"
                     assert all(s.at == t for s in got)
 
@@ -228,21 +194,21 @@ def test_invariant_extension_stable_while_alive(seed):
             continue
         for t1 in range(2000, 2005):
             for t2 in range(t1 + 1, 2005):
-                ids1 = {s.entity_id for s in extension(world, decl.name, ("_",), P(t1))}
-                ids2 = {s.entity_id for s in extension(world, decl.name, ("_",), P(t2))}
+                ids1 = {s.entity_id for s in extension(world, decl.name, ("_",), t1)}
+                ids2 = {s.entity_id for s in extension(world, decl.name, ("_",), t2)}
                 for entity in world.entities.values():
-                    if within(P(t1), entity.lifespan) and within(P(t2), entity.lifespan):
+                    if t1 in entity.lifespan and t2 in entity.lifespan:
                         assert (entity.id in ids1) == (entity.id in ids2)
 
 
 def _answer(world, key):
-    """What `extension` gives for `key`: the slices, each with its time
+    """What `extension` gives for `key`: the slices, each with its tick
     and invariant flag, or the error's type and message."""
     try:
         got = extension(world, *key)
     except TempcollError as e:
         return type(e), str(e)
-    return sorted((s.entity_id, s.at.start, s.at.end, s.invariant) for s in got)
+    return sorted((s.entity_id, s.at, s.invariant) for s in got)
 
 
 @given(st.integers(0, 10**9))
@@ -255,7 +221,6 @@ def test_extension_memo_answers_like_a_fresh_world(seed):
     rng = random.Random(seed)
     world = random_world(rng)
     text, shown = render_world(world), repr(world)
-    times = ORACLE_TIMES + (TimeRef(2000, 2004), TimeRef(1999, None))
     fillers = sorted({a for f in world.facts for a in f.args} | set(CONSTANTS))
     valid = []
     for decl in world.predicates.values():
@@ -264,11 +229,11 @@ def test_extension_memo_answers_like_a_fresh_world(seed):
             pattern = tuple(
                 "_" if i == hole else rng.choice(fillers) for i in range(decl.arity)
             )
-            valid.append((decl.name, pattern, rng.choice(times)))
-    invalid = [("nope", ("_",), P(2002))]
+            valid.append((decl.name, pattern, rng.choice(ORACLE_TIMES)))
+    invalid = [("nope", ("_",), 2002)]
     for decl in world.predicates.values():
-        invalid.append((decl.name, ("_",) * (decl.arity + 1), P(2001)))
-        invalid.append((decl.name, ("_", "_") if decl.arity == 2 else ("c0",), P(2003)))
+        invalid.append((decl.name, ("_",) * (decl.arity + 1), 2001))
+        invalid.append((decl.name, ("_", "_") if decl.arity == 2 else ("c0",), 2003))
     calls = valid * 2 + invalid * 2
     rng.shuffle(calls)
     for key in calls:
@@ -276,7 +241,9 @@ def test_extension_memo_answers_like_a_fresh_world(seed):
         fresh, _ = parse_world(text)
         assert got == _answer(fresh, key)
         if key in valid:
-            assert {slice_[0] for slice_ in got} == oracle.extension_ids(world, *key)
+            predicate, pattern, t = key
+            ids = oracle.extension_ids(world, predicate, pattern, P(t))
+            assert {slice_[0] for slice_ in got} == ids
     fresh, _ = parse_world(text)
     assert world == fresh and hash(world) == hash(fresh)
     assert repr(world) == shown
@@ -285,7 +252,7 @@ def test_extension_memo_answers_like_a_fresh_world(seed):
 
 def test_extension_memo_dies_with_the_world():
     world = load_world("youth.tcw")
-    extension(world, "eighteen", ("_",), P(2002))
+    extension(world, "eighteen", ("_",), 2002)
     assert world._extensions
     ref = weakref.ref(world)
     del world
@@ -298,8 +265,8 @@ def test_extension_memo_under_racing_threads():
     # for each key of 50 fresh copies of one world: every answer is the
     # unshared one, and so is every answer the memos keep.
     base = load_world("youth.tcw")
-    keys = [("eighteen", ("_",), P(t)) for t in (2001, 2002, 2003)]
-    keys += [("smokes", ("_", "tobacco"), t) for t in (P(2002), P(2003), TimeRef(2002, None))]
+    keys = [("eighteen", ("_",), t) for t in (2001, 2002, 2003)]
+    keys += [("smokes", ("_", "tobacco"), t) for t in (2002, 2003)]
     expected = {key: _answer(load_world("youth.tcw"), key) for key in keys}
     worlds = [replace(base) for _ in range(50)]
     wrong = []
@@ -329,13 +296,13 @@ def test_extension_memo_under_racing_threads():
 
 
 def test_measure_values(friends):
-    assert measure_value(friends, "cons_tobacco", slice_at(friends, "f1", P(2002))) == 10
-    assert measure_value(friends, "cons_tobacco", slice_at(friends, "f2", P(2003))) == 4
+    assert measure_value(friends, "cons_tobacco", slice_at(friends, "f1", 2002)) == 10
+    assert measure_value(friends, "cons_tobacco", slice_at(friends, "f2", 2003)) == 4
 
 
 def test_measure_missing_is_an_error_not_zero(friends):
     with pytest.raises(MissingMeasure) as exc:
-        measure_value(friends, "cons_cannabis", slice_at(friends, "f1", P(2002)))
+        measure_value(friends, "cons_cannabis", slice_at(friends, "f1", 2002))
     assert str(exc.value) == "missing measure cons_cannabis for f1@2002"
 
 
@@ -346,7 +313,7 @@ def test_measure_value_never_fabricates(seed):
     for measure in ("m0", "m1"):
         for entity_id in world.entities:
             for tick in range(2000, 2005):
-                s = slice_at(world, entity_id, P(tick), "lenient")
+                s = slice_at(world, entity_id, tick, "lenient")
                 recorded = world.measures.get((measure, entity_id, tick))
                 if recorded is None:
                     with pytest.raises(MissingMeasure):

@@ -379,12 +379,8 @@ def test_parse_youth_script():
     ]
     first = script.commands[0]
     assert first.op == "<"
-    assert first.left == RatioExpr(
-        InstExpr("Yt", TimeRef.point(2003)), InstExpr("Y", TimeRef.point(2003))
-    )
-    assert first.right == RatioExpr(
-        InstExpr("Yt", TimeRef.point(2002)), InstExpr("Y", TimeRef.point(2002))
-    )
+    assert first.left == RatioExpr(InstExpr("Yt", 2003), InstExpr("Y", 2003))
+    assert first.right == RatioExpr(InstExpr("Yt", 2002), InstExpr("Y", 2002))
 
 
 def test_parse_script_expressions():
@@ -396,14 +392,20 @@ def test_parse_script_expressions():
     )
     assert not diagnostics
     card, total, rat, explain = script.commands
-    assert card.expr == CardExpr(
-        InstExpr("Y", TimeRef.point(2002), "smokes", ("_", "tobacco"))
-    )
-    assert total.expr == SumExpr("cons_tobacco", InstExpr("F", TimeRef.point(2002)))
-    assert rat.expr == RatioExpr(
-        InstExpr("Yt", TimeRef.point(2003)), InstExpr("Y", TimeRef.point(2003))
-    )
+    assert card.expr == CardExpr(InstExpr("Y", 2002, "smokes", ("_", "tobacco")))
+    assert total.expr == SumExpr("cons_tobacco", InstExpr("F", 2002))
+    assert rat.expr == RatioExpr(InstExpr("Yt", 2003), InstExpr("Y", 2003))
     assert isinstance(explain, ExplainCommand) and explain.statement_id == "S1"
+
+
+@pytest.mark.parametrize(
+    "predicate, pattern",
+    [("smokes", None), (None, ("_", "tobacco"))],
+    ids=["no-pattern", "no-predicate"],
+)
+def test_inst_expr_filter_needs_predicate_and_pattern(predicate, pattern):
+    with pytest.raises(ValueError, match="^a filter needs both a predicate and a pattern$"):
+        InstExpr("Y", 2002, predicate, pattern)
 
 
 def test_collections_named_like_expression_keywords():
@@ -424,7 +426,7 @@ def test_collections_named_like_expression_keywords():
         "eval sum sum over sum@2\n"
     )
     assert not diagnostics, [d.render() for d in diagnostics]
-    at = TimeRef.point(2)
+    at = 2
     card, ratio, total = InstExpr("card", at), InstExpr("ratio", at), InstExpr("sum", at)
     assert [c.expr for c in script.commands[:3]] == [
         card,

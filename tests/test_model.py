@@ -57,8 +57,34 @@ def test_api_only_rejections():
     builder.add_predicate("p", 1)
     with pytest.raises(InvalidDeclaration, match="facts are ground; '_' is not an argument"):
         builder.add_fact("p", ("_",), 2002)
-    with pytest.raises(InvalidDeclaration, match=r"\[2001, 2003\] is not a single tick"):
-        TimeRef(2001, 2003).tick
+
+
+@pytest.mark.parametrize(
+    "declare",
+    [
+        lambda b: b.add_fact("p", ("a",), TimeRef.point(2002)),
+        lambda b: b.add_fact("p", ("k",), TimeRef.point(2002)),
+        lambda b: b.add_measure("m", "a", TimeRef.point(2002), Fraction(3)),
+        lambda b: b.add_collection("R", MODE_RE, "p", ("_",), TimeRef.point(2002)),
+        lambda b: b.add_statement(
+            "S",
+            "C",
+            evolutive=True,
+            compared_property="m",
+            direction="less",
+            eval_times=(TimeRef.point(2002), 2003),
+            span=TimeRef(2002, 2003),
+        ),
+    ],
+    ids=["fact", "fact-of-constants", "measure", "anchor", "evaluation-time"],
+)
+def test_a_declared_tick_must_be_an_int(declare):
+    # A TimeRef where a tick belongs would build a world whose lookups
+    # quietly find nothing; it is refused, and nothing is recorded.
+    builder = _statement_builder()
+    with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002, end=2002\)$"):
+        declare(builder)
+    assert builder.build() == _statement_builder().build()
 
 
 @pytest.mark.parametrize(
@@ -83,7 +109,7 @@ def test_collection_shape_is_checked_on_construction(mode, pattern, anchor, erro
 def test_world_pickles_and_deep_copies_without_its_lazy_state(copy_world):
     world = load_world("youth.tcw")
     queries = [
-        (coll.predicate, coll.pattern, TimeRef.point(tick))
+        (coll.predicate, coll.pattern, tick)
         for coll in world.collections.values()
         for tick in world.ticks
     ]

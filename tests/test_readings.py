@@ -344,7 +344,7 @@ def test_r2_soundness(seed):
                 for s in instantiate(
                     world,
                     replace(coll, mode=MODE_DICTO, anchor=None),
-                    P(t),
+                    t,
                     "lenient",
                 ).members
             }
@@ -385,7 +385,7 @@ def test_individual_implies_global(seed):
     )
     if individual.truth is True and aggregate.truth is not None:
         anchor_members = instantiate(
-            world, world.collections["C"], P(stmt.eval_times[0]), "lenient"
+            world, world.collections["C"], stmt.eval_times[0], "lenient"
         )
         if anchor_members.members:
             assert aggregate.truth is True
