@@ -25,6 +25,7 @@ def slice_at(
     under lenient policy an outside time yields a slice tagged
     ``out_of_span`` instead of an error.
     """
+    check_tick(t)
     entity = world.entity(entity_id)
     inside = t in entity.lifespan
     if not inside and policy == "strict":

@@ -33,10 +33,10 @@ Every line goes through one tokenizer and cursor parser, except that
 most world lines are plain `entity`, `fact` and `measure` declarations,
 and each of those kinds also has one full-line pattern built from the
 tokenizer's pieces. A line that pattern matches is either accepted, with
-the value its cursor parser would give (both build it through one
-constructor per kind), or declined and left to the tokenizer path. A
-pattern never rejects a line, so every diagnostic comes from the
-tokenizer path.
+the value its cursor parser would give, or declined and left to the
+tokenizer path. A pattern never rejects a line, so every diagnostic
+comes from the tokenizer path. On either path a declaration's value is
+the argument tuple of its `WorldBuilder` call, applied through one table.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Literal, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import TempcollError
@@ -354,28 +355,7 @@ def _parse_lines(
 # ---------------------------------------------------------------------------
 # World parsing
 
-# Each declaration parses to a closure that applies it to a builder and
-# returns the builder's warning message, if any.
-_Apply = Callable[[WorldBuilder], "str | None"]
-
-
-# One constructor per declaration kind that both the cursor parsers and
-# the full-line patterns below build through.
-
-
-def _entity(entity_id: str, lifespan: TimeRef, invariant: bool, species: str | None) -> _Apply:
-    return lambda b: b.add_entity(entity_id, lifespan, invariant=invariant, species=species)
-
-
-def _fact(name: str, args: tuple[str, ...], at: int | None) -> _Apply:
-    return lambda b: b.add_fact(name, args, at)
-
-
-def _measure(name: str, entity_id: str, at: int, value: Fraction) -> _Apply:
-    return lambda b: b.add_measure(name, entity_id, at, value)
-
-
-def _parse_entity(cur: _Cursor) -> _Apply:
+def _parse_entity(cur: _Cursor) -> tuple:
     entity_id = cur.expect().text
     cur.expect("lifespan")
     lifespan = _parse_interval(cur)
@@ -383,28 +363,27 @@ def _parse_entity(cur: _Cursor) -> _Apply:
     species = None
     if cur.accept("species"):
         species = cur.expect().text
-    return _entity(entity_id, lifespan, invariant, species)
+    return entity_id, lifespan, invariant, species
 
 
-def _parse_predicate(cur: _Cursor) -> _Apply:
+def _parse_predicate(cur: _Cursor) -> tuple:
     name = cur.expect().text
     cur.expect("arity")
     arity = _parse_int(cur)
     invariant = cur.expect("mutable", "invariant").text == "invariant"
     cohort = cur.accept("cohort")
-    return lambda b: b.add_predicate(name, arity, invariant=invariant, cohort=cohort)
+    return name, arity, invariant, cohort
 
 
-def _parse_fact(cur: _Cursor) -> _Apply:
+def _parse_fact(cur: _Cursor) -> tuple:
     name = cur.expect().text
     args = _parse_args(cur, allow_hole=False)
     cur.expect("@")
-    if cur.accept("*"):
-        return _fact(name, args, None)
-    return _fact(name, args, _parse_int(cur))
+    at = None if cur.accept("*") else _parse_int(cur)
+    return name, args, at
 
 
-def _parse_measure(cur: _Cursor) -> _Apply:
+def _parse_measure(cur: _Cursor) -> tuple:
     name = cur.expect().text
     args = _parse_args(cur, allow_hole=False)
     if len(args) != 1:
@@ -412,10 +391,10 @@ def _parse_measure(cur: _Cursor) -> _Apply:
     cur.expect("@")
     at = _parse_int(cur)
     cur.expect("=")
-    return _measure(name, args[0], at, _parse_rational(cur))
+    return name, args[0], at, _parse_rational(cur)
 
 
-def _parse_collection(cur: _Cursor) -> _Apply:
+def _parse_collection(cur: _Cursor) -> tuple:
     name = cur.expect().text
     mode_tok = cur.expect("dicto", "re")
     anchor: int | None = None
@@ -430,10 +409,10 @@ def _parse_collection(cur: _Cursor) -> _Apply:
     cur.expect(":=")
     predicate = cur.expect().text
     pattern = _parse_args(cur, allow_hole=True)
-    return lambda b: b.add_collection(name, mode, predicate, pattern, anchor)
+    return name, mode, predicate, pattern, anchor
 
 
-def _parse_statement(cur: _Cursor) -> _Apply:
+def _parse_statement(cur: _Cursor) -> tuple:
     statement_id = cur.expect().text
     cur.expect("subject")
     subject = cur.expect().text
@@ -459,29 +438,45 @@ def _parse_statement(cur: _Cursor) -> _Apply:
     explicit_mode: Mode | None = None
     if cur.accept("mode"):
         explicit_mode = MODE_RE if cur.expect("re", "dicto").text == "re" else MODE_DICTO
-    return lambda b: b.add_statement(
-        statement_id,
-        subject,
-        evolutive=evolutive,
-        compared_property=compared,
-        direction=direction,  # type: ignore[arg-type]
-        eval_times=(t1, t2),
-        span=span,
-        property_pattern=pattern,
-        species_bound=bound,
-        explicit_mode=explicit_mode,
-    )
+    return statement_id, subject, {
+        "evolutive": evolutive,
+        "compared_property": compared,
+        "direction": direction,
+        "eval_times": (t1, t2),
+        "span": span,
+        "property_pattern": pattern,
+        "species_bound": bound,
+        "explicit_mode": explicit_mode,
+    }
 
 
-# In build order: each kind needs only kinds above it; within a kind,
-# declarations apply in file order.
-_LINE_PARSERS: dict[str, Callable[[_Cursor], _Apply]] = {
+_LINE_PARSERS: dict[str, Callable[[_Cursor], tuple]] = {
     "entity": _parse_entity,
     "pred": _parse_predicate,
     "fact": _parse_fact,
     "measure": _parse_measure,
     "collection": _parse_collection,
     "statement": _parse_statement,
+}
+
+# Each declaration parses to an argument tuple. Kind -> the call that
+# applies such a tuple to a given builder and returns its warning, if any;
+# in build order (each kind needs only kinds above it; within a kind, file
+# order). Methods are looked up per parse, not at import, so a method
+# wrapped on WorldBuilder (as by the benchmark's tracer) is the one run.
+_BUILD: dict[str, Callable[[WorldBuilder], Callable[..., "str | None"]]] = {
+    "entity": lambda b: lambda entity_id, lifespan, invariant, species: b.add_entity(
+        entity_id, lifespan, invariant=invariant, species=species
+    ),
+    "pred": lambda b: lambda name, arity, invariant, cohort: b.add_predicate(
+        name, arity, invariant=invariant, cohort=cohort
+    ),
+    "fact": attrgetter("add_fact"),
+    "measure": attrgetter("add_measure"),
+    "collection": attrgetter("add_collection"),
+    "statement": lambda b: lambda statement_id, subject, options: b.add_statement(
+        statement_id, subject, **options
+    ),
 }
 
 # One full-line pattern per common declaration kind (see the module
@@ -511,24 +506,24 @@ _MEASURE_LINE = re.compile(
 # a `_` argument, an empty interval, a zero denominator.
 
 
-def _entity_line(m: re.Match[str]) -> _Apply | None:
+def _entity_line(m: re.Match[str]) -> tuple | None:
     _, entity_id, start, end, invariant, species = m.groups()
     try:
         lifespan = TimeRef(int(start), None if end is None else int(end))
     except TempcollError:
         return None
-    return _entity(entity_id, lifespan, invariant is not None, species)
+    return entity_id, lifespan, invariant is not None, species
 
 
-def _fact_line(m: re.Match[str]) -> _Apply | None:
+def _fact_line(m: re.Match[str]) -> tuple | None:
     _, name, arg_text, tick = m.groups()
     args = tuple(map(str.strip, arg_text.split(",")))  # strips just what `\s` matches
     if HOLE in args:
         return None
-    return _fact(name, args, None if tick is None else int(tick))
+    return name, args, None if tick is None else int(tick)
 
 
-def _measure_line(m: re.Match[str]) -> _Apply | None:
+def _measure_line(m: re.Match[str]) -> tuple | None:
     _, name, entity_id, tick, literal = m.groups()
     if entity_id == HOLE:
         return None
@@ -542,7 +537,7 @@ def _measure_line(m: re.Match[str]) -> _Apply | None:
             value = Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError):
         return None
-    return _measure(name, entity_id, int(tick), value)
+    return name, entity_id, int(tick), value
 
 
 # Tried in order on every world line: the most frequent kind first.
@@ -563,18 +558,19 @@ def parse_world(
     entity argument's life span); they do not block the build and are
     kept only when there is no error.
     """
-    records: dict[str, list[tuple[_Apply, int, int]]] = {kind: [] for kind in _LINE_PARSERS}
+    records: dict[str, list[tuple[tuple, int, int]]] = {kind: [] for kind in _BUILD}
 
-    def keep(word: str, column: int, apply: _Apply, lineno: int, line: str) -> None:
-        records[word].append((apply, lineno, column))
+    def keep(word: str, column: int, args: tuple, lineno: int, line: str) -> None:
+        records[word].append((args, lineno, column))
 
     diagnostics = _parse_lines(text, source_name, "declaration", _LINE_PARSERS, _FAST_LINES, keep)
     builder = WorldBuilder()
     warnings: list[Diagnostic] = []
-    for kind_records in records.values():
-        for apply, lineno, column in kind_records:
+    for kind, kind_records in records.items():
+        build = _BUILD[kind](builder)
+        for args, lineno, column in kind_records:
             try:
-                message = apply(builder)
+                message = build(*args)
             except TempcollError as e:
                 diagnostics.append(Diagnostic("error", str(e), lineno, column, source_name))
                 continue

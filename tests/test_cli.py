@@ -73,6 +73,12 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_help_exits_0(capsys):
+    code, out = _run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: tempcoll")
+
+
 def test_usage_error_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
@@ -131,11 +137,15 @@ def test_assert_comparisons_of_mixed_or_ordered_values(tmp_path, capsys):
         "assert card(Y@2002) = card(Y@2003)\n"
         "assert Y@2002 < Y@2003\n"
         "assert card(Y@2002) = Y@2002\n"
+        "assert card(Y@2002) < card(Y@2002)\n"
+        "assert card(Y@2002) > card(Y@2002)\n"
     )
     code, out = _run(capsys, "eval", _fx("youth.tcw"), str(script))
     assert code == 2
     assert out.splitlines() == [
         "assert #1: false (4 = 5)",
+        "assert #4: false (4 < 4)",
+        "assert #5: false (4 > 4)",
         f"{script}:2:1: error: instantiations only compare with '='",
         f"{script}:3:1: error: comparison needs two numbers or two instantiations",
         "status: error",
@@ -345,6 +355,10 @@ QUERY_TIME_TEXTS = {
     "cli_ratio_across_times": (
         lambda tmp: _eval_line(tmp, "eval ratio(Y@2002, Y@2003)"),
         "1:1: error: ratio across times: 2002 vs 2003",
+    ),
+    "cli_ratio_not_a_subset": (
+        lambda tmp: _eval_line(tmp, "eval ratio(Y@2002, Y@2002 | smokes(_, tobacco))"),
+        "1:1: error: Y@2002 is not a subset of Y@2002 | smokes(_, tobacco): c, d",
     ),
 }
 

@@ -61,6 +61,12 @@ def test_slice_unknown_entity(friends):
         slice_at(friends, "nobody", 2002)
 
 
+@pytest.mark.parametrize("policy", ["strict", "lenient"])
+def test_slice_rejects_a_timeref(friends, policy):
+    with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002"):
+        slice_at(friends, "f1", P(2002), policy)
+
+
 def test_invariant_entity_slices_are_equal():
     builder = WorldBuilder()
     builder.add_entity("france", TimeRef(1500, None), invariant=True)
