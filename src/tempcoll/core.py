@@ -78,5 +78,6 @@ def measure_value(world: World, measure: str, s: Slice) -> Fraction:
     """
     value = world.measures.get((measure, s.entity_id, s.at))
     if value is None:
+        check_tick(s.at)  # only on a miss: a wrong-typed tick never hits
         raise MissingMeasure(measure, s.entity_id, s.at)
     return value

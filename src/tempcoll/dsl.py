@@ -30,13 +30,14 @@ Script grammar:
 them; `card@2` is the bare instantiation of a collection named `card`.
 
 Every line goes through one tokenizer and cursor parser, except that
-most world lines are plain `entity`, `fact` and `measure` declarations,
-and each of those kinds also has one full-line pattern built from the
-tokenizer's pieces. A line that pattern matches is either accepted, with
-the value its cursor parser would give, or declined and left to the
-tokenizer path. A pattern never rejects a line, so every diagnostic
-comes from the tokenizer path. On either path a declaration's value is
-the argument tuple of its `WorldBuilder` call, applied through one table.
+the world kinds `entity`, `fact`, `measure`, `collection` and
+`statement` and the commands `eval` and `assert` also have one
+full-line pattern each, built from the tokenizer's pieces. A line that
+pattern matches is either accepted, with the value its cursor parser
+would give, or declined and left to the tokenizer path. A pattern never
+rejects a line, so every diagnostic comes from the tokenizer path. On
+either path a declaration's value is the argument tuple of its
+`WorldBuilder` call, applied through one table.
 """
 
 from __future__ import annotations
@@ -479,31 +480,47 @@ _BUILD: dict[str, Callable[[WorldBuilder], Callable[..., "str | None"]]] = {
     ),
 }
 
-# One full-line pattern per common declaration kind (see the module
-# docstring); a line it matches gets its value straight from the match
-# groups. Group 1 is the indentation, so the head column is the
-# tokenizer's, leading whitespace included.
+# One full-line pattern per common line kind (see the module docstring);
+# a line it matches gets its value straight from the match groups.
+# Group 1 is the indentation, so the head column is the tokenizer's,
+# leading whitespace included. Where the tokenizer needs whitespace
+# between two tokens, a pattern takes `\s+`, so it never splits what the
+# tokenizer reads as one token.
 _END = rf"\s*(?:{_COMMENT})?"
+_ARGS = rf"\(\s*({_ID}(?:\s*,\s*{_ID})*)\s*\)"  # one group: the argument text
+_INTERVAL = rf"\[\s*({_INT})\s*,\s*(?:({_INT})|\*)\s*\]"  # two groups: start, end
 _ENTITY_LINE = re.compile(
-    rf"""(\s*)entity\s+({_ID})\s+lifespan
-         \s*\[\s*({_INT})\s*,\s*(?:({_INT})|\*)\s*\]
+    rf"""(\s*)entity\s+({_ID})\s+lifespan\s*{_INTERVAL}
          (?:\s+(invariant))?(?:\s+species\s+({_ID}))?{_END}""",
     re.VERBOSE,
 )
-_FACT_LINE = re.compile(
-    rf"""(\s*)fact\s+({_ID})\s*\(\s*({_ID}(?:\s*,\s*{_ID})*)\s*\)
-         \s*@\s*(?:({_INT})|\*){_END}""",
-    re.VERBOSE,
-)
+_FACT_LINE = re.compile(rf"(\s*)fact\s+({_ID})\s*{_ARGS}\s*@\s*(?:({_INT})|\*){_END}")
 _MEASURE_LINE = re.compile(
     rf"""(\s*)measure\s+({_ID})\s*\(\s*({_ID})\s*\)\s*@\s*({_INT})
          \s*=\s*({_RATIONAL}|{_DECIMAL}|{_INT}){_END}""",
+    re.VERBOSE,
+)
+_COLLECTION_LINE = re.compile(
+    rf"""(\s*)collection\s+({_ID})\s+(?:dicto|re\s*@\s*({_INT}))
+         \s*:=\s*({_ID})\s*{_ARGS}{_END}""",
+    re.VERBOSE,
+)
+_STATEMENT_LINE = re.compile(
+    rf"""(\s*)statement\s+({_ID})\s+subject\s+({_ID})\s+profile\s+(evolutive|static)
+         \s+property\s+({_ID})(?:\s*{_ARGS})?\s+direction\s+(less|more|changed)
+         \s+times\s+({_INT})\s*,\s*({_INT})
+         \s+span\s*{_INTERVAL}
+         (?:\s*bound\s+({_INT}))?(?:\s*mode\s+(re|dicto))?{_END}""",
     re.VERBOSE,
 )
 
 
 # Each maker declines (returns None) what its cursor parser would reject:
 # a `_` argument, an empty interval, a zero denominator.
+
+
+def _split_args(text: str) -> tuple[str, ...]:
+    return tuple(map(str.strip, text.split(",")))  # strips just what `\s` matches
 
 
 def _entity_line(m: re.Match[str]) -> tuple | None:
@@ -517,7 +534,7 @@ def _entity_line(m: re.Match[str]) -> tuple | None:
 
 def _fact_line(m: re.Match[str]) -> tuple | None:
     _, name, arg_text, tick = m.groups()
-    args = tuple(map(str.strip, arg_text.split(",")))  # strips just what `\s` matches
+    args = _split_args(arg_text)
     if HOLE in args:
         return None
     return name, args, None if tick is None else int(tick)
@@ -540,11 +557,39 @@ def _measure_line(m: re.Match[str]) -> tuple | None:
     return name, entity_id, int(tick), value
 
 
+def _collection_line(m: re.Match[str]) -> tuple:
+    _, name, anchor, predicate, pattern = m.groups()
+    if anchor is None:
+        return name, MODE_DICTO, predicate, _split_args(pattern), None
+    return name, MODE_RE, predicate, _split_args(pattern), int(anchor)
+
+
+def _statement_line(m: re.Match[str]) -> tuple | None:
+    _, statement_id, subject, profile, compared, pattern, direction, *rest = m.groups()
+    t1, t2, start, end, bound, mode = rest
+    try:
+        span = TimeRef(int(start), None if end is None else int(end))
+    except TempcollError:
+        return None
+    return statement_id, subject, {
+        "evolutive": profile == "evolutive",
+        "compared_property": compared,
+        "direction": direction,
+        "eval_times": (int(t1), int(t2)),
+        "span": span,
+        "property_pattern": None if pattern is None else _split_args(pattern),
+        "species_bound": None if bound is None else int(bound),
+        "explicit_mode": None if mode is None else MODE_RE if mode == "re" else MODE_DICTO,
+    }
+
+
 # Tried in order on every world line: the most frequent kind first.
 _FAST_LINES = (
     ("fact", _FACT_LINE, _fact_line),
     ("measure", _MEASURE_LINE, _measure_line),
     ("entity", _ENTITY_LINE, _entity_line),
+    ("collection", _COLLECTION_LINE, _collection_line),
+    ("statement", _STATEMENT_LINE, _statement_line),
 )
 
 
@@ -659,6 +704,56 @@ _COMMANDS: dict[str, Callable[[_Cursor], _MakeCommand]] = {
     "explain": partial(_parse_reference, ExplainCommand),
 }
 
+# The full-line patterns of `eval` and `assert`, from one instantiation
+# piece (4 groups: name, tick, filter predicate, filter arguments) and one
+# expression piece (11 groups: `card` or `ratio`, a sum's measure, two
+# instantiations, the closing `)`). The expression piece reads the parts
+# of every form once, which keeps it small to compile, and `_expr`
+# declines parts that make no form. `card`, `ratio` or `sum` followed by
+# `@` is a bare instantiation, as in `_parse_expr`.
+_INST = rf"({_ID})\s*@\s*({_INT})(?:\s*\|\s*({_ID})\s*{_ARGS})?"
+_EXPR = rf"(?:(card|ratio)\s*\(\s*|sum\s+({_ID})\s+over\s+)?{_INST}(?:\s*,\s*{_INST})?(\s*\))?"
+_EVAL_LINE = re.compile(rf"(\s*)eval\s+{_EXPR}{_END}")
+_ASSERT_LINE = re.compile(rf"(\s*)assert\s+{_EXPR}\s*([<>=])\s*{_EXPR}{_END}")
+
+# Keyword -> whether its form has (a second instantiation, a closing `)`).
+_EXPR_SHAPES = {"card": (False, True), "ratio": (True, True), None: (False, False)}
+
+
+def _inst(name: str, tick: str, predicate: str | None, args: str | None) -> InstExpr:
+    if predicate is None:
+        return InstExpr(name, int(tick))
+    return InstExpr(name, int(tick), predicate, _split_args(args))
+
+
+def _expr(g: Sequence[str | None]) -> Expr | None:
+    """The expression of one `_EXPR` match, from its 11 groups."""
+    keyword, measure, close = g[0], g[1], g[10]
+    if (g[6] is not None, close is not None) != _EXPR_SHAPES[keyword]:
+        return None
+    inst = _inst(*g[2:6])
+    if keyword == "card":
+        return CardExpr(inst)
+    if keyword == "ratio":
+        return RatioExpr(inst, _inst(*g[6:10]))
+    return inst if measure is None else SumExpr(measure, inst)
+
+
+def _eval_line(m: re.Match[str]) -> _MakeCommand | None:
+    expr = _expr(m.groups()[1:])
+    return None if expr is None else partial(EvalCommand, expr)
+
+
+def _assert_line(m: re.Match[str]) -> _MakeCommand | None:
+    g = m.groups()
+    left, right = _expr(g[1:12]), _expr(g[13:])
+    if left is None or right is None:
+        return None
+    return partial(AssertCommand, left, g[12], right)
+
+
+_FAST_COMMANDS = (("eval", _EVAL_LINE, _eval_line), ("assert", _ASSERT_LINE, _assert_line))
+
 
 def parse_script(
     text: str, source_name: str = "<script>"
@@ -673,7 +768,7 @@ def parse_script(
     def keep(word: str, column: int, make: _MakeCommand, lineno: int, line: str) -> None:
         commands.append(make(lineno, line.split(";")[0].strip()))
 
-    diagnostics = _parse_lines(text, source_name, "command", _COMMANDS, (), keep)
+    diagnostics = _parse_lines(text, source_name, "command", _COMMANDS, _FAST_COMMANDS, keep)
     if diagnostics:
         return None, diagnostics
     return Script(tuple(commands)), diagnostics

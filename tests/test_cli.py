@@ -1,23 +1,35 @@
 from __future__ import annotations
 
 import json
+import operator
+import random
+import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import FIXTURES, load_world
 from tempcoll import (
+    HOLE,
     MODE_RE,
     Collection,
     TempcollError,
+    TimeRef,
     filter_members,
     instantiate,
     measure_value,
     ratio,
+    render_world,
     slice_at,
 )
 from tempcoll.cli import run
+from worldgen import CONSTANTS, MEASURES, random_world
 
 
 def _run(capsys, *argv: str) -> tuple[int, str]:
@@ -178,6 +190,146 @@ def test_policy_flag_controls_off_lifespan_members(tmp_path, capsys):
     )
     assert code == 0
     assert "eval #1: {} dropped: a" in lenient_out
+
+
+# ---------------------------------------------------------------------------
+# script values against the brute-force oracle
+
+_UNDEFINED = "undefined"
+
+
+def _random_inst(rng: random.Random, world, filtered: bool) -> tuple[str, tuple]:
+    """A random instantiation: its script text and (collection, tick,
+    filter predicate, filter pattern)."""
+    name, tick = rng.choice(sorted(world.collections)), rng.randint(1998, 2006)
+    text = f"{name}{rng.choice(['@', ' @ '])}{tick}"
+    if not filtered:
+        return text, (name, tick, None, None)
+    decl = rng.choice(sorted(world.predicates.values(), key=lambda d: d.name))
+    others = CONSTANTS + tuple(sorted(world.entities))
+    pattern = tuple(rng.choice(others) for _ in range(decl.arity))
+    hole = rng.randrange(decl.arity)
+    pattern = pattern[:hole] + (HOLE,) + pattern[hole + 1 :]
+    return f"{text} | {decl.name}({', '.join(pattern)})", (name, tick, decl.name, pattern)
+
+
+def _random_expr(rng: random.Random, world, kinds: str) -> tuple[str, tuple]:
+    """A random expression of one of `kinds`: its script text and what
+    the oracle needs."""
+    kind = rng.choice(kinds.split())
+    text, inst = _random_inst(rng, world, rng.random() < 0.5)
+    if kind == "inst":
+        return text, ("inst", inst)
+    if kind == "card":
+        return f"card({text})", ("card", inst)
+    if kind == "sum":
+        measure = rng.choice(MEASURES)
+        return f"sum {measure} over {text}", ("sum", measure, inst)
+    # A filtered part of the same instantiation, so the part is a subset.
+    part_text, part = _random_inst(rng, world, True)
+    whole_text = part_text.split(" | ")[0]
+    return f"ratio({part_text}, {whole_text})", ("ratio", part, part[:2] + (None, None))
+
+
+def _oracle_members(world, inst: tuple, policy: str) -> tuple[set, set] | str:
+    name, tick, predicate, pattern = inst
+    members, dropped = oracle.instantiate_ids(world, world.collections[name], TimeRef.point(tick))
+    if policy == "strict" and dropped:
+        return _UNDEFINED
+    if predicate is not None:
+        members = oracle.filter_ids(world, members, predicate, pattern, TimeRef.point(tick))
+    return members, dropped
+
+
+def _oracle_value(world, expr: tuple, policy: str) -> object:
+    """The value the oracle gives `expr`: a Fraction, an int, (member
+    ids, dropped ids, tick) for an instantiation, or "undefined"."""
+    kind, *rest = expr
+    realized = [_oracle_members(world, inst, policy) for inst in rest if isinstance(inst, tuple)]
+    if _UNDEFINED in realized:
+        return _UNDEFINED
+    if kind == "inst":
+        return (*realized[0], rest[0][1])
+    if kind == "card":
+        return len(realized[0][0])
+    if kind == "ratio":
+        (part, _), (whole, _) = realized
+        return Fraction(len(part), len(whole)) if whole else _UNDEFINED
+    total = oracle.sum_values(world, rest[0], realized[0][0], rest[1][1])
+    return _UNDEFINED if total is None else total
+
+
+def _payload_value(payload: dict) -> object:
+    """A JSON value payload in the oracle's terms."""
+    kind = payload["type"]
+    if kind == "natural":
+        return payload["value"]
+    if kind == "rational":
+        return Fraction(payload["num"], payload["den"])
+    if kind == "instantiation":
+        ids = [member.rsplit("@", 1) for member in payload["members"]]
+        ticks = {int(tick) for _, tick in ids}
+        assert len(ticks) <= 1
+        assert [e for e, _ in ids] == sorted(e for e, _ in ids)
+        return {e for e, _ in ids}, set(payload["dropped"]), ticks
+    return _UNDEFINED
+
+
+def _same(value: object, expected: object) -> bool:
+    if isinstance(expected, tuple):  # an instantiation: members, dropped, tick
+        members, dropped, tick = expected
+        return value == (members, dropped, {tick} if members else set())
+    return type(value) is type(expected) and value == expected
+
+
+_NUMBERS = "card ratio sum"
+_COMPARE = {"<": operator.lt, ">": operator.gt, "=": operator.eq}
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=300, deadline=None)
+def test_script_values_agree_with_the_oracle(seed):
+    # Lenient: undefined exactly when a sum misses a value (or a ratio's
+    # whole is empty); strict: also whenever the oracle drops a member.
+    rng = random.Random(seed)
+    world = random_world(rng)
+    lines, exprs = [], []
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.3:
+            (left_text, left), (right_text, right) = (
+                _random_expr(rng, world, _NUMBERS) for _ in range(2)
+            )
+            op = rng.choice("<>=")
+            lines.append(f"assert {left_text} {op} {right_text}")
+            exprs.append((left, op, right))
+        else:
+            text, expr = _random_expr(rng, world, "inst " + _NUMBERS)
+            lines.append(f"eval {text}")
+            exprs.append((expr,))
+    with tempfile.TemporaryDirectory() as tmp:
+        world_path, script_path = Path(tmp, "w.tcw"), Path(tmp, "s.tcq")
+        world_path.write_text(render_world(world), encoding="utf-8")
+        script_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["eval", str(world_path), str(script_path), "--format", "json"]
+        for policy in ("strict", "lenient"):
+            out = StringIO()
+            with redirect_stdout(out):
+                run([*argv, "--policy", policy])
+            doc = json.loads(out.getvalue())
+            assert [d for d in doc["diagnostics"] if d["severity"] == "error"] == []
+            assert len(doc["commands"]) == len(exprs)
+            for command, expr in zip(doc["commands"], exprs):
+                if command["kind"] == "eval":
+                    expected = _oracle_value(world, expr[0], policy)
+                    assert _same(_payload_value(command["value"]), expected), command
+                    continue
+                left, right = (_oracle_value(world, side, policy) for side in (expr[0], expr[2]))
+                if _UNDEFINED in (left, right):
+                    assert command["truth"] == _UNDEFINED, command
+                    continue
+                assert _same(_payload_value(command["left"]), left), command
+                assert _same(_payload_value(command["right"]), right), command
+                assert command["truth"] is _COMPARE[expr[1]](left, right), command
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from tempcoll import (
     MissingMeasure,
     MultipleHoles,
     OutsideLifeSpan,
+    Slice,
     TempcollError,
     TimeRef,
     UnknownEntity,
@@ -310,6 +311,12 @@ def test_measure_missing_is_an_error_not_zero(friends):
     with pytest.raises(MissingMeasure) as exc:
         measure_value(friends, "cons_cannabis", slice_at(friends, "f1", 2002))
     assert str(exc.value) == "missing measure cons_cannabis for f1@2002"
+
+
+def test_measure_value_rejects_a_timeref_tick(friends):
+    # f1 has a value at 2002, so a miss here is the tick's type, not a data gap.
+    with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002"):
+        measure_value(friends, "cons_tobacco", Slice("f1", P(2002)))
 
 
 @given(st.integers(0, 10**9))

@@ -238,15 +238,20 @@ def test_round_trip_on_generated_statement_worlds(seed):
 # the full-line patterns: accept with the cursor parser's value, or decline
 
 
-def _outcomes(text: str) -> list[tuple[object, list[str]]]:
-    """The world and rendered diagnostics of `text`, with the line
-    patterns in use and with their table emptied."""
+def _outcomes(text: str, parser: str = "world") -> list[tuple[object, list[str]]]:
+    """The world (or the script's repr) and rendered diagnostics of
+    `text`, with the line patterns in use and with their table emptied."""
+    table = "_FAST_LINES" if parser == "world" else "_FAST_COMMANDS"
     results = []
-    for fast in (dsl._FAST_LINES, ()):
+    for fast in (getattr(dsl, table), ()):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dsl, "_FAST_LINES", fast)
-            world, diagnostics = parse_world(text, source_name="w.tcw")
-        results.append((world, [d.render() for d in diagnostics]))
+            mp.setattr(dsl, table, fast)
+            if parser == "world":
+                result, diagnostics = parse_world(text, source_name="w.tcw")
+            else:
+                script, diagnostics = parse_script(text, source_name="s.tcq")
+                result = repr(script)
+        results.append((result, [d.render() for d in diagnostics]))
     return results
 
 
@@ -268,15 +273,26 @@ _SLOTS = {
         ["1/0", "0/0", "1.", "3 4", "x", "\u0663"],
     ),
     "tail": (["", " ", " ; a comment", ";c", "\u00a0;\u2028c"], [" x", " $", ")", "invariant"]),
+    # an argument of a collection or statement pattern
+    "pattern": (["_", "a", "c0", "_x"], ["1", "*", "a-1", "\u00e9"]),
+    # a collection's mode, `{}` standing for its anchor tick
+    "mode": (
+        ["dicto", "re@{}", "re @ {}", "re\u00a0@{}"],
+        ["re", "re@", "re {}", "redicto", "dicto@{}", "re@@{}", "RE@{}", "re:{}"],
+    ),
+    "profile": (["evolutive", "static"], ["dynamic", "Static", "evolutives"]),
+    "direction": (["less", "more", "changed"], ["fewer", "Less", "lessmore"]),
+    "option_mode": (["re", "dicto"], ["de_re", "re@2001", "redicto", "dicto2"]),
 }
 
 
 @st.composite
 def _declaration_line(draw) -> str:
-    """An entity, fact or measure line, reversed intervals, `-0` and
-    odd whitespace included; most are near misses in one kind of slot:
-    glued words, `_` or bad names, bad numbers, argument counts, junk."""
-    broken = draw(st.sampled_from([None, "args", *_SLOTS]))
+    """An entity, fact, measure, collection or statement line, reversed
+    intervals, `-0` and odd whitespace included; most are near misses in
+    one kind of slot: glued words, `_` or bad names, bad numbers, argument
+    counts, misspelt keywords, junk."""
+    broken = draw(st.sampled_from([None, "args", "word", *_SLOTS]))
 
     def pick(slot: str) -> str:
         valid, misses = _SLOTS[slot]
@@ -285,21 +301,47 @@ def _declaration_line(draw) -> str:
     def gap() -> str:
         return draw(st.sampled_from(["", pick("space")]))
 
-    kind = draw(st.sampled_from(["entity", "fact", "measure"]))
+    def word(text: str) -> str:
+        if broken == "word" and draw(st.booleans()):
+            return draw(st.sampled_from([text.upper(), text + "s", text[:-1], text + "1"]))
+        return text
+
+    def args(slot: str, counts: list[int]) -> str:
+        names = [pick(slot) for _ in range(draw(st.sampled_from(counts)))]
+        return f"{gap()}({gap()}{(gap() + ',' + gap()).join(names)}{gap()})"
+
+    def interval() -> str:
+        return f"{gap()}[{gap()}{pick('tick')}{gap()},{gap()}{pick('tick')}{gap()}]"
+
+    kind = draw(st.sampled_from(["entity", "fact", "measure", "collection", "statement"]))
     indent = draw(st.sampled_from(["", " ", "\t", "   ", "\u00a0"]))
     line = indent + kind + pick("space") + pick("name")
     if kind == "entity":
-        start, end = pick("tick"), pick("tick")
-        line += f"{pick('space')}lifespan{gap()}[{gap()}{start}{gap()},{gap()}{end}{gap()}]"
+        line += pick("space") + word("lifespan") + interval()
         if draw(st.booleans()):
-            line += pick("space") + "invariant"
+            line += pick("space") + word("invariant")
         if draw(st.booleans()):
-            line += f"{pick('space')}species{pick('space')}{pick('name')}"
+            line += f"{pick('space')}{word('species')}{pick('space')}{pick('name')}"
+    elif kind == "collection":
+        mode = pick("mode").replace("{}", pick("tick"))
+        line += f"{pick('space')}{mode}{gap()}:={gap()}{pick('name')}"
+        line += args("pattern", [0, 3] if broken == "args" else [1, 2])
+    elif kind == "statement":
+        line += f"{pick('space')}{word('subject')}{pick('space')}{pick('name')}"
+        line += f"{pick('space')}{word('profile')}{pick('space')}{pick('profile')}"
+        line += f"{pick('space')}{word('property')}{pick('space')}{pick('name')}"
+        if draw(st.booleans()):
+            line += args("pattern", [0, 3] if broken == "args" else [1, 2])
+        line += f"{pick('space')}{word('direction')}{pick('space')}{pick('direction')}"
+        line += f"{pick('space')}{word('times')}{pick('space')}{pick('tick')}"
+        line += f"{gap()},{gap()}{pick('tick')}{pick('space')}{word('span')}{interval()}"
+        if draw(st.booleans()):
+            line += f"{pick('space')}{word('bound')}{pick('space')}{pick('tick')}"
+        if draw(st.booleans()):
+            line += f"{pick('space')}{word('mode')}{pick('space')}{pick('option_mode')}"
     else:
         counts = [0, 2] if broken == "args" else {"fact": [1, 2, 3], "measure": [1]}[kind]
-        names = [pick("name") for _ in range(draw(st.sampled_from(counts)))]
-        args = (gap() + "," + gap()).join(names)
-        line += f"{gap()}({gap()}{args}{gap()}){gap()}@{gap()}{pick('tick')}"
+        line += f"{args('name', counts)}{gap()}@{gap()}{pick('tick')}"
         if kind == "measure":
             line += f"{gap()}={gap()}{pick('value')}"
     return line + pick("tail")
@@ -313,19 +355,148 @@ def test_line_patterns_agree_with_the_tokenizer(lines, prelude):
     assert fast == slow
 
 
-def test_line_patterns_agree_on_fixtures_and_corpus_worlds():
-    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.tcw"))]
-    texts.append((Path(__file__).parent / "shapes.tcw").read_text(encoding="utf-8"))
-    texts += [corpus._full_text(c) for c in corpus.hand_cases() if c["parser"] == "world"]
-    texts += [
-        corpus.fuzz_text(name, index)
+_SCRIPT_SLOTS = {
+    "space": (_SPACES, [""]),
+    "name": (["Y", "C", "card", "ratio", "sum", "over", "_", "e1"], ["1", "\u00e9", "a-1", "("]),
+    "tick": (["2002", "0", "-0", "-3"], ["x", "1.5", "2002/3", _DIGITS_2001, "2002abc", "*", ""]),
+    "op": (["<", ">", "="], ["==", ":=", "<=", "x", "|"]),
+    "tail": _SLOTS["tail"],
+}
+
+
+@st.composite
+def _command_line(draw) -> str:
+    """An `eval` or `assert` line over every expression form, collections
+    named `card`, `ratio`, `sum` or `over` included; most are near misses
+    in one kind of slot: glued or misspelt words, a dropped `over` or
+    `)`, bad names, rational or decimal ticks, `==` or `:=`, junk."""
+    broken = draw(st.sampled_from([None, "paren", "word", *_SCRIPT_SLOTS]))
+
+    def pick(slot: str) -> str:
+        valid, misses = _SCRIPT_SLOTS[slot]
+        return draw(st.sampled_from(misses if slot == broken and draw(st.booleans()) else valid))
+
+    def gap() -> str:
+        return draw(st.sampled_from(["", pick("space")]))
+
+    def word(text: str) -> str:
+        if broken == "word" and draw(st.booleans()):
+            return draw(st.sampled_from([text.upper(), text + "s", text[:-1], text + "1", ""]))
+        return text
+
+    def close() -> str:
+        return "" if broken == "paren" and draw(st.booleans()) else ")"
+
+    def inst() -> str:
+        text = f"{pick('name')}{gap()}@{gap()}{pick('tick')}"
+        if draw(st.booleans()):
+            count = draw(st.sampled_from([0, 1, 2] if broken == "paren" else [1, 2]))
+            args = [draw(st.sampled_from(["_", "a", "c0"])) for _ in range(count)]
+            joined = (gap() + "," + gap()).join(args)
+            text += f"{gap()}|{gap()}{pick('name')}{gap()}({gap()}{joined}{gap()}{close()}"
+        return text
+
+    def expr() -> str:
+        kind = draw(st.sampled_from(["inst", "card", "ratio", "sum"]))
+        if kind == "inst":
+            return inst()
+        if kind == "card":
+            return f"{word('card')}{gap()}({gap()}{inst()}{gap()}{close()}"
+        if kind == "ratio":
+            return f"{word('ratio')}{gap()}({gap()}{inst()}{gap()},{gap()}{inst()}{gap()}{close()}"
+        measure = f"{pick('space')}{pick('name')}{pick('space')}{word('over')}"
+        return f"{word('sum')}{measure}{pick('space')}{inst()}"
+
+    head = draw(st.sampled_from(["eval", "assert"]))
+    indent = draw(st.sampled_from(["", " ", "\t", "\u00a0"]))
+    line = indent + word(head) + pick("space") + expr()
+    if head == "assert":
+        line += gap() + pick("op") + gap() + expr()
+    return line + pick("tail")
+
+
+@given(st.lists(_command_line(), min_size=1, max_size=6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_command_patterns_agree_with_the_tokenizer(lines, prelude):
+    text = (corpus.SCRIPT_PRELUDE if prelude else "") + "\n".join(lines)
+    fast, slow = _outcomes(text, "script")
+    assert fast == slow
+
+
+_STATEMENT = "statement S subject C profile static property p direction less times 2001, 2002"
+_AFTER_PROPERTY = " direction less times 1, 2 span [1, 2]"
+
+# Lines where a pattern that read a name or number glued to a word
+# would part from the tokenizer.
+GLUED_LINES = (
+    ("world", "collection Cdicto := p(_)"),
+    ("world", "collection C redicto := p(_)"),
+    ("world", "collection C re2001 := p(_)"),
+    ("world", "collection C re@2001:=p(_)"),
+    ("world", "statement Ssubject C profile static property p" + _AFTER_PROPERTY),
+    ("world", "statement S subject C profile static property p" + _AFTER_PROPERTY.lstrip()),
+    ("world", "statement S subject C profile static property p(_)" + _AFTER_PROPERTY.lstrip()),
+    ("world", _STATEMENT + "span [2000, 2005]"),
+    ("world", _STATEMENT + " span [2000, 2005]bound 5mode re"),
+    ("world", _STATEMENT + " span [2000, 2005] bound5"),
+    ("world", _STATEMENT + " span [2000, 2005] bound -5"),
+    ("world", _STATEMENT + " span [2000, 2005] bound-5"),
+    ("world", _STATEMENT + " span [2000, 2005] mode dicto2"),
+    ("world", _STATEMENT + " span [2000, 2005] modere"),
+    ("script", "evalY@1"),
+    ("script", "eval card@2"),
+    ("script", "eval card (Y@1)"),
+    ("script", "eval card2(Y@1)"),
+    ("script", "eval ratio(card@1,sum@1)"),
+    ("script", "eval sum m overY@1"),
+    ("script", "eval summ over Y@1"),
+    ("script", "eval sum mover Y@1"),
+    ("script", "eval sum over over C@1"),
+    ("script", "eval sum over@1"),
+    ("script", "eval Y@1|p(_)"),
+    ("script", "eval Y@1 2"),
+    ("script", "assert Y@1<Y@2"),
+    ("script", "assert Y@1==Y@2"),
+    ("script", "assert Y@1<>Y@2"),
+)
+
+
+@pytest.mark.parametrize("parser, line", GLUED_LINES)
+def test_line_patterns_agree_on_glued_lines(parser, line):
+    fast, slow = _outcomes(line, parser)
+    assert fast == slow
+
+
+def test_line_patterns_agree_on_fixtures_and_corpus_cases():
+    shapes = Path(__file__).parent.glob("shapes.tc[wq]")
+    paths = sorted(FIXTURES.glob("*.tc[wq]")) + sorted(shapes)
+    cases = [(p.suffix, p.read_text(encoding="utf-8")) for p in paths]
+    cases += [
+        (".tcw" if c["parser"] == "world" else ".tcq", corpus._full_text(c))
+        for c in corpus.hand_cases()
+    ]
+    cases += [
+        (Path(name).suffix, corpus.fuzz_text(name, index))
         for name in corpus.fuzz_fixtures()
-        if name.endswith(".tcw")
         for index in range(corpus.FUZZ_PER_FIXTURE)
     ]
-    for text in texts:
-        fast, slow = _outcomes(text)
+    for suffix, text in cases:
+        fast, slow = _outcomes(text, "world" if suffix == ".tcw" else "script")
         assert fast == slow, text
+
+
+@pytest.mark.parametrize(
+    "table, parsers",
+    [("_FAST_LINES", "_LINE_PARSERS"), ("_FAST_COMMANDS", "_COMMANDS")],
+)
+def test_line_tables_keep_their_contract(table, parsers):
+    # Each pattern's word has a cursor parser, so no pattern shadows an
+    # unknown word; group 1 is the indentation, so the head column is the
+    # tokenizer's; a pattern ends like a line may, comment included.
+    for word, pattern, _ in getattr(dsl, table):
+        assert word in getattr(dsl, parsers)
+        assert pattern.pattern.startswith(rf"(\s*){word}\s+"), word
+        assert pattern.pattern.endswith(dsl._END), word
 
 
 @given(st.integers(0, 10**9), st.booleans())
@@ -333,7 +504,7 @@ def test_line_patterns_agree_on_fixtures_and_corpus_worlds():
 def test_generated_declarations_take_the_line_patterns(seed, statements):
     world = (random_statement_world if statements else random_world)(random.Random(seed))
     text = render_world(world)
-    kinds = ("entity", "fact", "measure")
+    kinds = ("entity", "fact", "measure", "collection", "statement")
     accepted = {kind: 0 for kind in kinds}
     slow = []
 
@@ -362,6 +533,19 @@ def test_generated_declarations_take_the_line_patterns(seed, statements):
     assert slow == []
     lines = text.splitlines()
     assert accepted == {kind: sum(l.startswith(kind + " ") for l in lines) for kind in kinds}
+
+
+def test_fixture_commands_take_the_line_patterns():
+    def refused(cur):
+        raise AssertionError("an eval or assert line reached its cursor parser")
+
+    paths = sorted(FIXTURES.glob("*.tcq")) + [Path(__file__).parent / "shapes.tcq"]
+    with pytest.MonkeyPatch.context() as mp:
+        for word in ("eval", "assert"):
+            mp.setitem(dsl._COMMANDS, word, refused)
+        for path in paths:
+            script, diagnostics = parse_script(path.read_text(encoding="utf-8"))
+            assert script is not None and not diagnostics, path.name
 
 
 # ---------------------------------------------------------------------------
