@@ -11,28 +11,19 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import MissingMeasure, OutsideLifeSpan
-from .model import Policy, Slice, World, check_tick, hole_index
+from .model import Slice, World, check_tick, hole_index
 
 __all__ = ["slice_at", "extension", "measure_value"]
 
 
-def slice_at(
-    world: World, entity_id: str, t: int, policy: Policy = "strict"
-) -> Slice:
-    """The slice of `entity_id` at `t`.
-
-    Under strict policy the time must fall inside the entity's life span;
-    under lenient policy an outside time yields a slice tagged
-    ``out_of_span`` instead of an error.
-    """
+def slice_at(world: World, entity_id: str, t: int) -> Slice:
+    """The slice ``e@t`` of `entity_id` at `t`, defined only inside the
+    entity's life span: an outside time raises :class:`OutsideLifeSpan`."""
     check_tick(t)
     entity = world.entity(entity_id)
-    inside = t in entity.lifespan
-    if not inside and policy == "strict":
-        raise OutsideLifeSpan(
-            f"{entity_id} has no slice at {t}: life span is {entity.lifespan}"
-        )
-    return Slice(entity.id, t, invariant=entity.invariant, out_of_span=not inside)
+    if t not in entity.lifespan:
+        raise OutsideLifeSpan(f"{entity_id} has no slice at {t}: life span is {entity.lifespan}")
+    return Slice(entity.id, t, invariant=entity.invariant)
 
 
 def extension(

@@ -46,7 +46,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Literal, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import TempcollError
@@ -257,7 +256,11 @@ class _Cursor:
 
 
 def _parse_int(cur: _Cursor) -> int:
-    return int(cur.expect(kind="int").text)
+    tok = cur.expect(kind="int")
+    try:
+        return int(tok.text)
+    except ValueError as e:  # more digits than `sys.get_int_max_str_digits()`
+        raise _LineError(f"bad integer literal {tok.text!r}", tok.column) from e
 
 
 def _parse_interval(cur: _Cursor) -> TimeRef:
@@ -414,7 +417,7 @@ def _parse_collection(cur: _Cursor) -> tuple:
 
 
 def _parse_statement(cur: _Cursor) -> tuple:
-    statement_id = cur.expect().text
+    stmt_id = cur.expect().text
     cur.expect("subject")
     subject = cur.expect().text
     cur.expect("profile")
@@ -436,19 +439,10 @@ def _parse_statement(cur: _Cursor) -> tuple:
     bound = None
     if cur.accept("bound"):
         bound = _parse_int(cur)
-    explicit_mode: Mode | None = None
+    mode: Mode | None = None
     if cur.accept("mode"):
-        explicit_mode = MODE_RE if cur.expect("re", "dicto").text == "re" else MODE_DICTO
-    return statement_id, subject, {
-        "evolutive": evolutive,
-        "compared_property": compared,
-        "direction": direction,
-        "eval_times": (t1, t2),
-        "span": span,
-        "property_pattern": pattern,
-        "species_bound": bound,
-        "explicit_mode": explicit_mode,
-    }
+        mode = MODE_RE if cur.expect("re", "dicto").text == "re" else MODE_DICTO
+    return stmt_id, subject, evolutive, compared, direction, (t1, t2), span, pattern, bound, mode
 
 
 _LINE_PARSERS: dict[str, Callable[[_Cursor], tuple]] = {
@@ -460,24 +454,19 @@ _LINE_PARSERS: dict[str, Callable[[_Cursor], tuple]] = {
     "statement": _parse_statement,
 }
 
-# Each declaration parses to an argument tuple. Kind -> the call that
-# applies such a tuple to a given builder and returns its warning, if any;
-# in build order (each kind needs only kinds above it; within a kind, file
-# order). Methods are looked up per parse, not at import, so a method
-# wrapped on WorldBuilder (as by the benchmark's tracer) is the one run.
-_BUILD: dict[str, Callable[[WorldBuilder], Callable[..., "str | None"]]] = {
-    "entity": lambda b: lambda entity_id, lifespan, invariant, species: b.add_entity(
-        entity_id, lifespan, invariant=invariant, species=species
-    ),
-    "pred": lambda b: lambda name, arity, invariant, cohort: b.add_predicate(
-        name, arity, invariant=invariant, cohort=cohort
-    ),
-    "fact": attrgetter("add_fact"),
-    "measure": attrgetter("add_measure"),
-    "collection": attrgetter("add_collection"),
-    "statement": lambda b: lambda statement_id, subject, options: b.add_statement(
-        statement_id, subject, **options
-    ),
+# Each declaration parses to the positional argument tuple of one
+# WorldBuilder method, which returns a warning or None. Kind -> that
+# method's name, in build order (each kind needs only kinds above it;
+# within a kind, file order). Methods are looked up per parse, not at
+# import, so a method wrapped on WorldBuilder (as by the benchmark's
+# tracer) is the one run.
+_BUILD = {
+    "entity": "add_entity",
+    "pred": "add_predicate",
+    "fact": "add_fact",
+    "measure": "add_measure",
+    "collection": "add_collection",
+    "statement": "add_statement",
 }
 
 # One full-line pattern per common line kind (see the module docstring);
@@ -485,32 +474,35 @@ _BUILD: dict[str, Callable[[WorldBuilder], Callable[..., "str | None"]]] = {
 # Group 1 is the indentation, so the head column is the tokenizer's,
 # leading whitespace included. Where the tokenizer needs whitespace
 # between two tokens, a pattern takes `\s+`, so it never splits what the
-# tokenizer reads as one token.
+# tokenizer reads as one token. A pattern's integer has at most 640
+# digits, which int() converts under any limit `sys.set_int_max_str_digits`
+# allows; a longer one is left to the tokenizer path.
 _END = rf"\s*(?:{_COMMENT})?"
+_LINE_INT = r"-?[0-9]{1,640}"
 _ARGS = rf"\(\s*({_ID}(?:\s*,\s*{_ID})*)\s*\)"  # one group: the argument text
-_INTERVAL = rf"\[\s*({_INT})\s*,\s*(?:({_INT})|\*)\s*\]"  # two groups: start, end
+_INTERVAL = rf"\[\s*({_LINE_INT})\s*,\s*(?:({_LINE_INT})|\*)\s*\]"  # two groups: start, end
 _ENTITY_LINE = re.compile(
     rf"""(\s*)entity\s+({_ID})\s+lifespan\s*{_INTERVAL}
          (?:\s+(invariant))?(?:\s+species\s+({_ID}))?{_END}""",
     re.VERBOSE,
 )
-_FACT_LINE = re.compile(rf"(\s*)fact\s+({_ID})\s*{_ARGS}\s*@\s*(?:({_INT})|\*){_END}")
+_FACT_LINE = re.compile(rf"(\s*)fact\s+({_ID})\s*{_ARGS}\s*@\s*(?:({_LINE_INT})|\*){_END}")
 _MEASURE_LINE = re.compile(
-    rf"""(\s*)measure\s+({_ID})\s*\(\s*({_ID})\s*\)\s*@\s*({_INT})
-         \s*=\s*({_RATIONAL}|{_DECIMAL}|{_INT}){_END}""",
+    rf"""(\s*)measure\s+({_ID})\s*\(\s*({_ID})\s*\)\s*@\s*({_LINE_INT})
+         \s*=\s*({_RATIONAL}|{_DECIMAL}|{_LINE_INT}){_END}""",
     re.VERBOSE,
 )
 _COLLECTION_LINE = re.compile(
-    rf"""(\s*)collection\s+({_ID})\s+(?:dicto|re\s*@\s*({_INT}))
+    rf"""(\s*)collection\s+({_ID})\s+(?:dicto|re\s*@\s*({_LINE_INT}))
          \s*:=\s*({_ID})\s*{_ARGS}{_END}""",
     re.VERBOSE,
 )
 _STATEMENT_LINE = re.compile(
     rf"""(\s*)statement\s+({_ID})\s+subject\s+({_ID})\s+profile\s+(evolutive|static)
          \s+property\s+({_ID})(?:\s*{_ARGS})?\s+direction\s+(less|more|changed)
-         \s+times\s+({_INT})\s*,\s*({_INT})
+         \s+times\s+({_LINE_INT})\s*,\s*({_LINE_INT})
          \s+span\s*{_INTERVAL}
-         (?:\s*bound\s+({_INT}))?(?:\s*mode\s+(re|dicto))?{_END}""",
+         (?:\s*bound\s+({_LINE_INT}))?(?:\s*mode\s+(re|dicto))?{_END}""",
     re.VERBOSE,
 )
 
@@ -565,22 +557,17 @@ def _collection_line(m: re.Match[str]) -> tuple:
 
 
 def _statement_line(m: re.Match[str]) -> tuple | None:
-    _, statement_id, subject, profile, compared, pattern, direction, *rest = m.groups()
-    t1, t2, start, end, bound, mode = rest
+    _, statement_id, subject, profile, compared, pattern_text, direction, *rest = m.groups()
+    t1, t2, start, end, bound_text, mode_word = rest
     try:
         span = TimeRef(int(start), None if end is None else int(end))
     except TempcollError:
         return None
-    return statement_id, subject, {
-        "evolutive": profile == "evolutive",
-        "compared_property": compared,
-        "direction": direction,
-        "eval_times": (int(t1), int(t2)),
-        "span": span,
-        "property_pattern": None if pattern is None else _split_args(pattern),
-        "species_bound": None if bound is None else int(bound),
-        "explicit_mode": None if mode is None else MODE_RE if mode == "re" else MODE_DICTO,
-    }
+    evolutive, times = profile == "evolutive", (int(t1), int(t2))
+    pattern = None if pattern_text is None else _split_args(pattern_text)
+    bound = None if bound_text is None else int(bound_text)
+    mode = None if mode_word is None else MODE_RE if mode_word == "re" else MODE_DICTO
+    return statement_id, subject, evolutive, compared, direction, times, span, pattern, bound, mode
 
 
 # Tried in order on every world line: the most frequent kind first.
@@ -612,7 +599,7 @@ def parse_world(
     builder = WorldBuilder()
     warnings: list[Diagnostic] = []
     for kind, kind_records in records.items():
-        build = _BUILD[kind](builder)
+        build = getattr(builder, _BUILD[kind])
         for args, lineno, column in kind_records:
             try:
                 message = build(*args)
@@ -711,7 +698,7 @@ _COMMANDS: dict[str, Callable[[_Cursor], _MakeCommand]] = {
 # of every form once, which keeps it small to compile, and `_expr`
 # declines parts that make no form. `card`, `ratio` or `sum` followed by
 # `@` is a bare instantiation, as in `_parse_expr`.
-_INST = rf"({_ID})\s*@\s*({_INT})(?:\s*\|\s*({_ID})\s*{_ARGS})?"
+_INST = rf"({_ID})\s*@\s*({_LINE_INT})(?:\s*\|\s*({_ID})\s*{_ARGS})?"
 _EXPR = rf"(?:(card|ratio)\s*\(\s*|sum\s+({_ID})\s+over\s+)?{_INST}(?:\s*,\s*{_INST})?(\s*\))?"
 _EVAL_LINE = re.compile(rf"(\s*)eval\s+{_EXPR}{_END}")
 _ASSERT_LINE = re.compile(rf"(\s*)assert\s+{_EXPR}\s*([<>=])\s*{_EXPR}{_END}")

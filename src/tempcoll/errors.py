@@ -29,8 +29,7 @@ class UnknownStatement(TempcollError):
 
 
 class OutsideLifeSpan(TempcollError):
-    """A slice was requested, under strict policy, at a time the entity
-    does not live through."""
+    """A slice was requested at a time the entity does not live through."""
 
 
 class ArityMismatch(TempcollError):

@@ -115,15 +115,14 @@ class Slice:
 
     Two slices are equal iff they are stages of the same entity with the
     same `invariant` flag, at the same time or, when the entity is
-    invariant, at any time (then all its stages are one). `out_of_span`
-    tags slices produced by lenient slicing outside the entity's life
-    span; it never participates in equality.
+    invariant, at any time (then all its stages are one). The queries
+    in :mod:`tempcoll.core` only make slices inside the entity's life
+    span, where the paper defines ``e@t``.
     """
 
     entity_id: str
     at: int
     invariant: bool = False
-    out_of_span: bool = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Slice):
@@ -399,7 +398,6 @@ class WorldBuilder:
         self,
         entity_id: str,
         lifespan: LifeSpan,
-        *,
         invariant: bool = False,
         species: str | None = None,
     ) -> None:
@@ -408,7 +406,7 @@ class WorldBuilder:
         self._entities[entity_id] = Entity(entity_id, lifespan, invariant, species)
 
     def add_predicate(
-        self, name: str, arity: int, *, invariant: bool = False, cohort: bool = False
+        self, name: str, arity: int, invariant: bool = False, cohort: bool = False
     ) -> None:
         if name in self._predicates:
             raise InvalidDeclaration(f"duplicate predicate '{name}'")
@@ -486,7 +484,6 @@ class WorldBuilder:
         self,
         statement_id: str,
         subject: str,
-        *,
         evolutive: bool,
         compared_property: str,
         direction: Direction,

@@ -22,6 +22,7 @@ fixed-membership ratio when it is a predicate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -56,7 +57,8 @@ __all__ = [
 
 ReadingKind = Literal["ratio_evolution", "individual_evolution", "global_aggregate"]
 
-_CMP = {"less": "<", "more": ">", "changed": "!="}
+# Direction -> (its symbol, the test of the later value against the earlier).
+_CMP = {"less": ("<", operator.lt), "more": (">", operator.gt), "changed": ("!=", operator.ne)}
 
 
 @dataclass(frozen=True)
@@ -161,20 +163,15 @@ def lifespan_check(world: World, stmt: Statement) -> LifespanCheck:
         for t in stmt.eval_times:
             candidates |= {s.entity_id for s in extension(world, coll.predicate, coll.pattern, t)}
         lengths = [world.entities[c].lifespan.length() for c in sorted(candidates)]
-        if lengths and None not in lengths:
-            bound = max(lengths)  # type: ignore[type-var]
-        elif lengths:
-            # Some candidate lives through an open span: nothing to exceed.
-            return LifespanCheck(False, None, span_length)
-        elif span_length is None:
+        if not lengths and span_length is None:
             raise UnboundedSpan(
                 f"span {stmt.span} is open and no life-span bound is available"
             )
-        else:
-            return LifespanCheck(False, None, span_length)
-    if span_length is None:
-        return LifespanCheck(True, bound, None)
-    return LifespanCheck(span_length > bound, bound, span_length)
+        if None not in lengths:
+            bound = max(lengths, default=None)  # type: ignore[type-var]
+    # No bound (no candidate, or one living through an open span): nothing to exceed.
+    exceeds = bound is not None and (span_length is None or span_length > bound)
+    return LifespanCheck(exceeds, bound, span_length)
 
 
 def decide_mode(world: World, stmt: Statement) -> Decision:
@@ -271,7 +268,7 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
     """
     coll = _effective_collection(world, stmt, mode)
     t1, t2 = _two_ticks(stmt)
-    cmp = _CMP[stmt.profile.direction]
+    cmp = _CMP[stmt.profile.direction][0]
     name = coll.name
     prop = stmt.profile.compared_property
     if not _is_measure(world, stmt):
@@ -305,11 +302,7 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
 
 
 def _holds(late: Fraction, early: Fraction, direction: str) -> bool:
-    if direction == "less":
-        return late < early
-    if direction == "more":
-        return late > early
-    return late != early
+    return _CMP[direction][1](late, early)
 
 
 def _undefined(reading: Reading, reason: str) -> Reading:
@@ -362,13 +355,13 @@ def _individual_body(
         )
     measure = stmt.profile.compared_property
     slices2 = {s.entity_id: s for s in late.members}
-    cmp = _CMP[stmt.profile.direction]
+    cmp, holds = _CMP[stmt.profile.direction]
     supporting: list[Witness] = []
     refuting: list[Witness] = []
     for s1 in early.sorted_members():
         before = measure_value(world, measure, s1)
         after = measure_value(world, measure, slices2[s1.entity_id])
-        if _holds(after, before, stmt.profile.direction):
+        if holds(after, before):
             supporting.append(Witness(s1.entity_id, f"{after} {cmp} {before}"))
         else:
             refuting.append(Witness(s1.entity_id, f"{after} not {cmp} {before}"))

@@ -43,18 +43,13 @@ P = TimeRef.point
 
 def test_slice_inside_lifespan(friends):
     s = slice_at(friends, "f1", 2002)
-    assert s.entity_id == "f1" and s.at == 2002 and not s.out_of_span
+    assert s.entity_id == "f1" and s.at == 2002
 
 
 def test_slice_outside_lifespan_strict(centuries):
     assert centuries.entities["ab1"].lifespan == TimeRef(1700, 1780)
     with pytest.raises(OutsideLifeSpan):
-        slice_at(centuries, "ab1", 1950, "strict")
-
-
-def test_slice_outside_lifespan_lenient(centuries):
-    s = slice_at(centuries, "ab1", 1950, "lenient")
-    assert s.out_of_span
+        slice_at(centuries, "ab1", 1950)
 
 
 def test_slice_unknown_entity(friends):
@@ -62,10 +57,9 @@ def test_slice_unknown_entity(friends):
         slice_at(friends, "nobody", 2002)
 
 
-@pytest.mark.parametrize("policy", ["strict", "lenient"])
-def test_slice_rejects_a_timeref(friends, policy):
+def test_slice_rejects_a_timeref(friends):
     with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002"):
-        slice_at(friends, "f1", P(2002), policy)
+        slice_at(friends, "f1", P(2002))
 
 
 def test_invariant_entity_slices_are_equal():
@@ -88,9 +82,10 @@ def test_mutable_entity_slices_differ(friends):
 def test_slice_equality_laws(seed):
     world = random_world(random.Random(seed), max_entities=6)
     rng = random.Random(seed + 1)
+    # stages inside and outside each life span alike
     slices = [
-        slice_at(world, e, rng.choice(range(2000, 2005)), "lenient")
-        for e in world.entities
+        Slice(e, rng.choice(range(2000, 2005)), entity.invariant)
+        for e, entity in world.entities.items()
         for _ in range(2)
     ]
     # the same stages with the invariant flag flipped: never equal to the
@@ -326,7 +321,7 @@ def test_measure_value_never_fabricates(seed):
     for measure in ("m0", "m1"):
         for entity_id in world.entities:
             for tick in range(2000, 2005):
-                s = slice_at(world, entity_id, tick, "lenient")
+                s = Slice(entity_id, tick, world.entities[entity_id].invariant)
                 recorded = world.measures.get((measure, entity_id, tick))
                 if recorded is None:
                     with pytest.raises(MissingMeasure):

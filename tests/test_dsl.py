@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import test_dsl_corpus as corpus
 from conftest import FIXTURES, fixture_text
-from tempcoll import TimeRef, dsl, parse_script, parse_world, render_world
+from tempcoll import TimeRef, WorldBuilder, dsl, parse_script, parse_world, render_world
 from tempcoll.dsl import (
     AssertCommand,
     CardExpr,
@@ -499,6 +502,44 @@ def test_line_tables_keep_their_contract(table, parsers):
         assert pattern.pattern.endswith(dsl._END), word
 
 
+def test_build_table_names_positional_builder_methods():
+    # One kind per cursor parser, in build order, each naming a builder
+    # method that takes its argument tuple positionally.
+    assert list(dsl._BUILD) == list(dsl._LINE_PARSERS)
+    methods = {kind: getattr(WorldBuilder(), name) for kind, name in dsl._BUILD.items()}
+    signatures = {kind: inspect.signature(method) for kind, method in methods.items()}
+    for kind, signature in signatures.items():
+        kinds = {p.kind for p in signature.parameters.values()}
+        assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, kind
+    # Every tuple that a cursor parser or a maker gives for a fixture
+    # world binds to its method.
+    made: dict[str, list[tuple[str, tuple]]] = {"pattern": [], "cursor": []}
+
+    def recorded(path, kind, parse):
+        def record(arg):
+            value = parse(arg)
+            if value is not None:
+                made[path].append((kind, value))
+            return value
+
+        return record
+
+    fast = tuple(
+        (kind, pattern, recorded("pattern", kind, make)) for kind, pattern, make in dsl._FAST_LINES
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        for kind, parse in list(dsl._LINE_PARSERS.items()):
+            mp.setitem(dsl._LINE_PARSERS, kind, recorded("cursor", kind, parse))
+        for table in (fast, ()):
+            mp.setattr(dsl, "_FAST_LINES", table)
+            for name in FIXTURE_WORLDS:
+                parse_world(fixture_text(name))
+    assert {kind for kind, _ in made["pattern"]} == {kind for kind, _, _ in dsl._FAST_LINES}
+    assert {kind for kind, _ in made["cursor"]} == set(dsl._BUILD)
+    for kind, args in made["pattern"] + made["cursor"]:
+        signatures[kind].bind(*args)
+
+
 @given(st.integers(0, 10**9), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_generated_declarations_take_the_line_patterns(seed, statements):
@@ -674,3 +715,51 @@ def test_fuzzed_fixtures_never_crash(seed):
             assert d.line >= 1 and d.column >= 1
         if result is None:
             assert any(d.severity == "error" for d in diagnostics)
+
+
+_BIG = "1" * 5000
+_BIG_VALUE = (10**5000 - 1) // 9  # the value of _BIG, with no str-to-int limit
+
+
+@contextmanager
+def _int_digit_limit(limit: int):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() has no digit limit on this Python")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "parser, line, column",
+    [
+        ("script", f"eval Y@{_BIG}", 8),
+        ("world", f"fact p(a) @ {_BIG}", 13),
+        ("world", f"pred p arity {_BIG} mutable", 14),
+        ("world", f"entity a lifespan [0, {_BIG}]", 23),
+    ],
+    ids=["eval-tick", "fact-tick", "pred-arity", "lifespan-end"],
+)
+def test_overlong_integer_literal_is_a_diagnostic(parser, line, column):
+    with _int_digit_limit(4300):
+        fast, slow = _outcomes(line, parser)
+    assert fast == slow
+    result, rendered = fast
+    assert result in (None, "None")
+    source = "w.tcw" if parser == "world" else "s.tcq"
+    assert rendered == [f"{source}:1:{column}: error: bad integer literal '{_BIG}'"]
+
+
+def test_overlong_integer_literal_parses_without_a_digit_limit():
+    with _int_digit_limit(0):
+        world, diagnostics = parse_world(
+            f"entity a lifespan [0, {_BIG}]\npred p arity 1 mutable\nfact p(a) @ {_BIG}\n"
+        )
+        script, script_diagnostics = parse_script(f"eval Y@{_BIG}\n")
+    assert diagnostics == [] and script_diagnostics == []
+    assert world.entities["a"].lifespan == TimeRef(0, _BIG_VALUE)
+    assert world.facts[0].at == _BIG_VALUE
+    assert script.commands[0].expr == InstExpr("Y", _BIG_VALUE)
