@@ -6,133 +6,28 @@ every time) or de re (membership fixed at an anchor). A rule engine
 decides which interpretation a plural statement takes and evaluates
 every licensed reading; a small DSL and CLI make worlds and queries
 scriptable.
+
+Each public name is declared once, in the `__all__` of the module that
+defines it; the package re-exports those lists, and its own `__all__`
+is their concatenation.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    Instantiation,
-    aggregate_sum,
-    cardinality,
-    filter_members,
-    instantiate,
-    ratio,
-)
-from .core import extension, measure_value, slice_at
-from .dsl import Diagnostic, Script, parse_script, parse_world, render_world
-from .errors import (
-    ArityMismatch,
-    EmptyDenominator,
-    InvalidDeclaration,
-    MalformedStatement,
-    MissingMeasure,
-    MultipleHoles,
-    NotASubset,
-    OutsideLifeSpan,
-    TempcollError,
-    TickMismatch,
-    UnboundedSpan,
-    UnknownCollection,
-    UnknownEntity,
-    UnknownPredicate,
-    UnknownStatement,
-)
-from .model import (
-    HOLE,
-    MODE_DICTO,
-    MODE_RE,
-    Collection,
-    Entity,
-    Fact,
-    LifeSpan,
-    Mode,
-    Policy,
-    PredicateDecl,
-    PredicationProfile,
-    Slice,
-    Statement,
-    TimeRef,
-    World,
-    WorldBuilder,
-)
-from .readings import (
-    Decision,
-    FiredRule,
-    LifespanCheck,
-    Reading,
-    Witness,
-    analyze,
-    cohort_disjoint,
-    decide_mode,
-    enumerate_readings,
-    evaluate_reading,
-    lifespan_check,
-)
+from . import algebra, core, dsl, errors, model, readings
+from .algebra import *  # noqa: F403
+from .core import *  # noqa: F403
+from .dsl import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .readings import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "HOLE",
-    "MODE_DICTO",
-    "MODE_RE",
-    "TimeRef",
-    "LifeSpan",
-    "Entity",
-    "Slice",
-    "PredicateDecl",
-    "Fact",
-    "Collection",
-    "PredicationProfile",
-    "Statement",
-    "World",
-    "WorldBuilder",
-    "Policy",
-    "Mode",
-    # core ops
-    "slice_at",
-    "extension",
-    "measure_value",
-    # algebra
-    "Instantiation",
-    "instantiate",
-    "filter_members",
-    "cardinality",
-    "ratio",
-    "aggregate_sum",
-    # readings
-    "FiredRule",
-    "Witness",
-    "Reading",
-    "Decision",
-    "LifespanCheck",
-    "decide_mode",
-    "cohort_disjoint",
-    "lifespan_check",
-    "enumerate_readings",
-    "evaluate_reading",
-    "analyze",
-    # dsl
-    "Diagnostic",
-    "Script",
-    "parse_world",
-    "parse_script",
-    "render_world",
-    # errors
-    "TempcollError",
-    "InvalidDeclaration",
-    "UnknownEntity",
-    "UnknownPredicate",
-    "UnknownCollection",
-    "UnknownStatement",
-    "OutsideLifeSpan",
-    "ArityMismatch",
-    "MultipleHoles",
-    "MissingMeasure",
-    "EmptyDenominator",
-    "NotASubset",
-    "TickMismatch",
-    "MalformedStatement",
-    "UnboundedSpan",
-]
+__all__ = ["__version__"]
+__all__ += model.__all__
+__all__ += core.__all__
+__all__ += algebra.__all__
+__all__ += readings.__all__
+__all__ += dsl.__all__
+__all__ += errors.__all__

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +29,6 @@ from typing import Callable, TypeVar
 
 from .algebra import Instantiation, aggregate_sum, cardinality, filter_members, instantiate, ratio
 from .dsl import (
-    AssertCommand,
     CardExpr,
     Diagnostic,
     DisambiguateCommand,
@@ -163,18 +163,17 @@ def _eval_expr(world: World, expr: Expr, policy: Policy) -> object:
     raise TypeError(f"unknown expression {expr!r}")
 
 
+_COMPARE = {"<": operator.lt, ">": operator.gt, "=": operator.eq}
+
+
 def _compare(left: object, op: str, right: object) -> bool:
-    if isinstance(left, (int, Fraction)) and isinstance(right, (int, Fraction)):
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        return left == right
     if isinstance(left, Instantiation) and isinstance(right, Instantiation):
-        if op == "=":
-            return left.members == right.members
-        raise TempcollError("instantiations only compare with '='")
-    raise TempcollError("comparison needs two numbers or two instantiations")
+        if op != "=":
+            raise TempcollError("instantiations only compare with '='")
+        left, right = left.members, right.members
+    elif not (isinstance(left, (int, Fraction)) and isinstance(right, (int, Fraction))):
+        raise TempcollError("comparison needs two numbers or two instantiations")
+    return _COMPARE[op](left, right)
 
 
 def _decision_json(statement_id: str, decision: Decision, kind: str) -> dict:
@@ -218,23 +217,14 @@ def _run_decision_command(
     report.commands.append(_decision_json(statement_id, decision, kind))
 
 
-_COMMAND_KINDS = {
-    EvalCommand: "eval",
-    AssertCommand: "assert",
-    DisambiguateCommand: "disambiguate",
-    ExplainCommand: "explain",
-}
-
-
 def _run_script(report: Report, world: World, script: Script, policy: Policy, source: str) -> None:
     index = 0
     for cmd in script.commands:
-        kind = _COMMAND_KINDS[type(cmd)]
         if isinstance(cmd, (DisambiguateCommand, ExplainCommand)):
-            _run_decision_command(report, world, cmd.statement_id, kind, source, cmd.line)
+            _run_decision_command(report, world, cmd.statement_id, cmd.kind, source, cmd.line)
             continue
         index += 1
-        data: dict = {"kind": kind, "index": index, "expression": cmd.text}
+        data: dict = {"kind": cmd.kind, "index": index, "expression": cmd.text}
         try:
             if isinstance(cmd, EvalCommand):
                 data["value"] = _value_json(_eval_expr(world, cmd.expr, policy))
@@ -250,7 +240,7 @@ def _run_script(report: Report, world: World, script: Script, policy: Policy, so
                 )
         except _UNDEFINED_ERRORS as e:
             # An undefined eval is a value; an undefined assert fails.
-            if kind == "eval":
+            if cmd.kind == "eval":
                 data["value"] = {"type": "undefined", "reason": str(e)}
             else:
                 data.update(truth="undefined", reason=str(e))

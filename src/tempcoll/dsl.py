@@ -35,9 +35,13 @@ the world kinds `entity`, `fact`, `measure`, `collection` and
 full-line pattern each, built from the tokenizer's pieces. A line that
 pattern matches is either accepted, with the value its cursor parser
 would give, or declined and left to the tokenizer path. A pattern never
-rejects a line, so every diagnostic comes from the tokenizer path. On
-either path a declaration's value is the argument tuple of its
-`WorldBuilder` call, applied through one table.
+rejects a line, so every diagnostic comes from the tokenizer path.
+
+Each format has one table, keyed by a line's first word. A world kind
+maps to its cursor parser and the `WorldBuilder` method, in build order;
+a command word maps to its cursor parser and its command class. On
+either path a line's value is an argument tuple: the builder method's,
+or the command's before (line number, text).
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Literal, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, ClassVar, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import TempcollError
 from .model import (
@@ -57,6 +60,7 @@ from .model import (
     TimeRef,
     World,
     WorldBuilder,
+    number_text,
 )
 
 __all__ = [
@@ -126,6 +130,7 @@ Expr = InstExpr | CardExpr | RatioExpr | SumExpr
 
 @dataclass(frozen=True)
 class EvalCommand:
+    kind: ClassVar[str] = "eval"
     expr: Expr
     line: int
     text: str
@@ -133,6 +138,7 @@ class EvalCommand:
 
 @dataclass(frozen=True)
 class AssertCommand:
+    kind: ClassVar[str] = "assert"
     left: Expr
     op: Literal["<", ">", "="]
     right: Expr
@@ -142,6 +148,7 @@ class AssertCommand:
 
 @dataclass(frozen=True)
 class DisambiguateCommand:
+    kind: ClassVar[str] = "disambiguate"
     statement_id: str
     line: int
     text: str
@@ -149,6 +156,7 @@ class DisambiguateCommand:
 
 @dataclass(frozen=True)
 class ExplainCommand:
+    kind: ClassVar[str] = "explain"
     statement_id: str
     line: int
     text: str
@@ -209,7 +217,6 @@ def _tokenize(line: str) -> list[_Token]:
 
 
 _EXPECTED_KIND = {"id": "a name", "int": "an integer"}
-_T = TypeVar("_T")
 
 
 class _Cursor:
@@ -313,18 +320,19 @@ def _parse_lines(
     text: str,
     source_name: str,
     noun: str,
-    parsers: Mapping[str, Callable[[_Cursor], _T]],
-    fast: Sequence[tuple[str, re.Pattern[str], Callable[[re.Match[str]], _T | None]]],
-    keep: Callable[[str, int, _T, int, str], None],
+    table: Mapping[str, tuple[Callable[[_Cursor], tuple], object]],
+    fast: Sequence[tuple[str, re.Pattern[str], Callable[[re.Match[str]], tuple | None]]],
+    keep: Callable[[str, int, tuple, int, str], None],
 ) -> list[Diagnostic]:
     """The one line loop of both formats. A line that holds a token
-    starts with a word from `parsers`, whose parser must take the rest
-    of the line; `keep` gets that word, its column, the parsed value,
-    the line number and the line. An error ends its line as a diagnostic.
+    starts with a word from `table`, whose cursor parser must take the
+    rest of the line; `keep` gets that word, its column, the argument
+    tuple, the line number and the line. An error ends its line as a
+    diagnostic.
 
     `fast` holds (word, full-line pattern whose group 1 is the
     indentation, maker). A line that fully matches a pattern, and whose
-    value that maker builds, skips the tokenizer: a maker never raises,
+    tuple that maker builds, skips the tokenizer: a maker never raises,
     and builds what the word's parser would or returns None to leave
     the line to the tokenizer."""
     diagnostics: list[Diagnostic] = []
@@ -343,11 +351,11 @@ def _parse_lines(
                 tokens = _tokenize(line)
                 if tokens:
                     head = tokens[0]
-                    if head.text not in parsers:
+                    if head.text not in table:
                         raise _LineError(f"unknown {noun} {head.text!r}", head.column)
                     cur = _Cursor(tokens, len(line))
                     cur.take(noun)
-                    value = parsers[head.text](cur)
+                    value = table[head.text][0](cur)
                     cur.expect_end()
                     keep(head.text, head.column, value, lineno, line)
             except _LineError as e:
@@ -445,28 +453,18 @@ def _parse_statement(cur: _Cursor) -> tuple:
     return stmt_id, subject, evolutive, compared, direction, (t1, t2), span, pattern, bound, mode
 
 
-_LINE_PARSERS: dict[str, Callable[[_Cursor], tuple]] = {
-    "entity": _parse_entity,
-    "pred": _parse_predicate,
-    "fact": _parse_fact,
-    "measure": _parse_measure,
-    "collection": _parse_collection,
-    "statement": _parse_statement,
-}
-
-# Each declaration parses to the positional argument tuple of one
-# WorldBuilder method, which returns a warning or None. Kind -> that
-# method's name, in build order (each kind needs only kinds above it;
-# within a kind, file order). Methods are looked up per parse, not at
-# import, so a method wrapped on WorldBuilder (as by the benchmark's
-# tracer) is the one run.
-_BUILD = {
-    "entity": "add_entity",
-    "pred": "add_predicate",
-    "fact": "add_fact",
-    "measure": "add_measure",
-    "collection": "add_collection",
-    "statement": "add_statement",
+# Kind -> (cursor parser, name of the WorldBuilder method that takes the
+# parsed tuple positionally and returns a warning or None), in build
+# order: each kind needs only kinds above it; within a kind, file order.
+# Methods are looked up per parse, not at import, so a method wrapped on
+# WorldBuilder (as by the benchmark's tracer) is the one run.
+_DECLARATIONS: dict[str, tuple[Callable[[_Cursor], tuple], str]] = {
+    "entity": (_parse_entity, "add_entity"),
+    "pred": (_parse_predicate, "add_predicate"),
+    "fact": (_parse_fact, "add_fact"),
+    "measure": (_parse_measure, "add_measure"),
+    "collection": (_parse_collection, "add_collection"),
+    "statement": (_parse_statement, "add_statement"),
 }
 
 # One full-line pattern per common line kind (see the module docstring);
@@ -590,16 +588,16 @@ def parse_world(
     entity argument's life span); they do not block the build and are
     kept only when there is no error.
     """
-    records: dict[str, list[tuple[tuple, int, int]]] = {kind: [] for kind in _BUILD}
+    records: dict[str, list[tuple[tuple, int, int]]] = {kind: [] for kind in _DECLARATIONS}
 
     def keep(word: str, column: int, args: tuple, lineno: int, line: str) -> None:
         records[word].append((args, lineno, column))
 
-    diagnostics = _parse_lines(text, source_name, "declaration", _LINE_PARSERS, _FAST_LINES, keep)
+    diagnostics = _parse_lines(text, source_name, "declaration", _DECLARATIONS, _FAST_LINES, keep)
     builder = WorldBuilder()
     warnings: list[Diagnostic] = []
     for kind, kind_records in records.items():
-        build = getattr(builder, _BUILD[kind])
+        build = getattr(builder, _DECLARATIONS[kind][1])
         for args, lineno, column in kind_records:
             try:
                 message = build(*args)
@@ -668,27 +666,28 @@ def _parse_expr(cur: _Cursor) -> Expr:
     return SumExpr(measure, _parse_inst(cur))
 
 
-# Each command parses to its constructor, waiting for (line number, text).
-_MakeCommand = Callable[[int, str], Command]
-
-
-def _parse_assert(cur: _Cursor) -> _MakeCommand:
+def _parse_assert(cur: _Cursor) -> tuple:
     left = _parse_expr(cur)
     op = cur.take("a comparison (<, > or =)")
     if op.text not in ("<", ">", "="):
         raise _LineError(f"expected '<', '>' or '=', got {op.text!r}", op.column)
-    return partial(AssertCommand, left, op.text, _parse_expr(cur))
+    return left, op.text, _parse_expr(cur)
 
 
-def _parse_reference(command: type[Command], cur: _Cursor) -> _MakeCommand:
-    return partial(command, cur.expect().text)
+def _parse_reference(cur: _Cursor) -> tuple:
+    return (cur.expect().text,)
 
 
-_COMMANDS: dict[str, Callable[[_Cursor], _MakeCommand]] = {
-    "eval": lambda cur: partial(EvalCommand, _parse_expr(cur)),
-    "assert": _parse_assert,
-    "disambiguate": partial(_parse_reference, DisambiguateCommand),
-    "explain": partial(_parse_reference, ExplainCommand),
+# Command word (the class's `kind`) -> (cursor parser, the command class,
+# built from the parsed tuple and then the line number and text).
+_COMMANDS: dict[str, tuple[Callable[[_Cursor], tuple], type[Command]]] = {
+    command.kind: (parse, command)
+    for parse, command in (
+        (lambda cur: (_parse_expr(cur),), EvalCommand),
+        (_parse_assert, AssertCommand),
+        (_parse_reference, DisambiguateCommand),
+        (_parse_reference, ExplainCommand),
+    )
 }
 
 # The full-line patterns of `eval` and `assert`, from one instantiation
@@ -726,17 +725,17 @@ def _expr(g: Sequence[str | None]) -> Expr | None:
     return inst if measure is None else SumExpr(measure, inst)
 
 
-def _eval_line(m: re.Match[str]) -> _MakeCommand | None:
+def _eval_line(m: re.Match[str]) -> tuple | None:
     expr = _expr(m.groups()[1:])
-    return None if expr is None else partial(EvalCommand, expr)
+    return None if expr is None else (expr,)
 
 
-def _assert_line(m: re.Match[str]) -> _MakeCommand | None:
+def _assert_line(m: re.Match[str]) -> tuple | None:
     g = m.groups()
     left, right = _expr(g[1:12]), _expr(g[13:])
     if left is None or right is None:
         return None
-    return partial(AssertCommand, left, g[12], right)
+    return left, g[12], right
 
 
 _FAST_COMMANDS = (("eval", _EVAL_LINE, _eval_line), ("assert", _ASSERT_LINE, _assert_line))
@@ -752,8 +751,8 @@ def parse_script(
     """
     commands: list[Command] = []
 
-    def keep(word: str, column: int, make: _MakeCommand, lineno: int, line: str) -> None:
-        commands.append(make(lineno, line.split(";")[0].strip()))
+    def keep(word: str, column: int, args: tuple, lineno: int, line: str) -> None:
+        commands.append(_COMMANDS[word][1](*args, lineno, line.split(";")[0].strip()))
 
     diagnostics = _parse_lines(text, source_name, "command", _COMMANDS, _FAST_COMMANDS, keep)
     if diagnostics:
@@ -766,13 +765,14 @@ def parse_script(
 
 
 def _render_interval(t: TimeRef) -> str:
-    return f"[{t.start}, {'*' if t.end is None else t.end}]"
+    return f"[{number_text(t.start)}, {'*' if t.end is None else number_text(t.end)}]"
 
 
 def render_world(world: World) -> str:
     """Canonical text for a world: sections in a fixed order, each sorted,
     so that semantically equal worlds render byte-identically and
-    ``parse(render(w)) == w``."""
+    ``parse(render(w)) == w``. Every number is written in full, also past
+    ``sys.get_int_max_str_digits()``."""
     lines: list[str] = []
     for entity in sorted(world.entities.values(), key=lambda e: e.id):
         line = f"entity {entity.id} lifespan {_render_interval(entity.lifespan)}"
@@ -783,19 +783,21 @@ def render_world(world: World) -> str:
         lines.append(line)
     for decl in sorted(world.predicates.values(), key=lambda p: p.name):
         line = (
-            f"pred {decl.name} arity {decl.arity} "
+            f"pred {decl.name} arity {number_text(decl.arity)} "
             f"{'invariant' if decl.invariant else 'mutable'}"
         )
         if decl.cohort:
             line += " cohort"
         lines.append(line)
     for fact in world.facts:  # already canonically sorted by the builder
-        at = "*" if fact.at is None else fact.at
+        at = "*" if fact.at is None else number_text(fact.at)
         lines.append(f"fact {fact.predicate}({', '.join(fact.args)}) @ {at}")
     for (measure, entity_id, tick), value in sorted(world.measures.items()):
-        lines.append(f"measure {measure}({entity_id}) @ {tick} = {value}")
+        lines.append(
+            f"measure {measure}({entity_id}) @ {number_text(tick)} = {number_text(value)}"
+        )
     for coll in sorted(world.collections.values(), key=lambda c: c.name):
-        mode = "dicto" if coll.mode == MODE_DICTO else f"re@{coll.anchor}"
+        mode = "dicto" if coll.mode == MODE_DICTO else f"re@{number_text(coll.anchor)}"
         lines.append(
             f"collection {coll.name} {mode} := {coll.predicate}({', '.join(coll.pattern)})"
         )
@@ -803,7 +805,7 @@ def render_world(world: World) -> str:
         prop = stmt.profile.compared_property
         if stmt.profile.property_pattern is not None:
             prop += f"({', '.join(stmt.profile.property_pattern)})"
-        ticks = ", ".join(map(str, stmt.eval_times))
+        ticks = ", ".join(map(number_text, stmt.eval_times))
         line = (
             f"statement {stmt.id} subject {stmt.subject} "
             f"profile {'evolutive' if stmt.profile.evolutive else 'static'} "
@@ -811,7 +813,7 @@ def render_world(world: World) -> str:
             f"times {ticks} span {_render_interval(stmt.span)}"
         )
         if stmt.species_bound is not None:
-            line += f" bound {stmt.species_bound}"
+            line += f" bound {number_text(stmt.species_bound)}"
         if stmt.explicit_mode is not None:
             line += f" mode {'re' if stmt.explicit_mode == MODE_RE else 'dicto'}"
         lines.append(line)

@@ -2,6 +2,24 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "TempcollError",
+    "InvalidDeclaration",
+    "UnknownEntity",
+    "UnknownPredicate",
+    "UnknownCollection",
+    "UnknownStatement",
+    "OutsideLifeSpan",
+    "ArityMismatch",
+    "MultipleHoles",
+    "MissingMeasure",
+    "EmptyDenominator",
+    "NotASubset",
+    "TickMismatch",
+    "MalformedStatement",
+    "UnboundedSpan",
+]
+
 
 class TempcollError(Exception):
     """Base class for every domain error in this package."""

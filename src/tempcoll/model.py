@@ -28,6 +28,25 @@ from .errors import (
     UnknownStatement,
 )
 
+__all__ = [
+    "HOLE",
+    "MODE_DICTO",
+    "MODE_RE",
+    "TimeRef",
+    "LifeSpan",
+    "Entity",
+    "Slice",
+    "PredicateDecl",
+    "Fact",
+    "Collection",
+    "PredicationProfile",
+    "Statement",
+    "World",
+    "WorldBuilder",
+    "Policy",
+    "Mode",
+]
+
 HOLE = "_"
 
 Policy = Literal["strict", "lenient"]
@@ -43,6 +62,30 @@ def check_tick(tick: object) -> None:
     TimeRef, and a wrong type would otherwise just match nothing."""
     if type(tick) is not int:
         raise TypeError(f"a tick is an int, got {tick!r}")
+
+
+# `str` writes any int below this under every limit that
+# `sys.set_int_max_str_digits` allows (the least is 640 digits).
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def number_text(value: int | Fraction) -> str:
+    """``str(value)`` for an int or a Fraction, also past the digits that
+    ``sys.get_int_max_str_digits()`` allows: there `str` raises
+    ValueError, and the digits are written in chunks under the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if isinstance(value, Fraction):
+        text = number_text(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{number_text(value.denominator)}"
+    rest, chunks = abs(value), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return "-" * (value < 0) + str(rest) + "".join(reversed(chunks))
 
 
 @dataclass(frozen=True)
@@ -448,6 +491,8 @@ class WorldBuilder:
 
     def add_measure(self, measure: str, entity_id: str, at: int, value: Fraction) -> None:
         check_tick(at)
+        if not isinstance(value, Fraction):  # a float would break exact sums
+            raise TypeError(f"a measure value is a Fraction, got {value!r}")
         if measure in self._predicates:
             raise InvalidDeclaration(f"'{measure}' is already a predicate name")
         if entity_id not in self._entities:

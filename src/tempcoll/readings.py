@@ -39,6 +39,7 @@ from .model import (
     Mode,
     Statement,
     World,
+    number_text,
 )
 
 __all__ = [
@@ -220,12 +221,12 @@ def decide_mode(world: World, stmt: Statement) -> Decision:
     except UnboundedSpan:
         check = None
     if check is not None and check.exceeds:
-        length = "unbounded" if check.span_length is None else str(check.span_length)
+        length = "unbounded" if check.span_length is None else number_text(check.span_length)
         fired.append(
             FiredRule(
                 "R3",
                 f"statement span of {length} tick(s) exceeds the life-span "
-                f"bound of {check.bound}",
+                f"bound of {number_text(check.bound)}",
             )
         )
     if fired:
@@ -361,10 +362,11 @@ def _individual_body(
     for s1 in early.sorted_members():
         before = measure_value(world, measure, s1)
         after = measure_value(world, measure, slices2[s1.entity_id])
+        after_text, before_text = number_text(after), number_text(before)
         if holds(after, before):
-            supporting.append(Witness(s1.entity_id, f"{after} {cmp} {before}"))
+            supporting.append(Witness(s1.entity_id, f"{after_text} {cmp} {before_text}"))
         else:
-            refuting.append(Witness(s1.entity_id, f"{after} not {cmp} {before}"))
+            refuting.append(Witness(s1.entity_id, f"{after_text} not {cmp} {before_text}"))
     if refuting:
         return False, tuple(refuting)
     return True, tuple(supporting)
@@ -377,7 +379,10 @@ def _aggregate_body(
     before = aggregate_sum(world, measure, early)
     after = aggregate_sum(world, measure, late)
     truth = _holds(after, before, stmt.profile.direction)
-    witnesses = (Witness(f"sum@{early.at}", str(before)), Witness(f"sum@{late.at}", str(after)))
+    witnesses = (
+        Witness(f"sum@{early.at}", number_text(before)),
+        Witness(f"sum@{late.at}", number_text(after)),
+    )
     return truth, witnesses
 
 

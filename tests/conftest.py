@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,20 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    """Run the body under this limit on int-to-text and text-to-int
+    conversion, as if Python were started with it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() has no digit limit on this Python")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def load_world(name: str) -> World:

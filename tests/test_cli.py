@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import FIXTURES, load_world
+from conftest import FIXTURES, int_digit_limit, load_world
 from tempcoll import (
     HOLE,
     MODE_RE,
@@ -22,8 +22,10 @@ from tempcoll import (
     TempcollError,
     TimeRef,
     filter_members,
+    analyze,
     instantiate,
     measure_value,
+    parse_world,
     ratio,
     render_world,
     slice_at,
@@ -393,6 +395,27 @@ def test_explain_undefined_in_json(capsys):
     for reading in cmd["readings"]:
         assert reading["truth"] == "undefined"
         assert reading["reason"] == "missing measure cons_tobacco for f3@2003"
+
+
+def test_explain_a_span_length_past_the_digit_limit(tmp_path, capsys):
+    # Each span end has the most digits that int() reads under the
+    # default limit, so the world parses; the span's length has one more.
+    nines = "9" * 4300
+    text = (
+        "entity a lifespan [0, 10]\npred p arity 1 mutable\nfact p(a) @ 1\nfact p(a) @ 2\n"
+        "collection C dicto := p(_)\nstatement S subject C profile evolutive property p "
+        f"direction less times 1, 2 span [-{nines}, {nines}]\n"
+    )
+    (tmp_path / "w.tcw").write_text(text, encoding="utf-8")
+    r3 = f"statement span of 1{'9' * 4299}8 tick(s) exceeds the life-span bound of 10"
+    with int_digit_limit(4300):
+        world, diagnostics = parse_world(text)
+        assert diagnostics == []
+        decision = analyze(world, world.statements["S"])
+        code, out = _run(capsys, "explain", str(tmp_path / "w.tcw"), "S")
+    assert [(rule.id, rule.justification) for rule in decision.fired_rules] == [("R3", r3)]
+    assert code == 0
+    assert f"  rule R3: {r3}\n" in out
 
 
 # ---------------------------------------------------------------------------

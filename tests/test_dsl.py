@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import inspect
 import random
-import sys
-from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_dsl_corpus as corpus
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, int_digit_limit
 from tempcoll import TimeRef, WorldBuilder, dsl, parse_script, parse_world, render_world
 from tempcoll.dsl import (
     AssertCommand,
@@ -489,55 +488,86 @@ def test_line_patterns_agree_on_fixtures_and_corpus_cases():
 
 
 @pytest.mark.parametrize(
-    "table, parsers",
-    [("_FAST_LINES", "_LINE_PARSERS"), ("_FAST_COMMANDS", "_COMMANDS")],
+    "fast, table", [("_FAST_LINES", "_DECLARATIONS"), ("_FAST_COMMANDS", "_COMMANDS")]
 )
-def test_line_tables_keep_their_contract(table, parsers):
+def test_line_tables_keep_their_contract(fast, table):
     # Each pattern's word has a cursor parser, so no pattern shadows an
     # unknown word; group 1 is the indentation, so the head column is the
     # tokenizer's; a pattern ends like a line may, comment included.
-    for word, pattern, _ in getattr(dsl, table):
-        assert word in getattr(dsl, parsers)
+    for word, pattern, _ in getattr(dsl, fast):
+        assert word in getattr(dsl, table)
         assert pattern.pattern.startswith(rf"(\s*){word}\s+"), word
         assert pattern.pattern.endswith(dsl._END), word
 
 
-def test_build_table_names_positional_builder_methods():
-    # One kind per cursor parser, in build order, each naming a builder
-    # method that takes its argument tuple positionally.
-    assert list(dsl._BUILD) == list(dsl._LINE_PARSERS)
-    methods = {kind: getattr(WorldBuilder(), name) for kind, name in dsl._BUILD.items()}
-    signatures = {kind: inspect.signature(method) for kind, method in methods.items()}
-    for kind, signature in signatures.items():
-        kinds = {p.kind for p in signature.parameters.values()}
-        assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, kind
-    # Every tuple that a cursor parser or a maker gives for a fixture
-    # world binds to its method.
+_FIXTURE_SCRIPT_PATHS = sorted(FIXTURES.glob("*.tcq")) + [Path(__file__).parent / "shapes.tcq"]
+
+
+def _made_tuples(fast_name, table_name, parse, texts):
+    """The (word, tuple) pairs that the line patterns' makers and the
+    cursor parsers give for `texts`, parsed with the patterns in use and
+    with their table emptied."""
     made: dict[str, list[tuple[str, tuple]]] = {"pattern": [], "cursor": []}
 
-    def recorded(path, kind, parse):
+    def recorded(path, word, parse_line):
         def record(arg):
-            value = parse(arg)
+            value = parse_line(arg)
             if value is not None:
-                made[path].append((kind, value))
+                made[path].append((word, value))
             return value
 
         return record
 
+    table = getattr(dsl, table_name)
     fast = tuple(
-        (kind, pattern, recorded("pattern", kind, make)) for kind, pattern, make in dsl._FAST_LINES
+        (word, pattern, recorded("pattern", word, make))
+        for word, pattern, make in getattr(dsl, fast_name)
     )
     with pytest.MonkeyPatch.context() as mp:
-        for kind, parse in list(dsl._LINE_PARSERS.items()):
-            mp.setitem(dsl._LINE_PARSERS, kind, recorded("cursor", kind, parse))
-        for table in (fast, ()):
-            mp.setattr(dsl, "_FAST_LINES", table)
-            for name in FIXTURE_WORLDS:
-                parse_world(fixture_text(name))
-    assert {kind for kind, _ in made["pattern"]} == {kind for kind, _, _ in dsl._FAST_LINES}
-    assert {kind for kind, _ in made["cursor"]} == set(dsl._BUILD)
-    for kind, args in made["pattern"] + made["cursor"]:
-        signatures[kind].bind(*args)
+        for word, (parse_line, target) in list(table.items()):
+            mp.setitem(table, word, (recorded("cursor", word, parse_line), target))
+        for patterns in (fast, ()):
+            mp.setattr(dsl, fast_name, patterns)
+            for text in texts:
+                parse(text)
+    return made
+
+
+def test_build_table_names_positional_builder_methods():
+    # Each world kind names a builder method that takes its argument
+    # tuple positionally, and each command class takes its tuple and then
+    # (line, text) positionally; every tuple that a cursor parser or a
+    # maker gives for a fixture binds to its call.
+    builder = WorldBuilder()
+    worlds = [fixture_text(name) for name in FIXTURE_WORLDS]
+    scripts = [path.read_text(encoding="utf-8") for path in _FIXTURE_SCRIPT_PATHS]
+    for fast, table, parse, texts, calls, after in (
+        (
+            "_FAST_LINES",
+            "_DECLARATIONS",
+            parse_world,
+            worlds,
+            {kind: getattr(builder, name) for kind, (_, name) in dsl._DECLARATIONS.items()},
+            (),
+        ),
+        (
+            "_FAST_COMMANDS",
+            "_COMMANDS",
+            parse_script,
+            scripts,
+            {word: command for word, (_, command) in dsl._COMMANDS.items()},
+            (1, "text"),
+        ),
+    ):
+        signatures = {word: inspect.signature(call) for word, call in calls.items()}
+        for word, signature in signatures.items():
+            kinds = {p.kind for p in signature.parameters.values()}
+            assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, word
+        made = _made_tuples(fast, table, parse, texts)
+        assert {word for word, _ in made["pattern"]} == {word for word, _, _ in getattr(dsl, fast)}
+        assert {word for word, _ in made["cursor"]} == set(calls)
+        for word, args in made["pattern"] + made["cursor"]:
+            signatures[word].bind(*args, *after)
 
 
 @given(st.integers(0, 10**9), st.booleans())
@@ -568,7 +598,8 @@ def test_generated_declarations_take_the_line_patterns(seed, statements):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dsl, "_FAST_LINES", fast)
         for kind in kinds:
-            mp.setitem(dsl._LINE_PARSERS, kind, spied(dsl._LINE_PARSERS[kind]))
+            parse, method = dsl._DECLARATIONS[kind]
+            mp.setitem(dsl._DECLARATIONS, kind, (spied(parse), method))
         reparsed, _ = parse_world(text)
     assert reparsed == world
     assert slow == []
@@ -580,11 +611,10 @@ def test_fixture_commands_take_the_line_patterns():
     def refused(cur):
         raise AssertionError("an eval or assert line reached its cursor parser")
 
-    paths = sorted(FIXTURES.glob("*.tcq")) + [Path(__file__).parent / "shapes.tcq"]
     with pytest.MonkeyPatch.context() as mp:
         for word in ("eval", "assert"):
-            mp.setitem(dsl._COMMANDS, word, refused)
-        for path in paths:
+            mp.setitem(dsl._COMMANDS, word, (refused, dsl._COMMANDS[word][1]))
+        for path in _FIXTURE_SCRIPT_PATHS:
             script, diagnostics = parse_script(path.read_text(encoding="utf-8"))
             assert script is not None and not diagnostics, path.name
 
@@ -721,18 +751,6 @@ _BIG = "1" * 5000
 _BIG_VALUE = (10**5000 - 1) // 9  # the value of _BIG, with no str-to-int limit
 
 
-@contextmanager
-def _int_digit_limit(limit: int):
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("int() has no digit limit on this Python")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.parametrize(
     "parser, line, column",
     [
@@ -744,7 +762,7 @@ def _int_digit_limit(limit: int):
     ids=["eval-tick", "fact-tick", "pred-arity", "lifespan-end"],
 )
 def test_overlong_integer_literal_is_a_diagnostic(parser, line, column):
-    with _int_digit_limit(4300):
+    with int_digit_limit(4300):
         fast, slow = _outcomes(line, parser)
     assert fast == slow
     result, rendered = fast
@@ -754,7 +772,7 @@ def test_overlong_integer_literal_is_a_diagnostic(parser, line, column):
 
 
 def test_overlong_integer_literal_parses_without_a_digit_limit():
-    with _int_digit_limit(0):
+    with int_digit_limit(0):
         world, diagnostics = parse_world(
             f"entity a lifespan [0, {_BIG}]\npred p arity 1 mutable\nfact p(a) @ {_BIG}\n"
         )
@@ -763,3 +781,16 @@ def test_overlong_integer_literal_parses_without_a_digit_limit():
     assert world.entities["a"].lifespan == TimeRef(0, _BIG_VALUE)
     assert world.facts[0].at == _BIG_VALUE
     assert script.commands[0].expr == InstExpr("Y", _BIG_VALUE)
+
+
+def test_render_writes_numbers_past_the_digit_limit():
+    builder = WorldBuilder()
+    builder.add_entity("a", TimeRef(-(10**5000), 10**5000))
+    builder.add_measure("m", "a", 0, Fraction(10**5000 + 1, 3))
+    zeros = "0" * 5000
+    with int_digit_limit(4300):
+        rendered = render_world(builder.build())
+    assert rendered == (
+        f"entity a lifespan [-1{zeros}, 1{zeros}]\n"
+        f"measure m(a) @ 0 = 1{zeros[1:]}1/3\n"
+    )

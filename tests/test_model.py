@@ -87,6 +87,16 @@ def test_a_declared_tick_must_be_an_int(declare):
     assert builder.build() == _statement_builder().build()
 
 
+@pytest.mark.parametrize("value", [0.1, float("nan"), "1", 1], ids=["float", "nan", "str", "int"])
+def test_a_measure_value_must_be_a_fraction(value):
+    # A float would make sums inexact, and a str would fail later with a
+    # bare comparison error; either is refused, and nothing is recorded.
+    builder = _statement_builder()
+    with pytest.raises(TypeError, match=rf"^a measure value is a Fraction, got {value!r}$"):
+        builder.add_measure("m", "a", 2003, value)
+    assert builder.build() == _statement_builder().build()
+
+
 @pytest.mark.parametrize(
     "mode, pattern, anchor, error, message",
     [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 import tempcoll.core
-from conftest import load_world
+from conftest import int_digit_limit, load_world
 from tempcoll import (
     MODE_DICTO,
     MODE_RE,
@@ -25,6 +25,7 @@ from tempcoll import (
     evaluate_reading,
     instantiate,
     lifespan_check,
+    parse_world,
 )
 from worldgen import random_statement_world
 
@@ -318,6 +319,35 @@ def test_measure_property_under_dicto_is_undefined(friends):
     assert reading.kind == "ratio_evolution"
     assert reading.truth is None
     assert "measure" in (reading.reason or "")
+
+
+def test_measure_witnesses_write_numbers_past_the_digit_limit():
+    # Each literal has the most digits that int() reads under the default
+    # limit, so the world parses; the sum at 1 has one digit more, and so
+    # has the denominator of the decimal at 2.
+    nines, tiny = "9" * 4300, "0." + "0" * 4299 + "1"
+    text = "".join(
+        f"entity {e} lifespan [0, 10]\nfact p({e}) @ 1\nfact p({e}) @ 2\n"
+        f"measure m({e}) @ 1 = {nines}\nmeasure m({e}) @ 2 = {tiny}\n"
+        for e in ("a", "b")
+    )
+    text += (
+        "pred p arity 1 mutable\ncollection C re@1 := p(_)\n"
+        "statement S subject C profile evolutive property m direction less times 1, 2 span [1, 2]\n"
+    )
+    with int_digit_limit(4300):
+        world, diagnostics = parse_world(text)
+        assert diagnostics == []
+        decision = analyze(world, world.statements["S"])
+    individual, aggregate = decision.readings
+    assert individual.truth is True and aggregate.truth is True
+    assert [(w.label, w.detail) for w in individual.witnesses] == [
+        (e, f"1/1{'0' * 4300} < {nines}") for e in ("a", "b")
+    ]
+    assert [(w.label, w.detail) for w in aggregate.witnesses] == [
+        ("sum@1", "1" + "9" * 4299 + "8"),
+        ("sum@2", f"1/5{'0' * 4299}"),
+    ]
 
 
 def test_sitin_static_claim_of_change_is_false(sitin):

@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import tempcoll
+from tempcoll import algebra, cli, core, dsl, errors, model, readings
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "tempcoll"
 
 
@@ -41,3 +44,19 @@ def test_no_gc_switch_in_the_package():
         )
     ]
     assert found == []
+
+
+def test_the_package_exports_each_module_all_once():
+    # Each public name is listed once, in its module's `__all__`; the
+    # package's `__all__` is those lists in order, and a star import
+    # binds exactly it.
+    namespace: dict = {}
+    exec("from tempcoll import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(tempcoll.__all__)
+    assert len(set(tempcoll.__all__)) == len(tempcoll.__all__)
+    modules = (model, core, algebra, readings, dsl, errors)
+    assert tempcoll.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    for module in (*modules, cli):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
