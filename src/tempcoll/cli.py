@@ -48,7 +48,7 @@ from .errors import (
     OutsideLifeSpan,
     TempcollError,
 )
-from .model import Policy, World
+from .model import Policy, World, number_text
 from .readings import Decision, Reading, analyze, decide_mode
 
 __all__ = ["Report", "run", "format_report", "exit_code", "main"]
@@ -88,7 +88,7 @@ def _decimal(value: Fraction) -> str:
     try:
         return format(float(value), ".6g")
     except OverflowError:
-        return str(value)
+        return number_text(value)
 
 
 def _rational_json(value: Fraction) -> dict:
@@ -117,11 +117,10 @@ def _value_json(value: object) -> dict:
 def _value_text(payload: dict) -> str:
     kind = payload["type"]
     if kind == "rational":
-        if payload["den"] == 1:
-            return str(payload["num"])
-        return f"{payload['num']}/{payload['den']} ({payload['decimal']})"
+        num, den = number_text(payload["num"]), number_text(payload["den"])
+        return num if den == "1" else f"{num}/{den} ({payload['decimal']})"
     if kind == "natural":
-        return str(payload["value"])
+        return number_text(payload["value"])
     if kind == "instantiation":
         text = "{" + ", ".join(payload["members"]) + "}"
         if payload["dropped"]:
@@ -133,7 +132,7 @@ def _value_text(payload: dict) -> str:
 def _operand_text(value: object) -> str:
     # Compact form used inside assert details: exact fractions, no decimals.
     if isinstance(value, (Fraction, int)):
-        return str(value)
+        return number_text(value)
     return _value_text(_value_json(value))
 
 

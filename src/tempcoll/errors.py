@@ -17,7 +17,6 @@ __all__ = [
     "NotASubset",
     "TickMismatch",
     "MalformedStatement",
-    "UnboundedSpan",
 ]
 
 
@@ -85,8 +84,3 @@ class TickMismatch(TempcollError):
 
 class MalformedStatement(TempcollError):
     pass
-
-
-class UnboundedSpan(TempcollError):
-    """A statement span has an open end and there is no finite bound to
-    compare it against."""

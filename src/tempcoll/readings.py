@@ -30,7 +30,7 @@ from typing import Callable, Literal
 
 from .algebra import Instantiation, aggregate_sum, filter_members, instantiate, ratio
 from .core import extension, measure_value
-from .errors import MalformedStatement, TempcollError, UnboundedSpan, UnknownCollection
+from .errors import MalformedStatement, OutsideLifeSpan, TempcollError
 from .model import (
     HOLE,
     MODE_DICTO,
@@ -113,13 +113,6 @@ class LifespanCheck:
     span_length: int | None = None
 
 
-def _subject(world: World, stmt: Statement) -> Collection:
-    try:
-        return world.collection(stmt.subject)
-    except UnknownCollection as e:
-        raise MalformedStatement(str(e)) from e
-
-
 def _is_measure(world: World, stmt: Statement) -> bool:
     # The builder admits only a declared predicate or a recorded measure.
     return stmt.profile.compared_property not in world.predicates
@@ -153,10 +146,10 @@ def lifespan_check(world: World, stmt: Statement) -> LifespanCheck:
     against the longest life span among candidate members when no bound
     is declared.
 
-    An open span exceeds any finite bound; with no finite bound at all it
-    raises :class:`UnboundedSpan`.
+    An open span exceeds any finite bound; with no finite bound nothing
+    is exceeded. An unknown subject raises :class:`UnknownCollection`.
     """
-    coll = _subject(world, stmt)
+    coll = world.collection(stmt.subject)
     span_length = stmt.span.length()
     bound = stmt.species_bound
     if bound is None:
@@ -164,10 +157,6 @@ def lifespan_check(world: World, stmt: Statement) -> LifespanCheck:
         for t in stmt.eval_times:
             candidates |= {s.entity_id for s in extension(world, coll.predicate, coll.pattern, t)}
         lengths = [world.entities[c].lifespan.length() for c in sorted(candidates)]
-        if not lengths and span_length is None:
-            raise UnboundedSpan(
-                f"span {stmt.span} is open and no life-span bound is available"
-            )
         if None not in lengths:
             bound = max(lengths, default=None)  # type: ignore[type-var]
     # No bound (no candidate, or one living through an open span): nothing to exceed.
@@ -182,7 +171,7 @@ def decide_mode(world: World, stmt: Statement) -> Decision:
     and all hits are recorded. With no hit, R0 records the de re
     default. An explicit mode on the statement short-circuits as E0.
     """
-    coll = _subject(world, stmt)
+    coll = world.collection(stmt.subject)
     if stmt.explicit_mode is not None:
         return Decision(
             stmt.explicit_mode,
@@ -216,11 +205,8 @@ def decide_mode(world: World, stmt: Statement) -> Decision:
                 f"realizations of '{coll.predicate}' at {times} share no members",
             )
         )
-    try:
-        check = lifespan_check(world, stmt)
-    except UnboundedSpan:
-        check = None
-    if check is not None and check.exceeds:
+    check = lifespan_check(world, stmt)
+    if check.exceeds:
         length = "unbounded" if check.span_length is None else number_text(check.span_length)
         fired.append(
             FiredRule(
@@ -251,7 +237,7 @@ def _effective_collection(world: World, stmt: Statement, mode: Mode) -> Collecti
     earliest evaluation time; a de dicto decision ignores any declared
     anchor.
     """
-    coll = _subject(world, stmt)
+    coll = world.collection(stmt.subject)
     if mode == coll.mode:
         return coll
     if mode == MODE_DICTO:
@@ -302,24 +288,6 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
     return (individual, aggregate)
 
 
-def _holds(late: Fraction, early: Fraction, direction: str) -> bool:
-    return _CMP[direction][1](late, early)
-
-
-def _undefined(reading: Reading, reason: str) -> Reading:
-    return replace(reading, truth=None, reason=reason, witnesses=())
-
-
-def _dropped_reason(inst: Instantiation, world: World) -> str | None:
-    if not inst.dropped:
-        return None
-    entity_id = sorted(inst.dropped)[0]
-    lifespan = world.entities[entity_id].lifespan
-    return (
-        f"member {entity_id} has no slice at {inst.at}: life span is {lifespan}"
-    )
-
-
 def _ratio_witness(part: Instantiation, whole: Instantiation) -> Witness:
     value = Fraction(len(part.members), len(whole.members))
     detail = f"{len(part.members)}/{len(whole.members)}"
@@ -342,7 +310,7 @@ def _ratio_body(
     part2 = filter_members(world, late, prop, pattern)
     before = ratio(part1, early)
     after = ratio(part2, late)
-    truth = _holds(after, before, stmt.profile.direction)
+    truth = _CMP[stmt.profile.direction][1](after, before)
     return truth, (_ratio_witness(part1, early), _ratio_witness(part2, late))
 
 
@@ -378,7 +346,7 @@ def _aggregate_body(
     measure = stmt.profile.compared_property
     before = aggregate_sum(world, measure, early)
     after = aggregate_sum(world, measure, late)
-    truth = _holds(after, before, stmt.profile.direction)
+    truth = _CMP[stmt.profile.direction][1](after, before)
     witnesses = (
         Witness(f"sum@{early.at}", number_text(before)),
         Witness(f"sum@{late.at}", number_text(after)),
@@ -397,28 +365,32 @@ def evaluate_reading(world: World, stmt: Statement, reading: Reading) -> Reading
     """Evaluate one reading against the world.
 
     Every reading realizes the subject, in the decided mode, at both
-    evaluation times. Data gaps (missing measures, members without a
-    slice at a time, an empty denominator) come back as an undefined
-    truth with a reason; only malformed statements raise.
+    evaluation times. A :class:`TempcollError` raised on the way (a ratio
+    reading over a measure, a member without a slice, a missing measure,
+    an empty denominator) becomes an undefined truth with the error's
+    text as its reason; an unknown subject or reading kind raises.
     """
-    if reading.kind == "ratio_evolution" and _is_measure(world, stmt):
-        return _undefined(
-            reading,
-            f"ratio reading needs a predicate property; "
-            f"'{stmt.profile.compared_property}' is a measure",
-        )
     body = _BODIES.get(reading.kind)
     if body is None:
         raise MalformedStatement(f"unknown reading kind '{reading.kind}'")
     coll = _effective_collection(world, stmt, reading.mode)
     try:
+        if reading.kind == "ratio_evolution" and _is_measure(world, stmt):
+            raise TempcollError(
+                f"ratio reading needs a predicate property; "
+                f"'{stmt.profile.compared_property}' is a measure"
+            )
         early, late = (instantiate(world, coll, t, "lenient") for t in _two_ticks(stmt))
-        reason = _dropped_reason(early, world) or _dropped_reason(late, world)
-        if reason is not None:
-            return _undefined(reading, reason)
+        for inst in (early, late):
+            if inst.dropped:
+                entity_id = min(inst.dropped)
+                lifespan = world.entities[entity_id].lifespan
+                raise OutsideLifeSpan(
+                    f"member {entity_id} has no slice at {inst.at}: life span is {lifespan}"
+                )
         truth, witnesses = body(world, stmt, early, late)
     except TempcollError as e:
-        return _undefined(reading, str(e))
+        return replace(reading, truth=None, reason=str(e), witnesses=())
     return replace(reading, truth=truth, reason=None, witnesses=witnesses)
 
 

@@ -418,6 +418,25 @@ def test_explain_a_span_length_past_the_digit_limit(tmp_path, capsys):
     assert f"  rule R3: {r3}\n" in out
 
 
+def test_eval_a_sum_past_the_digit_limit_in_text(tmp_path, capsys):
+    # Each measure has the most digits that int() reads under the default
+    # limit, so the world parses; their sum has one more.
+    nines = "9" * 4300
+    text = "pred p arity 1 mutable\ncollection C re@1 := p(_)\n" + "".join(
+        f"entity {e} lifespan [0, 10]\nfact p({e}) @ 1\nmeasure m({e}) @ 1 = {nines}\n"
+        for e in ("a", "b")
+    )
+    (tmp_path / "w.tcw").write_text(text, encoding="utf-8")
+    (tmp_path / "s.tcq").write_text(
+        "eval sum m over C@1\nassert sum m over C@1 > card(C@1)\n", encoding="utf-8"
+    )
+    total = f"1{'9' * 4299}8"
+    with int_digit_limit(4300):
+        code, out = _run(capsys, "eval", str(tmp_path / "w.tcw"), str(tmp_path / "s.tcq"))
+    assert code == 0
+    assert out == f"eval #1: {total}\nassert #2: true ({total} > 2)\nstatus: ok\n"
+
+
 # ---------------------------------------------------------------------------
 # determinism and the exit-code contract across the corpus
 

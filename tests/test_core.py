@@ -77,6 +77,12 @@ def test_mutable_entity_slices_differ(friends):
     assert slice_at(friends, "f1", 2002) != slice_at(friends, "f1", 2003)
 
 
+def test_a_slice_never_equals_its_text():
+    # `__eq__` defers to the other operand, which has no notion of a slice.
+    assert Slice("a", 1).__eq__("a@1") is NotImplemented
+    assert Slice("a", 1) != "a@1"
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_slice_equality_laws(seed):

@@ -11,12 +11,13 @@ import oracle
 import tempcoll.core
 from conftest import int_digit_limit, load_world
 from tempcoll import (
+    LifespanCheck,
     MODE_DICTO,
     MODE_RE,
     MalformedStatement,
     Reading,
     TimeRef,
-    UnboundedSpan,
+    UnknownCollection,
     WorldBuilder,
     analyze,
     cohort_disjoint,
@@ -87,7 +88,7 @@ def test_decide_is_deterministic(friends, youth):
 
 def test_unknown_subject_is_malformed(friends):
     stmt = replace(friends.statements["S1"], subject="nope")
-    with pytest.raises(MalformedStatement):
+    with pytest.raises(UnknownCollection, match=r"^unknown collection 'nope'$"):
         decide_mode(friends, stmt)
 
 
@@ -218,8 +219,7 @@ def test_open_span_without_bound_is_unbounded():
         span=TimeRef(0, None),
     )
     world = builder.build()
-    with pytest.raises(UnboundedSpan):
-        lifespan_check(world, world.statements["S"])
+    assert lifespan_check(world, world.statements["S"]) == LifespanCheck(False, None, None)
     # with no finite comparison available, R3 stays quiet and R0 applies
     # (the extension is empty at both times, so R2 stays quiet too)
     assert decide_mode(world, world.statements["S"]).rule_ids == ("R0",)
@@ -319,6 +319,47 @@ def test_measure_property_under_dicto_is_undefined(friends):
     assert reading.kind == "ratio_evolution"
     assert reading.truth is None
     assert "measure" in (reading.reason or "")
+
+
+# Member a lives at the anchor and at 0 but not at 10; b at the anchor
+# and at 10 but not at 0, so each evaluation time drops one member.
+_DROPS_AT_BOTH_TICKS = """\
+entity a lifespan [0, 7]
+entity b lifespan [3, 20]
+pred p arity 1 mutable
+fact p(a) @ 5
+fact p(b) @ 5
+measure m(a) @ 5 = 1
+collection C re@5 := p(_)
+statement S subject C profile evolutive property m direction less times 0, 10 span [0, 10]
+"""
+
+
+@pytest.mark.parametrize(
+    "kind,reason",
+    [
+        ("ratio_evolution", "ratio reading needs a predicate property; 'm' is a measure"),
+        ("individual_evolution", "member b has no slice at 0: life span is [3, 20]"),
+        ("global_aggregate", "member b has no slice at 0: life span is [3, 20]"),
+    ],
+)
+def test_undefined_reason_order_with_members_dropped_at_both_ticks(kind, reason):
+    # A ratio reading over a measure is undefined before any member is
+    # realized; otherwise the earlier tick's dropped member is named.
+    world, diagnostics = parse_world(_DROPS_AT_BOTH_TICKS)
+    assert diagnostics == []
+    reading = evaluate_reading(world, world.statements["S"], Reading(kind, MODE_RE, "f"))
+    assert (reading.truth, reading.reason, reading.witnesses) == (None, reason, ())
+
+
+def test_individual_evolution_needs_fixed_membership(youth):
+    reading = Reading("individual_evolution", MODE_DICTO, "f")
+    reading = evaluate_reading(youth, youth.statements["S3"], reading)
+    assert reading.truth is None
+    assert reading.reason == (
+        "membership is not fixed across the evaluation times; "
+        "an individual evolution needs a de re subject"
+    )
 
 
 def test_measure_witnesses_write_numbers_past_the_digit_limit():
