@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .core import extension, measure_value
 from .errors import EmptyDenominator, NotASubset, OutsideLifeSpan, TickMismatch
-from .model import MODE_DICTO, Collection, Policy, Slice, World, check_tick
+from .model import MODE_DICTO, Collection, Policy, Slice, World, check_tick, number_text
 
 __all__ = [
     "Instantiation",
@@ -62,7 +62,7 @@ def instantiate(
     """
     check_tick(t)
     coll = world.collection(collection) if isinstance(collection, str) else collection
-    label = f"{coll.name}@{t}"
+    label = f"{coll.name}@{number_text(t)}"
     if coll.mode == MODE_DICTO:
         members = extension(world, coll.predicate, coll.pattern, t)
         return Instantiation(coll.name, t, members, frozenset(), label)
@@ -75,7 +75,7 @@ def instantiate(
             members.add(Slice(entity_id, t, invariant=entity.invariant))
         elif policy == "strict":
             raise OutsideLifeSpan(
-                f"member {entity_id} of {coll.name} has no slice at {t}: "
+                f"member {entity_id} of {coll.name} has no slice at {number_text(t)}: "
                 f"life span is {entity.lifespan}"
             )
         else:
@@ -105,7 +105,9 @@ def ratio(part: Instantiation, whole: Instantiation) -> Fraction:
     tick; anything else signals an encoding bug, not a zero.
     """
     if part.at != whole.at:
-        raise TickMismatch(f"ratio across times: {part.at} vs {whole.at}")
+        raise TickMismatch(
+            f"ratio across times: {number_text(part.at)} vs {number_text(whole.at)}"
+        )
     if not part.members <= whole.members:
         strays = sorted(s.entity_id for s in part.members - whole.members)
         raise NotASubset(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -285,6 +286,34 @@ def _text_lines(payload: dict) -> list[str]:
     return lines
 
 
+def _json_text(document: object) -> str:
+    """``json.dumps`` with indent 2, also for an int past Python's digit
+    limit, which ``int.__repr__`` cannot write. Then every int and string
+    is swapped for a marker string, so the markers are the only strings
+    dumped, and each marker is replaced by its value's JSON text."""
+    try:
+        return json.dumps(document, indent=2, ensure_ascii=False)
+    except ValueError:
+        pass
+    texts: list[str] = []
+
+    def swap(value: object) -> object:
+        if isinstance(value, dict):
+            return {swap(k): swap(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [swap(v) for v in value]
+        if isinstance(value, str):
+            texts.append(json.dumps(value, ensure_ascii=False))
+        elif type(value) is int:  # not a bool
+            texts.append(number_text(value))
+        else:
+            return value
+        return f"\x00{len(texts) - 1}"
+
+    text = json.dumps(swap(document), indent=2, ensure_ascii=False)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: texts[int(m[1])], text)
+
+
 def format_report(report: Report, fmt: str = "text") -> str:
     """Render a report; the result always ends with a newline."""
     if fmt == "json":
@@ -302,7 +331,7 @@ def format_report(report: Report, fmt: str = "text") -> str:
                 for d in report.diagnostics
             ],
         }
-        return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+        return _json_text(document) + "\n"
     lines: list[str] = []
     for payload in report.commands:
         lines.extend(_text_lines(payload))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import MissingMeasure, OutsideLifeSpan
-from .model import Slice, World, check_tick, hole_index
+from .model import Slice, World, check_tick, hole_index, number_text
 
 __all__ = ["slice_at", "extension", "measure_value"]
 
@@ -22,7 +22,9 @@ def slice_at(world: World, entity_id: str, t: int) -> Slice:
     check_tick(t)
     entity = world.entity(entity_id)
     if t not in entity.lifespan:
-        raise OutsideLifeSpan(f"{entity_id} has no slice at {t}: life span is {entity.lifespan}")
+        raise OutsideLifeSpan(
+            f"{entity_id} has no slice at {number_text(t)}: life span is {entity.lifespan}"
+        )
     return Slice(entity.id, t, invariant=entity.invariant)
 
 
@@ -70,5 +72,5 @@ def measure_value(world: World, measure: str, s: Slice) -> Fraction:
     value = world.measures.get((measure, s.entity_id, s.at))
     if value is None:
         check_tick(s.at)  # only on a miss: a wrong-typed tick never hits
-        raise MissingMeasure(measure, s.entity_id, s.at)
+        raise MissingMeasure(f"missing measure {measure} for {s}")
     return value

@@ -410,9 +410,7 @@ def _parse_collection(cur: _Cursor) -> tuple:
     name = cur.expect().text
     mode_tok = cur.expect("dicto", "re")
     anchor: int | None = None
-    mode: Mode = MODE_DICTO
     if mode_tok.text == "re":
-        mode = MODE_RE
         if not cur.accept("@"):
             raise _LineError(
                 f"de re collection '{name}' needs an anchor: re@TICK", mode_tok.column
@@ -421,7 +419,7 @@ def _parse_collection(cur: _Cursor) -> tuple:
     cur.expect(":=")
     predicate = cur.expect().text
     pattern = _parse_args(cur, allow_hole=True)
-    return name, mode, predicate, pattern, anchor
+    return name, predicate, pattern, anchor
 
 
 def _parse_statement(cur: _Cursor) -> tuple:
@@ -549,9 +547,7 @@ def _measure_line(m: re.Match[str]) -> tuple | None:
 
 def _collection_line(m: re.Match[str]) -> tuple:
     _, name, anchor, predicate, pattern = m.groups()
-    if anchor is None:
-        return name, MODE_DICTO, predicate, _split_args(pattern), None
-    return name, MODE_RE, predicate, _split_args(pattern), int(anchor)
+    return name, predicate, _split_args(pattern), None if anchor is None else int(anchor)
 
 
 def _statement_line(m: re.Match[str]) -> tuple | None:

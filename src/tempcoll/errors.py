@@ -26,7 +26,7 @@ class TempcollError(Exception):
 
 class InvalidDeclaration(TempcollError):
     """A declaration breaks a structural rule: duplicate id, empty interval,
-    conflicting measure value, ground-ness violation, missing anchor."""
+    conflicting measure value, ground-ness violation."""
 
 
 class UnknownEntity(TempcollError):
@@ -62,12 +62,6 @@ class MissingMeasure(TempcollError):
 
     Deliberately distinct from a recorded zero.
     """
-
-    def __init__(self, measure: str, entity_id: str, at: int) -> None:
-        super().__init__(f"missing measure {measure} for {entity_id}@{at}")
-        self.measure = measure
-        self.entity_id = entity_id
-        self.at = at
 
 
 class EmptyDenominator(TempcollError):

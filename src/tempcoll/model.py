@@ -104,7 +104,7 @@ class TimeRef:
 
     def __post_init__(self) -> None:
         if self.end is not None and self.end < self.start:
-            raise InvalidDeclaration(f"empty interval [{self.start}, {self.end}]")
+            raise InvalidDeclaration(f"empty interval {self}")
 
     @classmethod
     def point(cls, tick: int) -> TimeRef:
@@ -119,9 +119,10 @@ class TimeRef:
         return self.start <= tick and (self.end is None or tick <= self.end)
 
     def __str__(self) -> str:
+        start = number_text(self.start)
         if self.end == self.start:
-            return str(self.start)
-        return f"[{self.start}, {'*' if self.end is None else self.end}]"
+            return start
+        return f"[{start}, {'*' if self.end is None else number_text(self.end)}]"
 
 
 # An entity's life span is just an interval; the alias marks intent.
@@ -181,7 +182,7 @@ class Slice:
         return hash((self.entity_id, self.at))
 
     def __str__(self) -> str:
-        return f"{self.entity_id}@{self.at}"
+        return f"{self.entity_id}@{number_text(self.at)}"
 
 
 @dataclass(frozen=True)
@@ -223,13 +224,13 @@ class Fact:
 class Collection:
     """A named intensional collection over one predicate pattern.
 
-    De dicto collections get a fresh realization at every time; de re
-    collections fix their membership at the `anchor` tick and re-slice
-    those same members at other times.
+    A collection is de re exactly when it has an `anchor` tick: its
+    membership is fixed there and those same members are re-sliced at
+    other times. Without an anchor it is de dicto and gets a fresh
+    realization at every time.
     """
 
     name: str
-    mode: Mode
     predicate: str
     pattern: tuple[str, ...]
     anchor: int | None = None
@@ -237,15 +238,12 @@ class Collection:
     def __post_init__(self) -> None:
         # Every check that needs no world lives here, as for `Statement`.
         hole_index(self.pattern)
-        if self.mode == MODE_RE:
-            if self.anchor is None:
-                raise InvalidDeclaration(f"de re collection '{self.name}' needs an anchor time")
+        if self.anchor is not None:
             check_tick(self.anchor)
-        elif self.mode == MODE_DICTO:
-            if self.anchor is not None:
-                raise InvalidDeclaration(f"de dicto collection '{self.name}' takes no anchor")
-        else:
-            raise InvalidDeclaration(f"unknown collection mode '{self.mode}'")
+
+    @property
+    def mode(self) -> Mode:
+        return MODE_DICTO if self.anchor is None else MODE_RE
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,9 @@ class Statement:
         for t in times:
             check_tick(t)
             if t not in self.span:
-                raise MalformedStatement(f"span {self.span} does not cover evaluation time {t}")
+                raise MalformedStatement(
+                    f"span {self.span} does not cover evaluation time {number_text(t)}"
+                )
         if self.profile.direction not in ("less", "more", "changed"):
             raise MalformedStatement(f"unknown direction '{self.profile.direction}'")
         if self.species_bound is not None and self.species_bound < 1:
@@ -484,8 +484,8 @@ class WorldBuilder:
                 entity = self._entities.get(arg)
                 if entity is not None and at not in entity.lifespan:
                     return (
-                        f"fact {predicate}({', '.join(args)}) @ {at} falls outside the "
-                        f"life span of {arg} ({entity.lifespan})"
+                        f"fact {predicate}({', '.join(args)}) @ {number_text(at)} falls "
+                        f"outside the life span of {arg} ({entity.lifespan})"
                     )
         return None
 
@@ -498,23 +498,21 @@ class WorldBuilder:
         if entity_id not in self._entities:
             raise UnknownEntity(f"unknown entity '{entity_id}' in measure")
         if value < 0:
-            raise InvalidDeclaration(f"measure value must be non-negative, got {value}")
+            raise InvalidDeclaration(
+                f"measure value must be non-negative, got {number_text(value)}"
+            )
         key = (measure, entity_id, at)
         known = self._measures.get(key)
         if known is not None and known != value:
             raise InvalidDeclaration(
-                f"conflicting values for {measure}({entity_id}) @ {at}: {known} vs {value}"
+                f"conflicting values for {measure}({entity_id}) @ {number_text(at)}: "
+                f"{number_text(known)} vs {number_text(value)}"
             )
         self._measures[key] = value
         self._measure_names.add(measure)
 
     def add_collection(
-        self,
-        name: str,
-        mode: Mode,
-        predicate: str,
-        pattern: Iterable[str],
-        anchor: int | None = None,
+        self, name: str, predicate: str, pattern: Iterable[str], anchor: int | None = None
     ) -> None:
         pattern = tuple(pattern)
         if name in self._collections:
@@ -523,7 +521,7 @@ class WorldBuilder:
         if decl is None:
             raise UnknownPredicate(f"unknown predicate '{predicate}' in collection '{name}'")
         decl.check_arity(pattern)
-        self._collections[name] = Collection(name, mode, predicate, pattern, anchor)
+        self._collections[name] = Collection(name, predicate, pattern, anchor)
 
     def add_statement(
         self,

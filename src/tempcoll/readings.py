@@ -189,7 +189,7 @@ def decide_mode(world: World, stmt: Statement) -> Decision:
             )
         )
     subject_decl = world.predicates[coll.predicate]
-    times = ", ".join(str(t) for t in stmt.eval_times)
+    times = ", ".join(map(number_text, stmt.eval_times))
     if subject_decl.cohort:
         fired.append(
             FiredRule(
@@ -240,9 +240,8 @@ def _effective_collection(world: World, stmt: Statement, mode: Mode) -> Collecti
     coll = world.collection(stmt.subject)
     if mode == coll.mode:
         return coll
-    if mode == MODE_DICTO:
-        return Collection(coll.name, MODE_DICTO, coll.predicate, coll.pattern, None)
-    return Collection(coll.name, MODE_RE, coll.predicate, coll.pattern, _two_ticks(stmt)[0])
+    anchor = _two_ticks(stmt)[0] if mode == MODE_RE else None
+    return Collection(coll.name, coll.predicate, coll.pattern, anchor)
 
 
 def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Reading, ...]:
@@ -254,7 +253,7 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
     sum without a measure).
     """
     coll = _effective_collection(world, stmt, mode)
-    t1, t2 = _two_ticks(stmt)
+    t1, t2 = map(number_text, _two_ticks(stmt))
     cmp = _CMP[stmt.profile.direction][0]
     name = coll.name
     prop = stmt.profile.compared_property
@@ -264,7 +263,7 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
         sub2 = f"{name}@{t2} | {prop}({pattern})"
         formula = f"ratio({sub2}, {name}@{t2}) {cmp} ratio({sub1}, {name}@{t1})"
         if mode == MODE_RE:
-            formula += f" with membership fixed at {coll.anchor}"
+            formula += f" with membership fixed at {number_text(coll.anchor)}"
         return (Reading("ratio_evolution", mode, formula),)
     if mode == MODE_DICTO:
         # A measure cannot partition fresh realizations; the ratio reading
@@ -277,7 +276,7 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
     individual = Reading(
         "individual_evolution",
         mode,
-        f"for each member x of {name} fixed at {coll.anchor}: "
+        f"for each member x of {name} fixed at {number_text(coll.anchor)}: "
         f"{prop}(x@{t2}) {cmp} {prop}(x@{t1})",
     )
     aggregate = Reading(
@@ -293,7 +292,7 @@ def _ratio_witness(part: Instantiation, whole: Instantiation) -> Witness:
     detail = f"{len(part.members)}/{len(whole.members)}"
     if str(value) != detail:
         detail += f" = {value}"
-    return Witness(f"ratio@{whole.at}", detail)
+    return Witness(f"ratio@{number_text(whole.at)}", detail)
 
 
 # A body compares the subject realized at the earlier and the later
@@ -348,8 +347,8 @@ def _aggregate_body(
     after = aggregate_sum(world, measure, late)
     truth = _CMP[stmt.profile.direction][1](after, before)
     witnesses = (
-        Witness(f"sum@{early.at}", number_text(before)),
-        Witness(f"sum@{late.at}", number_text(after)),
+        Witness(f"sum@{number_text(early.at)}", number_text(before)),
+        Witness(f"sum@{number_text(late.at)}", number_text(after)),
     )
     return truth, witnesses
 
@@ -386,7 +385,8 @@ def evaluate_reading(world: World, stmt: Statement, reading: Reading) -> Reading
                 entity_id = min(inst.dropped)
                 lifespan = world.entities[entity_id].lifespan
                 raise OutsideLifeSpan(
-                    f"member {entity_id} has no slice at {inst.at}: life span is {lifespan}"
+                    f"member {entity_id} has no slice at {number_text(inst.at)}: "
+                    f"life span is {lifespan}"
                 )
         truth, witnesses = body(world, stmt, early, late)
     except TempcollError as e:

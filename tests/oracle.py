@@ -102,9 +102,9 @@ def _effective(world: World, stmt: Statement, mode: str) -> Collection:
     if mode == coll.mode:
         return coll
     if mode == MODE_DICTO:
-        return Collection(coll.name, MODE_DICTO, coll.predicate, coll.pattern, None)
+        return Collection(coll.name, coll.predicate, coll.pattern, None)
     anchor = coll.anchor if coll.anchor is not None else min(stmt.eval_times)
-    return Collection(coll.name, MODE_RE, coll.predicate, coll.pattern, anchor)
+    return Collection(coll.name, coll.predicate, coll.pattern, anchor)
 
 
 def _two_ticks(stmt: Statement) -> tuple[int, int]:

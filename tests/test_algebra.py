@@ -60,7 +60,7 @@ def test_unknown_collection(youth):
 
 
 def test_de_re_off_anchor_dead_member(centuries):
-    coll = Collection("A", MODE_RE, "aborigine", ("_",), 1700)
+    coll = Collection("A", "aborigine", ("_",), 1700)
     with pytest.raises(OutsideLifeSpan):
         instantiate(centuries, coll, 1950, "strict")
     lenient = instantiate(centuries, coll, 1950, "lenient")

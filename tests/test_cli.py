@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -17,7 +18,6 @@ import oracle
 from conftest import FIXTURES, int_digit_limit, load_world
 from tempcoll import (
     HOLE,
-    MODE_RE,
     Collection,
     TempcollError,
     TimeRef,
@@ -30,7 +30,7 @@ from tempcoll import (
     render_world,
     slice_at,
 )
-from tempcoll.cli import run
+from tempcoll.cli import Report, format_report, main, run
 from worldgen import CONSTANTS, MEASURES, random_world
 
 
@@ -437,6 +437,41 @@ def test_eval_a_sum_past_the_digit_limit_in_text(tmp_path, capsys):
     assert out == f"eval #1: {total}\nassert #2: true ({total} > 2)\nstatus: ok\n"
 
 
+def test_eval_a_sum_past_the_digit_limit_in_json(tmp_path, capsys):
+    # Each measure has the most digits that int() reads under the limit,
+    # so the world parses; their sum has one more, which `json.dumps`
+    # cannot write. The report is the one written with no limit.
+    nines = "9" * 640
+    text = "pred p arity 1 mutable\ncollection C re@1 := p(_)\n" + "".join(
+        f"entity {e} lifespan [0, 10]\nfact p({e}) @ 1\nmeasure m({e}) @ 1 = {nines}\n"
+        for e in ("a", "b")
+    )
+    (tmp_path / "w.tcw").write_text(text, encoding="utf-8")
+    (tmp_path / "s.tcq").write_text("eval sum m over C@1\n", encoding="utf-8")
+    argv = ("eval", "--format", "json", str(tmp_path / "w.tcw"), str(tmp_path / "s.tcq"))
+    with int_digit_limit(0):
+        unlimited = _run(capsys, *argv)
+    with int_digit_limit(640):
+        code, out = _run(capsys, *argv)
+    assert (code, out) == unlimited
+    assert code == 0
+    total = f"1{'9' * 639}8"
+    assert json.loads(out, parse_int=str)["commands"][0]["value"] == {
+        "type": "rational", "num": total, "den": "1", "decimal": total
+    }
+
+
+def test_json_report_past_the_digit_limit_writes_every_value_as_itself():
+    # Past the limit each value is swapped for a marker string while the
+    # report is dumped; a string that looks like a marker stays itself.
+    payload = {"kind": "x", "\x000": ["\x001", 10**700, True, None, 'q"\x002', -3, 0.5]}
+    report = Report(commands=[payload])
+    with int_digit_limit(0):
+        unlimited = format_report(report, "json")
+    with int_digit_limit(640):
+        assert format_report(report, "json") == unlimited
+
+
 # ---------------------------------------------------------------------------
 # determinism and the exit-code contract across the corpus
 
@@ -485,6 +520,11 @@ def test_readme_worked_example_is_the_real_output(capsys, monkeypatch):
     monkeypatch.chdir(root)
     code, out = _run(capsys, *command.split()[2:])
     assert (code, out) == (0, expected)
+    # The installed `tempcoll` script calls `main`, which exits with the code.
+    monkeypatch.setattr(sys, "argv", command.split()[1:])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert (exc.value.code, capsys.readouterr().out) == (0, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +550,7 @@ def _youth_at(tick):
     return instantiate(load_world("youth.tcw"), "Y", tick)
 
 
-_ABORIGINES = Collection("A", MODE_RE, "aborigine", ("_",), 1700)
+_ABORIGINES = Collection("A", "aborigine", ("_",), 1700)
 
 QUERY_TIME_TEXTS = {
     "ratio_tick_mismatch": (

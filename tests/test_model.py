@@ -7,15 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_world
+from conftest import int_digit_limit, load_world
 from tempcoll import (
-    MODE_DICTO,
-    MODE_RE,
     Collection,
     InvalidDeclaration,
     MalformedStatement,
     MultipleHoles,
     PredicationProfile,
+    Slice,
     TimeRef,
     World,
     WorldBuilder,
@@ -29,7 +28,7 @@ def _statement_builder() -> WorldBuilder:
     builder.add_predicate("p", 1)
     builder.add_fact("p", ("a",), 2002)
     builder.add_measure("m", "a", 2002, Fraction(3))
-    builder.add_collection("C", MODE_DICTO, "p", ("_",))
+    builder.add_collection("C", "p", ("_",))
     return builder
 
 
@@ -52,6 +51,22 @@ def test_add_fact_returns_a_warning_outside_an_entity_life_span():
     assert builder.add_fact("p", ("a", "b"), 2000) is None
 
 
+def test_texts_write_ticks_past_the_digit_limit():
+    zeros = "0" * 5000
+    builder = WorldBuilder()
+    builder.add_entity("a", TimeRef(0, 10**5000))
+    builder.add_predicate("p", 1)
+    with int_digit_limit(4300):
+        assert str(TimeRef(0, 10**5000)) == f"[0, 1{zeros}]"
+        assert str(TimeRef.point(10**5000)) == f"1{zeros}"
+        assert str(Slice("a", 10**5000)) == f"a@1{zeros}"
+        with pytest.raises(InvalidDeclaration, match=rf"^empty interval \[1{zeros}, 0\]$"):
+            TimeRef(10**5000, 0)
+        assert builder.add_fact("p", ("a",), 10**5000 + 1) == (
+            f"fact p(a) @ 1{zeros[1:]}1 falls outside the life span of a ([0, 1{zeros}])"
+        )
+
+
 def test_api_only_rejections():
     builder = WorldBuilder()
     builder.add_predicate("p", 1)
@@ -65,7 +80,7 @@ def test_api_only_rejections():
         lambda b: b.add_fact("p", ("a",), TimeRef.point(2002)),
         lambda b: b.add_fact("p", ("k",), TimeRef.point(2002)),
         lambda b: b.add_measure("m", "a", TimeRef.point(2002), Fraction(3)),
-        lambda b: b.add_collection("R", MODE_RE, "p", ("_",), TimeRef.point(2002)),
+        lambda b: b.add_collection("R", "p", ("_",), TimeRef.point(2002)),
         lambda b: b.add_statement(
             "S",
             "C",
@@ -98,19 +113,16 @@ def test_a_measure_value_must_be_a_fraction(value):
 
 
 @pytest.mark.parametrize(
-    "mode, pattern, anchor, error, message",
+    "pattern, anchor, error, message",
     [
-        (MODE_RE, ("_", "paul"), None, InvalidDeclaration, "de re collection 'X' needs an anchor"),
-        (MODE_DICTO, ("_", "paul"), 2002, InvalidDeclaration, "de dicto collection 'X' takes no"),
-        ("sideways", ("_", "paul"), None, InvalidDeclaration, "unknown collection mode 'sideways'"),
-        (MODE_RE, ("f1", "paul"), 2002, MultipleHoles, "needs exactly one '_', found 0"),
-        ("sideways", ("_", "_"), None, MultipleHoles, "needs exactly one '_', found 2"),
+        (("f1", "paul"), 2002, MultipleHoles, "needs exactly one '_', found 0"),
+        (("_", "_"), None, MultipleHoles, "needs exactly one '_', found 2"),
     ],
-    ids=["re-without-anchor", "dicto-with-anchor", "mode", "no-hole", "holes-before-mode"],
+    ids=["no-hole", "holes-before-mode"],
 )
-def test_collection_shape_is_checked_on_construction(mode, pattern, anchor, error, message):
+def test_collection_shape_is_checked_on_construction(pattern, anchor, error, message):
     with pytest.raises(error, match=message):
-        Collection("X", mode, "friend", pattern, anchor)
+        Collection("X", "friend", pattern, anchor)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -102,7 +103,7 @@ def test_all_applicable_rules_are_recorded_in_order():
     builder.add_fact("cohort_of", ("x1",), 1710)
     builder.add_fact("cohort_of", ("x2",), 1810)
     builder.add_fact("birthplace", ("x1", "north"), None)
-    builder.add_collection("G", MODE_DICTO, "cohort_of", ("_",))
+    builder.add_collection("G", "cohort_of", ("_",))
     builder.add_statement(
         "S",
         "G",
@@ -208,7 +209,7 @@ def test_member_lifespans_bound_when_undeclared(youth):
 def test_open_span_without_bound_is_unbounded():
     builder = WorldBuilder()
     builder.add_predicate("p", 1, invariant=False)
-    builder.add_collection("C", MODE_DICTO, "p", ("_",))
+    builder.add_collection("C", "p", ("_",))
     builder.add_statement(
         "S",
         "C",
@@ -230,7 +231,7 @@ def test_open_span_exceeds_any_declared_bound():
     builder.add_entity("e0", TimeRef(0, 80))
     builder.add_predicate("p", 1, invariant=False)
     builder.add_fact("p", ("e0",), 0)
-    builder.add_collection("C", MODE_DICTO, "p", ("_",))
+    builder.add_collection("C", "p", ("_",))
     builder.add_statement(
         "S",
         "C",
@@ -391,6 +392,59 @@ def test_measure_witnesses_write_numbers_past_the_digit_limit():
     ]
 
 
+def test_analyze_writes_ticks_past_the_digit_limit():
+    # A world built in code may hold ticks that str() cannot write; the
+    # decision and the readings name them in full.
+    t, early, late = 10**5000, "1" + "0" * 5000, "1" + "0" * 4999 + "1"
+    builder = WorldBuilder()
+    for e in ("a", "b"):
+        builder.add_entity(e, TimeRef(t, t + 10))
+    builder.add_predicate("p", 1)
+    builder.add_predicate("q", 1)
+    builder.add_predicate("r", 1, cohort=True)
+    for e, late_value in (("a", 2), ("b", 3)):
+        for tick in (t, t + 1):
+            builder.add_fact("p", (e,), tick)
+        builder.add_measure("m", e, t, Fraction(1))
+        builder.add_measure("m", e, t + 1, Fraction(late_value))
+    builder.add_fact("r", ("a",), t)
+    builder.add_fact("r", ("b",), t + 1)
+    builder.add_fact("q", ("b",), t + 1)
+    builder.add_collection("C", "p", ("_",), t)
+    builder.add_collection("D", "r", ("_",))
+    for statement_id, subject, prop in (("S1", "C", "m"), ("S2", "D", "q")):
+        builder.add_statement(
+            statement_id, subject, True, prop, "more", (t, t + 1), TimeRef(t, t + 1)
+        )
+    world = builder.build()
+    with int_digit_limit(4300):
+        re_measure = analyze(world, world.statements["S1"])
+        dicto_predicate = analyze(world, world.statements["S2"])
+    assert re_measure.mode == MODE_RE and re_measure.rule_ids == ("R0",)
+    assert [(r.formula, r.truth) for r in re_measure.readings] == [
+        (f"for each member x of C fixed at {early}: m(x@{late}) > m(x@{early})", True),
+        (f"sum m over C@{late} > sum m over C@{early}", True),
+    ]
+    assert [(w.label, w.detail) for w in re_measure.readings[1].witnesses] == [
+        (f"sum@{early}", "2"),
+        (f"sum@{late}", "5"),
+    ]
+    assert dicto_predicate.mode == MODE_DICTO
+    assert dicto_predicate.fired_rules[0].justification == (
+        f"'r' defines a fresh cohort at each time; realizations at {early}, {late} "
+        "cannot share members"
+    )
+    (ratio_reading,) = dicto_predicate.readings
+    assert ratio_reading.formula == (
+        f"ratio(D@{late} | q(_), D@{late}) > ratio(D@{early} | q(_), D@{early})"
+    )
+    assert ratio_reading.truth is True
+    assert [(w.label, w.detail) for w in ratio_reading.witnesses] == [
+        (f"ratio@{early}", "0/1 = 0"),
+        (f"ratio@{late}", "1/1 = 1"),
+    ]
+
+
 def test_sitin_static_claim_of_change_is_false(sitin):
     decision = analyze(sitin, sitin.statements["S1"])
     (reading,) = decision.readings
@@ -414,7 +468,7 @@ def test_r2_soundness(seed):
                 s.entity_id
                 for s in instantiate(
                     world,
-                    replace(coll, mode=MODE_DICTO, anchor=None),
+                    replace(coll, anchor=None),
                     t,
                     "lenient",
                 ).members

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import tempcoll
@@ -60,3 +61,28 @@ def test_the_package_exports_each_module_all_once():
     for module in (*modules, cli):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_imported_name_is_used():
+    # A module-level import is used when the module reads the name or
+    # lists it in `__all__`; a leftover one hides what a deletion freed.
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = importlib.import_module(
+            "tempcoll" if path.stem == "__init__" else f"tempcoll.{path.stem}"
+        )
+        used = set(getattr(module, "__all__", ())) | {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "*" and name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -96,11 +96,9 @@ def random_world(rng: random.Random, *, max_entities: int = 20, n_ticks: int = 5
         return tuple(HOLE if i == hole else template[i] for i in range(arity))
 
     pred = rng.choice(predicates)
-    builder.add_collection("Cd", MODE_DICTO, pred, pattern_for(pred))
+    builder.add_collection("Cd", pred, pattern_for(pred))
     pred = rng.choice(predicates)
-    builder.add_collection(
-        "Cr", MODE_RE, pred, pattern_for(pred), rng.choice(ticks)
-    )
+    builder.add_collection("Cr", pred, pattern_for(pred), rng.choice(ticks))
     return builder.build()
 
 
@@ -166,9 +164,9 @@ def random_statement_world(
         builder.add_measure("m0", names[0], t1, Fraction(1))
 
     if rng.random() < 0.5:
-        builder.add_collection("C", MODE_RE, "p0", pattern, t1)
+        builder.add_collection("C", "p0", pattern, t1)
     else:
-        builder.add_collection("C", MODE_DICTO, "p0", pattern)
+        builder.add_collection("C", "p0", pattern)
 
     if measure_property is None:
         measure_property = rng.random() < 0.5
