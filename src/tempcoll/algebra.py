@@ -8,6 +8,7 @@ so their composition never varies, only the stage under consideration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,9 +60,21 @@ def instantiate(
     De dicto: a fresh extension at `t`. De re: the membership fixed at
     the anchor, re-sliced at `t`; members not alive at `t` raise under
     strict policy and are reported in `dropped` under lenient policy.
+    The World's instantiation memo keeps each answer, keyed by the
+    collection itself (a coerced subject shares its name, not its
+    anchor), the tick and the policy. An invalid key is never kept: it
+    raises on every call.
     """
     check_tick(t)
     coll = world.collection(collection) if isinstance(collection, str) else collection
+    key = (coll, t, policy)
+    known = world._instantiations.get(key)
+    if known is None:
+        known = world._instantiations[key] = _realize(world, coll, t, policy)
+    return known
+
+
+def _realize(world: World, coll: Collection, t: int, policy: Policy) -> Instantiation:
     label = f"{coll.name}@{number_text(t)}"
     if coll.mode == MODE_DICTO:
         members = extension(world, coll.predicate, coll.pattern, t)
@@ -121,8 +134,9 @@ def ratio(part: Instantiation, whole: Instantiation) -> Fraction:
 
 def aggregate_sum(world: World, measure: str, inst: Instantiation) -> Fraction:
     """Sum of `measure` over every member; an empty instantiation sums to
-    zero, a member without a recorded value raises MissingMeasure."""
-    total = Fraction(0)
-    for s in inst.sorted_members():
-        total += measure_value(world, measure, s)
-    return total
+    zero, a member without a recorded value raises MissingMeasure. The
+    values are brought to their least common denominator, so the sum
+    reduces once instead of once per member."""
+    values = [measure_value(world, measure, s) for s in inst.sorted_members()]
+    common = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (common // v.denominator) for v in values), common)

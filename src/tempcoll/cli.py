@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import operator
-import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -286,32 +286,26 @@ def _text_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _json_text(document: object) -> str:
-    """``json.dumps`` with indent 2, also for an int past Python's digit
-    limit, which ``int.__repr__`` cannot write. Then every int and string
-    is swapped for a marker string, so the markers are the only strings
-    dumped, and each marker is replaced by its value's JSON text."""
-    try:
-        return json.dumps(document, indent=2, ensure_ascii=False)
-    except ValueError:
-        pass
-    texts: list[str] = []
-
-    def swap(value: object) -> object:
-        if isinstance(value, dict):
-            return {swap(k): swap(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [swap(v) for v in value]
-        if isinstance(value, str):
-            texts.append(json.dumps(value, ensure_ascii=False))
-        elif type(value) is int:  # not a bool
-            texts.append(number_text(value))
-        else:
-            return value
-        return f"\x00{len(texts) - 1}"
-
-    text = json.dumps(swap(document), indent=2, ensure_ascii=False)
-    return re.sub(r'"\\u0000(\d+)"', lambda m: texts[int(m[1])], text)
+def _json_text(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` in one pass,
+    also for an int past Python's digit limit, which ``int.__repr__``
+    cannot write. `indent` is the line break before the value's items."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if type(value) is int:  # not a bool
+        return number_text(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
 
 
 def format_report(report: Report, fmt: str = "text") -> str:

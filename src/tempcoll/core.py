@@ -45,12 +45,12 @@ def extension(
     later call for the same (predicate, pattern, tick) returns it at
     once. An invalid key is never kept: it raises on every call.
     """
+    check_tick(t)  # before the lookup: `True` or 2002.0 would hit 1's or 2002's key
     pattern = tuple(pattern)
     key = (predicate, pattern, t)
     known = world._extensions.get(key)
     if known is not None:
         return known
-    check_tick(t)
     world.predicate(predicate).check_arity(pattern)
     hole_index(pattern)
     by_tick, always = world._hole_index.get((predicate, pattern), ({}, ()))
@@ -69,8 +69,8 @@ def measure_value(world: World, measure: str, s: Slice) -> Fraction:
     Raises :class:`MissingMeasure` when nothing is recorded; an absent
     value is never read as zero.
     """
+    check_tick(s.at)  # before the lookup, which 2002.0 would hit
     value = world.measures.get((measure, s.entity_id, s.at))
     if value is None:
-        check_tick(s.at)  # only on a miss: a wrong-typed tick never hits
         raise MissingMeasure(f"missing measure {measure} for {s}")
     return value

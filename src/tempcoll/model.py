@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -27,6 +27,9 @@ from .errors import (
     UnknownPredicate,
     UnknownStatement,
 )
+
+if TYPE_CHECKING:
+    from .algebra import Instantiation
 
 __all__ = [
     "HOLE",
@@ -301,13 +304,17 @@ class World:
     """An immutable knowledge base; equality and hash are structural.
 
     The mappings are read-only views over private copies, so the lazy
-    indices below can never go stale. Two of them are dicts that only
-    :func:`tempcoll.core.extension` reads and fills: the hole index,
-    keyed (predicate, pattern), and the extension memo, keyed
-    (predicate, pattern, tick). Like every lazy index they live only in
-    the instance's ``__dict__``, outside equality, hash and ``repr``,
-    and die with the World. Two threads racing on one memo key both
-    compute and store equal frozensets, so the race is harmless.
+    indices below can never go stale. Three of them are dicts that one
+    function each reads and fills: the hole index, keyed (predicate,
+    pattern), and the extension memo, keyed (predicate, pattern, tick),
+    by :func:`tempcoll.core.extension`; the instantiation memo, keyed
+    (Collection, tick, policy), by :func:`tempcoll.algebra.instantiate`.
+    Each memo checks the tick before its lookup and keeps successful
+    answers only, so an invalid key raises on every call. Like every
+    lazy index they live only in the instance's ``__dict__``, outside
+    equality, hash, ``repr`` and pickling, and die with the World. Two
+    threads racing on one memo key both compute and store equal
+    answers, so the race is harmless.
     """
 
     entities: Mapping[str, Entity] = field(default_factory=dict)
@@ -383,6 +390,11 @@ class World:
     @cached_property
     def _extensions(self) -> dict[tuple[str, tuple[str, ...], int], frozenset[Slice]]:
         # Filled by `tempcoll.core.extension`, with successful answers only.
+        return {}
+
+    @cached_property
+    def _instantiations(self) -> dict[tuple[Collection, int, str], Instantiation]:
+        # Filled by `tempcoll.algebra.instantiate`, with successful answers only.
         return {}
 
     @cached_property

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import threading
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,15 +21,20 @@ from tempcoll import (
     MissingMeasure,
     NotASubset,
     OutsideLifeSpan,
+    TempcollError,
     TickMismatch,
     TimeRef,
     UnknownCollection,
+    WorldBuilder,
     aggregate_sum,
     cardinality,
     filter_members,
     instantiate,
+    parse_world,
     ratio,
+    render_world,
 )
+from conftest import load_world
 from worldgen import random_world
 
 P = TimeRef.point
@@ -167,6 +177,19 @@ def test_sum_missing_measure_names_the_gap(missing):
     assert str(exc.value) == "missing measure cons_tobacco for f3@2003"
 
 
+def test_sum_names_the_first_member_without_a_value():
+    builder = WorldBuilder()
+    builder.add_predicate("p", 1)
+    for entity_id in ("b", "a", "c"):
+        builder.add_entity(entity_id, TimeRef(0, 10))
+        builder.add_fact("p", (entity_id,), 1)
+    builder.add_measure("m", "c", 1, Fraction(1, 3))
+    builder.add_collection("C", "p", ("_",))
+    world = builder.build()
+    with pytest.raises(MissingMeasure, match=r"^missing measure m for a@1$"):
+        aggregate_sum(world, "m", instantiate(world, "C", 1))
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_sum_additive_over_disjoint_split(seed):
@@ -219,6 +242,112 @@ def test_instantiate_rejects_a_timeref(youth, friends):
     for world, name in ((youth, "Y"), (friends, "F")):
         with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002"):
             instantiate(world, name, TimeRef.point(2002))
+
+
+# ---------------------------------------------------------------------------
+# the instantiation memo
+
+
+def _inst_answer(world, key):
+    """What `instantiate` gives for `key`: every field of the
+    instantiation, its label too, or the error's type and text."""
+    try:
+        inst = instantiate(world, *key)
+    except (TempcollError, TypeError) as e:
+        return type(e), str(e)
+    members = sorted((s.entity_id, s.at, s.invariant) for s in inst.members)
+    return inst.source, inst.at, inst.label, members, sorted(inst.dropped)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_instantiation_memo_answers_like_a_fresh_world(seed):
+    # A shuffled run of keys, each asked twice, by name and by value, under
+    # both policies, with strict raises, an unknown name and non-int ticks
+    # equal to valid ones: every answer and error equals the one a freshly
+    # parsed copy gives, and the memo keeps exactly the answered keys.
+    rng = random.Random(seed)
+    world = random_world(rng)
+    text, shown = render_world(world), repr(world)
+    keys = [
+        (coll, t, policy)
+        for name, value in world.collections.items()
+        for coll in (name, value)
+        for t in (1, 1999, 2000, 2002, 2004, 2005, True, 2002.0, Fraction(2004))
+        for policy in ("strict", "lenient")
+    ]
+    keys += [("nope", 2002, "strict"), ("nope", 2002, "lenient")]
+    calls = keys * 2
+    rng.shuffle(calls)
+    answered = set()
+    for key in calls:
+        got = _inst_answer(world, key)
+        fresh, _ = parse_world(text)
+        assert got == _inst_answer(fresh, key)
+        if not isinstance(got[0], type):
+            coll, t, policy = key
+            answered.add((world.collection(coll) if isinstance(coll, str) else coll, t, policy))
+    fresh, _ = parse_world(text)
+    assert world == fresh and hash(world) == hash(fresh)
+    assert repr(world) == shown
+    assert set(world._instantiations) == answered
+
+
+def test_instantiation_memo_keys_the_collection_not_its_name():
+    # The subject coerced to de dicto shares the de re collection's name:
+    # it gets its own answer, not the one kept for the name.
+    world = load_world("friends.tcw")
+    de_re = world.collection("F")
+    de_dicto = Collection(de_re.name, de_re.predicate, de_re.pattern)
+    assert instantiate(world, "F", 2004).member_ids() == {"f1", "f2"}
+    assert instantiate(world, de_dicto, 2004).member_ids() == set()
+    assert instantiate(world, de_re, 2004).member_ids() == {"f1", "f2"}
+
+
+def test_instantiation_memo_dies_with_the_world():
+    world = load_world("youth.tcw")
+    instantiate(world, "Y", 2002)
+    assert world._instantiations
+    ref = weakref.ref(world)
+    del world
+    gc.collect()
+    assert ref() is None
+
+
+def test_instantiation_memo_under_racing_threads():
+    # More threads than cores, switching often, race on the first call
+    # for each key of 50 fresh copies of one world: every answer is the
+    # unshared one, and so is every answer the memos keep.
+    base = load_world("centuries.tcw")
+    keys = [("A4", t, policy) for t in (1700, 1750, 1800, 1850) for policy in ("strict", "lenient")]
+    anchored = Collection("A4", "aborigine", ("_",), 1750)
+    keys += [(anchored, t, policy) for t in (1750, 1800, 1850) for policy in ("strict", "lenient")]
+    expected = {key: _inst_answer(load_world("centuries.tcw"), key) for key in keys}
+    worlds = [replace(base) for _ in range(50)]
+    wrong = []
+
+    def work():
+        for world in worlds:
+            wrong.extend(key for key in keys if _inst_answer(world, key) != expected[key])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    answered = sum(not isinstance(answer[0], type) for answer in expected.values())
+    assert answered < len(keys)  # the strict calls at 1800 and 1850 raise
+    alone = load_world("centuries.tcw")
+    for world in worlds:
+        assert len(world._instantiations) == answered
+        assert all(_inst_answer(world, key) == _inst_answer(alone, key) for key in world._instantiations)
 
 
 def test_world_is_not_mutated_by_queries(youth):

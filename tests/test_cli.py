@@ -30,7 +30,7 @@ from tempcoll import (
     render_world,
     slice_at,
 )
-from tempcoll.cli import Report, format_report, main, run
+from tempcoll.cli import Report, _json_text, format_report, main, run
 from worldgen import CONSTANTS, MEASURES, random_world
 
 
@@ -461,15 +461,62 @@ def test_eval_a_sum_past_the_digit_limit_in_json(tmp_path, capsys):
     }
 
 
+# Text with what JSON escapes (quote, backslash, control characters),
+# what it passes through (non-ASCII, U+2028) and lone surrogates.
+_JSON_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "é", "𝄞"]),
+        st.characters(exclude_categories=()),
+    )
+)
+_JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_STRINGS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_writes_what_json_dumps_writes(document):
+    assert _json_text(document) == json.dumps(document, indent=2, ensure_ascii=False)
+
+
 def test_json_report_past_the_digit_limit_writes_every_value_as_itself():
-    # Past the limit each value is swapped for a marker string while the
-    # report is dumped; a string that looks like a marker stays itself.
-    payload = {"kind": "x", "\x000": ["\x001", 10**700, True, None, 'q"\x002', -3, 0.5]}
-    report = Report(commands=[payload])
+    # Under the limit, `json.dumps` cannot write 10**700; the writer gives
+    # the text `json.dumps` gives with no limit.
+    payload = {"kind": "x", "\x000": ["\x001", 10**700, -(10**650), True, None, 'q"\x002', -3, 0.5]}
+    document = {"status": "ok", "commands": [payload], "diagnostics": []}
     with int_digit_limit(0):
-        unlimited = format_report(report, "json")
+        unlimited = json.dumps(document, indent=2, ensure_ascii=False)
     with int_digit_limit(640):
-        assert format_report(report, "json") == unlimited
+        assert _json_text(document) == unlimited
+        assert format_report(Report(commands=[payload]), "json") == unlimited + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--format", "json", "--policy", "lenient", "friends.tcw", "friends.tcq"),
+        ("explain", "friends.tcw", "S1"),
+    ],
+    ids=["eval", "explain"],
+)
+def test_cli_runs_keep_no_module_level_state(capsys, monkeypatch, argv):
+    # The benchmark times many `run` calls in one process and fails them
+    # all when tempcoll's module-level state changes between the first
+    # and the last; a cache that lives anywhere but on the World would.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from worker import module_state
+
+    argv = [_fx(a) if a.endswith((".tcw", ".tcq")) else a for a in argv]
+    before = module_state()
+    assert [_run(capsys, *argv)[0] for _ in range(2)] == [0, 0]
+    assert module_state() == before
 
 
 # ---------------------------------------------------------------------------

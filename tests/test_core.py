@@ -299,6 +299,18 @@ def test_extension_memo_under_racing_threads():
         assert all(_answer(world, key) == expected[key] for key in world._extensions)
 
 
+def test_a_memo_hit_still_checks_the_tick():
+    # 2002.0, Fraction(2002) and True equal and hash like the int keys
+    # kept before them, so a lookup before the check would answer them.
+    world = load_world("youth.tcw")
+    extension(world, "eighteen", ("_",), 2002)
+    extension(world, "eighteen", ("_",), 1)
+    for tick in (2002.0, Fraction(2002), True):
+        with pytest.raises(TypeError, match=r"^a tick is an int, got "):
+            extension(world, "eighteen", ("_",), tick)
+    assert set(world._extensions) == {("eighteen", ("_",), 2002), ("eighteen", ("_",), 1)}
+
+
 # ---------------------------------------------------------------------------
 # measure_value
 
@@ -318,6 +330,14 @@ def test_measure_value_rejects_a_timeref_tick(friends):
     # f1 has a value at 2002, so a miss here is the tick's type, not a data gap.
     with pytest.raises(TypeError, match=r"^a tick is an int, got TimeRef\(start=2002"):
         measure_value(friends, "cons_tobacco", Slice("f1", P(2002)))
+
+
+@pytest.mark.parametrize("tick", [2002.0, Fraction(2002)])
+def test_measure_value_rejects_a_tick_equal_to_a_recorded_one(friends, tick):
+    # The measure key (cons_tobacco, f1, 2002) is recorded, and this tick
+    # equals and hashes like 2002.
+    with pytest.raises(TypeError, match=r"^a tick is an int, got "):
+        measure_value(friends, "cons_tobacco", Slice("f1", tick))
 
 
 @given(st.integers(0, 10**9))

@@ -19,6 +19,7 @@ from tempcoll import (
     World,
     WorldBuilder,
     extension,
+    instantiate,
 )
 
 
@@ -135,11 +136,15 @@ def test_world_pickles_and_deep_copies_without_its_lazy_state(copy_world):
         for coll in world.collections.values()
         for tick in world.ticks
     ]
+    realizations = [(name, tick) for name in world.collections for tick in world.ticks]
     answers = [extension(world, *query) for query in queries]
+    instances = [instantiate(world, *key) for key in realizations]
+    assert world._extensions and world._instantiations
     twin = copy_world(world)
     assert twin == world and hash(twin) == hash(world)
     assert set(vars(twin)) == {f.name for f in fields(World)}
     assert [extension(twin, *query) for query in queries] == answers
+    assert [instantiate(twin, *key) for key in realizations] == instances
 
 
 def test_world_mappings_are_read_only(friends):
