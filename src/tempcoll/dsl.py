@@ -35,7 +35,13 @@ the world kinds `entity`, `fact`, `measure`, `collection` and
 full-line pattern each, built from the tokenizer's pieces. A line that
 pattern matches is either accepted, with the value its cursor parser
 would give, or declined and left to the tokenizer path. A pattern never
-rejects a line, so every diagnostic comes from the tokenizer path.
+rejects a line, so every diagnostic comes from the tokenizer path. An
+argument list in a pattern takes only spaces around its commas and
+parentheses, so a line with other whitespace there is declined. A line
+tries first the pattern that took the line before it, then the others
+in table order: a file comes in runs of one kind, and each pattern
+starts with its own word, so at most one matches and the order changes
+no value.
 
 Each format has one table, keyed by a line's first word. A world kind
 maps to its cursor parser and the `WorldBuilder` method, in build order;
@@ -340,11 +346,16 @@ def _parse_lines(
     # them at a form feed or U+2028, even inside a comment.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # The pattern that took the previous line goes first (see the module
+    # docstring for why that changes no value).
+    orders = {entry[0]: (entry, *(e for e in fast if e is not entry)) for entry in fast}
+    order = fast
     for lineno, line in enumerate(text.split("\n"), start=1):
-        for word, pattern, make in fast:
+        for word, pattern, make in order:
             m = pattern.fullmatch(line)
             if m is not None and (value := make(m)) is not None:
                 keep(word, m.end(1) + 1, value, lineno, line)
+                order = orders[word]
                 break
         else:
             try:
@@ -475,7 +486,9 @@ _DECLARATIONS: dict[str, tuple[Callable[[_Cursor], tuple], str]] = {
 # allows; a longer one is left to the tokenizer path.
 _END = rf"\s*(?:{_COMMENT})?"
 _LINE_INT = r"-?[0-9]{1,640}"
-_ARGS = rf"\(\s*({_ID}(?:\s*,\s*{_ID})*)\s*\)"  # one group: the argument text
+# An argument list takes only spaces as separators (`[ ]`, which a
+# verbose pattern keeps), so its text splits without `strip`.
+_ARGS = rf"\([ ]*({_ID}(?:[ ]*,[ ]*{_ID})*)[ ]*\)"  # one group: the argument text
 _INTERVAL = rf"\[\s*({_LINE_INT})\s*,\s*(?:({_LINE_INT})|\*)\s*\]"  # two groups: start, end
 _ENTITY_LINE = re.compile(
     rf"""(\s*)entity\s+({_ID})\s+lifespan\s*{_INTERVAL}
@@ -507,10 +520,6 @@ _STATEMENT_LINE = re.compile(
 # a `_` argument, an empty interval, a zero denominator.
 
 
-def _split_args(text: str) -> tuple[str, ...]:
-    return tuple(map(str.strip, text.split(",")))  # strips just what `\s` matches
-
-
 def _entity_line(m: re.Match[str]) -> tuple | None:
     _, entity_id, start, end, invariant, species = m.groups()
     try:
@@ -522,7 +531,7 @@ def _entity_line(m: re.Match[str]) -> tuple | None:
 
 def _fact_line(m: re.Match[str]) -> tuple | None:
     _, name, arg_text, tick = m.groups()
-    args = _split_args(arg_text)
+    args = tuple(arg_text.replace(" ", "").split(","))
     if HOLE in args:
         return None
     return name, args, None if tick is None else int(tick)
@@ -532,22 +541,26 @@ def _measure_line(m: re.Match[str]) -> tuple | None:
     _, name, entity_id, tick, literal = m.groups()
     if entity_id == HOLE:
         return None
-    # An int or rational literal makes its Fraction from two ints, over
-    # twice as fast as Fraction's string parser; a decimal needs that.
-    numerator, _, denominator = literal.partition("/")
+    # An int literal makes its Fraction from one int, with no gcd, and a
+    # rational one from two ints: both are over twice as fast as
+    # Fraction's string parser, which a decimal needs.
+    numerator, slash, denominator = literal.partition("/")
     try:
-        if "." in literal:
+        if slash:
+            value = Fraction(int(numerator), int(denominator))
+        elif "." in literal:
             value = Fraction(literal)
         else:
-            value = Fraction(int(numerator), int(denominator or 1))
+            value = Fraction(int(literal))
     except (ValueError, ZeroDivisionError):
         return None
     return name, entity_id, int(tick), value
 
 
 def _collection_line(m: re.Match[str]) -> tuple:
-    _, name, anchor, predicate, pattern = m.groups()
-    return name, predicate, _split_args(pattern), None if anchor is None else int(anchor)
+    _, name, anchor, predicate, arg_text = m.groups()
+    pattern = tuple(arg_text.replace(" ", "").split(","))
+    return name, predicate, pattern, None if anchor is None else int(anchor)
 
 
 def _statement_line(m: re.Match[str]) -> tuple | None:
@@ -558,7 +571,7 @@ def _statement_line(m: re.Match[str]) -> tuple | None:
     except TempcollError:
         return None
     evolutive, times = profile == "evolutive", (int(t1), int(t2))
-    pattern = None if pattern_text is None else _split_args(pattern_text)
+    pattern = None if pattern_text is None else tuple(pattern_text.replace(" ", "").split(","))
     bound = None if bound_text is None else int(bound_text)
     mode = None if mode_word is None else MODE_RE if mode_word == "re" else MODE_DICTO
     return statement_id, subject, evolutive, compared, direction, times, span, pattern, bound, mode
@@ -705,7 +718,7 @@ _EXPR_SHAPES = {"card": (False, True), "ratio": (True, True), None: (False, Fals
 def _inst(name: str, tick: str, predicate: str | None, args: str | None) -> InstExpr:
     if predicate is None:
         return InstExpr(name, int(tick))
-    return InstExpr(name, int(tick), predicate, _split_args(args))
+    return InstExpr(name, int(tick), predicate, tuple(args.replace(" ", "").split(",")))
 
 
 def _expr(g: Sequence[str | None]) -> Expr | None:

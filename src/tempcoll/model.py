@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Literal, Mapping
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping, NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -106,8 +106,13 @@ class TimeRef:
     end: int | None
 
     def __post_init__(self) -> None:
-        if self.end is not None and self.end < self.start:
-            raise InvalidDeclaration(f"empty interval {self}")
+        # `render_world` writes ints only, so a float or bool would not
+        # parse back.
+        check_tick(self.start)
+        if self.end is not None:
+            check_tick(self.end)
+            if self.end < self.start:
+                raise InvalidDeclaration(f"empty interval {self}")
 
     @classmethod
     def point(cls, tick: int) -> TimeRef:
@@ -203,6 +208,12 @@ class PredicateDecl:
     invariant: bool = False
     cohort: bool = False
 
+    def __post_init__(self) -> None:
+        if type(self.arity) is not int:  # not a bool either: `render_world` writes ints
+            raise TypeError(f"an arity is an int, got {self.arity!r}")
+        if self.arity < 1:
+            raise InvalidDeclaration(f"predicate '{self.name}' needs arity >= 1")
+
     def check_arity(self, args: tuple[str, ...]) -> None:
         if len(args) != self.arity:
             raise ArityMismatch(
@@ -210,8 +221,7 @@ class PredicateDecl:
             )
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """A ground atom holding at a tick, or always (``at is None``).
 
     `always` is only legal for invariant predicates and is clipped to the
@@ -293,8 +303,11 @@ class Statement:
                 )
         if self.profile.direction not in ("less", "more", "changed"):
             raise MalformedStatement(f"unknown direction '{self.profile.direction}'")
-        if self.species_bound is not None and self.species_bound < 1:
-            raise MalformedStatement("species bound must be a positive tick count")
+        if self.species_bound is not None:
+            if type(self.species_bound) is not int:  # not a bool either
+                raise TypeError(f"a species bound is an int, got {self.species_bound!r}")
+            if self.species_bound < 1:
+                raise MalformedStatement("species bound must be a positive tick count")
         if self.explicit_mode not in (None, MODE_RE, MODE_DICTO):
             raise MalformedStatement(f"unknown mode '{self.explicit_mode}'")
 
@@ -467,8 +480,6 @@ class WorldBuilder:
             raise InvalidDeclaration(f"duplicate predicate '{name}'")
         if name in self._measure_names:
             raise InvalidDeclaration(f"'{name}' is already a measure name")
-        if arity < 1:
-            raise InvalidDeclaration(f"predicate '{name}' needs arity >= 1")
         self._predicates[name] = PredicateDecl(name, arity, invariant, cohort)
 
     def add_fact(self, predicate: str, args: Iterable[str], at: int | None) -> str | None:
@@ -509,7 +520,7 @@ class WorldBuilder:
             raise InvalidDeclaration(f"'{measure}' is already a predicate name")
         if entity_id not in self._entities:
             raise UnknownEntity(f"unknown entity '{entity_id}' in measure")
-        if value < 0:
+        if value.numerator < 0:  # a Fraction keeps its sign there
             raise InvalidDeclaration(
                 f"measure value must be non-negative, got {number_text(value)}"
             )

@@ -469,6 +469,71 @@ def test_line_patterns_agree_on_glued_lines(parser, line):
     assert fast == slow
 
 
+_TWO_ENTITIES = "entity a lifespan [0, 9]\nentity b lifespan [0, 9]\npred p arity 2 mutable\n"
+_PQ_WORLD = _TWO_ENTITIES + "pred q arity 2 mutable\nfact p(a, b) @ 1\nfact q(b, a) @ 1\n"
+
+
+@pytest.mark.parametrize("space", ["\t", "\u00a0"], ids=["tab", "nbsp"])
+@pytest.mark.parametrize(
+    "parser, head, line",
+    [
+        ("world", _TWO_ENTITIES, "fact p(a,{}b) @ 1"),
+        ("world", _TWO_ENTITIES, "fact p({}a, b) @ 1"),
+        ("world", _PQ_WORLD, "collection C dicto := p(_,{}b)"),
+        (
+            "world",
+            _PQ_WORLD + "collection C dicto := p(_, b)\n",
+            "statement S subject C profile static property q(_,{}b) direction less "
+            "times 1, 2 span [1, 2]",
+        ),
+        ("script", "", "eval card(C @ 1 | p(_,{}b))"),
+        ("script", "", "assert card(C @ 1 | p(_, b)) < card(C @ 2 | p(_{}, b))"),
+    ],
+    ids=["fact", "fact-open", "collection", "statement", "eval", "assert"],
+)
+def test_argument_whitespace_but_spaces_takes_the_tokenizer_path(parser, head, line, space):
+    # Argument lists in the line patterns are split on spaces only, so
+    # any other whitespace there declines the line, with the same value.
+    line = line.format(space)
+    table = dsl._FAST_LINES if parser == "world" else dsl._FAST_COMMANDS
+    assert all(pattern.fullmatch(line) is None for _, pattern, _ in table)
+    fast, slow = _outcomes(head + line, parser)
+    assert fast == slow
+    assert fast[0] not in (None, "None") and not fast[1]
+
+
+@pytest.mark.parametrize(
+    "text, built",
+    [
+        # Spaces around a name or a comma are accepted.
+        (_TWO_ENTITIES + "fact p(a ,b) @ 1", True),
+        (_TWO_ENTITIES + "fact p( a , b ) @ 1", True),
+        (_PQ_WORLD + "collection C dicto := p( _ ,b )", True),
+        # Alternating kinds: the previous line's pattern is the wrong one.
+        (
+            "entity a lifespan [0, 9]\npred p arity 1 mutable\nfact p(a) @ 1\n"
+            "measure m(a) @ 1 = 2\nfact p(a) @ 2\ncollection C dicto := p(_)\n"
+            "measure m(a) @ 2 = 1/2\nstatement S subject C profile evolutive property m "
+            "direction less times 1, 2 span [1, 2]",
+            True,
+        ),
+        # A line declined right after a fact line, then a fact line again.
+        (_TWO_ENTITIES + "fact p(a, b) @ 1\nfact p(a, _) @ 2\nfact p(b, a) @ 3", False),
+    ],
+    ids=[
+        "space-before-comma",
+        "spaces-inside",
+        "collection-spaces",
+        "alternating-kinds",
+        "declined-after-fact",
+    ],
+)
+def test_argument_spaces_and_kind_order_keep_the_value(text, built):
+    fast, slow = _outcomes(text)
+    assert fast == slow
+    assert (fast[0] is not None) == built
+
+
 def test_line_patterns_agree_on_fixtures_and_corpus_cases():
     shapes = Path(__file__).parent.glob("shapes.tc[wq]")
     paths = sorted(FIXTURES.glob("*.tc[wq]")) + sorted(shapes)
@@ -617,6 +682,40 @@ def test_fixture_commands_take_the_line_patterns():
         for path in _FIXTURE_SCRIPT_PATHS:
             script, diagnostics = parse_script(path.read_text(encoding="utf-8"))
             assert script is not None and not diagnostics, path.name
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_generated_workloads_take_the_line_patterns(tmp_path, monkeypatch, seed):
+    # Every line of the benchmark's inputs but `pred`, `explain` and
+    # `disambiguate` is one the line patterns accept.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from gen import WORKLOADS, generate
+
+    reached = []
+
+    def spied(word, parse):
+        def spy(cur):
+            reached.append(word)
+            return parse(cur)
+
+        return spy
+
+    for table, words in (
+        (dsl._DECLARATIONS, ("entity", "fact", "measure", "collection", "statement")),
+        (dsl._COMMANDS, ("eval", "assert")),
+    ):
+        for word in words:
+            parse, target = table[word]
+            monkeypatch.setitem(table, word, (spied(word, parse), target))
+    for workload in WORKLOADS:
+        out = tmp_path / workload
+        generate(workload, seed, out, scale=0.01)
+        world, _ = parse_world((out / "world.tcw").read_text(encoding="utf-8"))
+        assert world is not None, workload
+        if (out / "script.tcq").exists():
+            script, _ = parse_script((out / "script.tcq").read_text(encoding="utf-8"))
+            assert script is not None, workload
+    assert reached == []
 
 
 # ---------------------------------------------------------------------------

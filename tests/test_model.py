@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import pickle
+import random
 from copy import deepcopy
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import int_digit_limit, load_world
 from tempcoll import (
     Collection,
+    Fact,
     InvalidDeclaration,
     MalformedStatement,
     MultipleHoles,
+    PredicateDecl,
     PredicationProfile,
     Slice,
     TimeRef,
@@ -21,6 +26,7 @@ from tempcoll import (
     extension,
     instantiate,
 )
+from worldgen import random_statement_world, random_world
 
 
 def _statement_builder() -> WorldBuilder:
@@ -111,6 +117,86 @@ def test_a_measure_value_must_be_a_fraction(value):
     with pytest.raises(TypeError, match=rf"^a measure value is a Fraction, got {value!r}$"):
         builder.add_measure("m", "a", 2003, value)
     assert builder.build() == _statement_builder().build()
+
+
+_BOUNDED = {
+    "evolutive": True,
+    "compared_property": "m",
+    "direction": "less",
+    "eval_times": (2002, 2003),
+    "span": TimeRef(2002, 2003),
+}
+
+
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (lambda b: b.add_entity("b", TimeRef(2000.0, 2005)), "a tick is an int, got 2000.0"),
+        (lambda b: b.add_entity("b", TimeRef(True, 3)), "a tick is an int, got True"),
+        # The type is checked before the interval is found empty.
+        (lambda b: b.add_entity("b", TimeRef(2005, 2000.0)), "a tick is an int, got 2000.0"),
+        (
+            lambda b: b.add_statement("S", "C", **{**_BOUNDED, "span": TimeRef(2002, 2003.0)}),
+            "a tick is an int, got 2003.0",
+        ),
+        (lambda b: b.add_predicate("q", 1.0), "an arity is an int, got 1.0"),
+        (lambda b: b.add_predicate("q", True), "an arity is an int, got True"),
+        (lambda b: PredicateDecl("q", 1.0), "an arity is an int, got 1.0"),
+        (
+            lambda b: b.add_statement("S", "C", **_BOUNDED, species_bound=2.5),
+            "a species bound is an int, got 2.5",
+        ),
+        (
+            lambda b: b.add_statement("S", "C", **_BOUNDED, species_bound=True),
+            "a species bound is an int, got True",
+        ),
+    ],
+    ids=[
+        "float-start",
+        "bool-start",
+        "float-end",
+        "float-span",
+        "float-arity",
+        "bool-arity",
+        "float-arity-decl",
+        "float-bound",
+        "bool-bound",
+    ],
+)
+def test_a_number_render_world_cannot_write_back_is_refused(declare, message):
+    # `render_world` writes `[2000.0, 2005]`, `arity True` or `bound 2.5`
+    # as given, and `parse_world` rejects each; such a number is refused
+    # by the object that holds it, and nothing is recorded.
+    builder = _statement_builder()
+    with pytest.raises(TypeError, match=rf"^{message}$"):
+        declare(builder)
+    assert builder.build() == _statement_builder().build()
+
+
+def test_a_fact_keeps_its_repr_and_is_the_tuple_of_its_fields():
+    fact = Fact("friend", ("paul", "mary"), 2002)
+    assert repr(fact) == "Fact(predicate='friend', args=('paul', 'mary'), at=2002)"
+    assert repr(Fact("q", ("a",))) == "Fact(predicate='q', args=('a',), at=None)"
+    assert fact == ("friend", ("paul", "mary"), 2002)
+    assert hash(fact) == hash(("friend", ("paul", "mary"), 2002))
+    predicate, args, at = fact
+    assert (predicate, args, at) == (fact.predicate, fact.args, fact.at)
+    world = load_world("origins.tcw")  # with `always` facts
+    for twin in (pickle.loads(pickle.dumps(world)), deepcopy(world)):
+        assert twin == world and hash(twin) == hash(world)
+        assert twin.facts == world.facts and all(type(f) is Fact for f in twin.facts)
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_built_facts_are_distinct_and_in_canonical_order(seed, statements):
+    # Worlds with `always` facts and predicates of arity 1 and 2, in
+    # the builder's order: (predicate, args, timed, tick or 0).
+    world = (random_statement_world if statements else random_world)(random.Random(seed))
+    facts = list(world.facts)
+    assert all(type(f) is Fact for f in facts)
+    canonical = sorted(set(facts), key=lambda f: (f.predicate, f.args, f.at is not None, f.at or 0))
+    assert facts == canonical
 
 
 @pytest.mark.parametrize(
