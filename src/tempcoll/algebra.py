@@ -58,42 +58,38 @@ def instantiate(
     """Realize a collection at tick `t`.
 
     De dicto: a fresh extension at `t`. De re: the membership fixed at
-    the anchor, re-sliced at `t`; members not alive at `t` raise under
-    strict policy and are reported in `dropped` under lenient policy.
-    The World's instantiation memo keeps each answer, keyed by the
-    collection itself (a coerced subject shares its name, not its
-    anchor), the tick and the policy. An invalid key is never kept: it
-    raises on every call.
+    the anchor, re-sliced at `t`; members not alive at `t` are listed in
+    `dropped` under lenient policy, and the least of them raises under
+    strict policy. The World's instantiation memo keeps one realization
+    per collection itself (a coerced subject shares its name, not its
+    anchor) and tick: a strict call raises from the kept one. An invalid
+    key is never kept: it raises on every call.
     """
     check_tick(t)
     coll = world.collection(collection) if isinstance(collection, str) else collection
-    key = (coll, t, policy)
+    key = (coll, t)
     known = world._instantiations.get(key)
     if known is None:
-        known = world._instantiations[key] = _realize(world, coll, t, policy)
+        known = world._instantiations[key] = _realize(world, coll, t)
+    if policy == "strict" and known.dropped:
+        entity_id = min(known.dropped)
+        raise OutsideLifeSpan(
+            f"member {entity_id} of {coll.name} has no slice at {number_text(t)}: "
+            f"life span is {world.entities[entity_id].lifespan}"
+        )
     return known
 
 
-def _realize(world: World, coll: Collection, t: int, policy: Policy) -> Instantiation:
+def _realize(world: World, coll: Collection, t: int) -> Instantiation:
     label = f"{coll.name}@{number_text(t)}"
     if coll.mode == MODE_DICTO:
         members = extension(world, coll.predicate, coll.pattern, t)
         return Instantiation(coll.name, t, members, frozenset(), label)
     base = extension(world, coll.predicate, coll.pattern, coll.anchor)
-    members: set[Slice] = set()
-    dropped: set[str] = set()
-    for entity_id in sorted(s.entity_id for s in base):
-        entity = world.entities[entity_id]
-        if t in entity.lifespan:
-            members.add(Slice(entity_id, t, invariant=entity.invariant))
-        elif policy == "strict":
-            raise OutsideLifeSpan(
-                f"member {entity_id} of {coll.name} has no slice at {number_text(t)}: "
-                f"life span is {entity.lifespan}"
-            )
-        else:
-            dropped.add(entity_id)
-    return Instantiation(coll.name, t, frozenset(members), frozenset(dropped), label)
+    entities = [world.entities[s.entity_id] for s in base]
+    members = frozenset(Slice(e.id, t, invariant=e.invariant) for e in entities if t in e.lifespan)
+    dropped = frozenset(e.id for e in entities if t not in e.lifespan)
+    return Instantiation(coll.name, t, members, dropped, label)
 
 
 def filter_members(
@@ -101,8 +97,7 @@ def filter_members(
 ) -> Instantiation:
     """The sub-instantiation of members satisfying `predicate` at the
     instantiation's own time; time, source, and dropped set carry over."""
-    keep = {s.entity_id for s in extension(world, predicate, tuple(pattern), inst.at)}
-    members = frozenset(s for s in inst.members if s.entity_id in keep)
+    members = inst.members & extension(world, predicate, tuple(pattern), inst.at)
     label = f"{inst.label or inst.source} | {predicate}({', '.join(pattern)})"
     return Instantiation(inst.source, inst.at, members, inst.dropped, label)
 

@@ -86,10 +86,15 @@ def exit_code(report: Report) -> int:
 
 
 def _decimal(value: Fraction) -> str:
+    # Outside a float's normal range the float is inf, 0 or short of
+    # digits, so the decimal is the exact fraction.
     try:
-        return format(float(value), ".6g")
+        number = float(value)
     except OverflowError:
         return number_text(value)
+    if value and abs(number) < sys.float_info.min:
+        return number_text(value)
+    return format(number, ".6g")
 
 
 def _rational_json(value: Fraction) -> dict:

@@ -12,6 +12,7 @@ function of (World, arguments).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -67,16 +68,18 @@ def check_tick(tick: object) -> None:
         raise TypeError(f"a tick is an int, got {tick!r}")
 
 
-# `str` writes any int below this under every limit that
-# `sys.set_int_max_str_digits` allows (the least is 640 digits).
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
+def check_flag(flag: object) -> None:
+    """Raise TypeError unless `flag` is a ``bool``: `render_world` writes
+    a flag by its truth, so a ``"no"`` would parse back as true."""
+    if type(flag) is not bool:
+        raise TypeError(f"a flag is a bool, got {flag!r}")
 
 
 def number_text(value: int | Fraction) -> str:
     """``str(value)`` for an int or a Fraction, also past the digits that
     ``sys.get_int_max_str_digits()`` allows: there `str` raises
-    ValueError, and the digits are written in chunks under the limit."""
+    ValueError, and an int is written as a ``Decimal``, which that limit
+    does not bind."""
     try:
         return str(value)
     except ValueError:
@@ -84,11 +87,7 @@ def number_text(value: int | Fraction) -> str:
     if isinstance(value, Fraction):
         text = number_text(value.numerator)
         return text if value.denominator == 1 else f"{text}/{number_text(value.denominator)}"
-    rest, chunks = abs(value), []
-    while rest >= _CHUNK:
-        rest, low = divmod(rest, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    return "-" * (value < 0) + str(rest) + "".join(reversed(chunks))
+    return str(Decimal(value))
 
 
 @dataclass(frozen=True)
@@ -160,6 +159,9 @@ class Entity:
     invariant: bool = False
     species: str | None = None
 
+    def __post_init__(self) -> None:
+        check_flag(self.invariant)
+
 
 @dataclass(frozen=True, eq=False)
 class Slice:
@@ -213,6 +215,8 @@ class PredicateDecl:
             raise TypeError(f"an arity is an int, got {self.arity!r}")
         if self.arity < 1:
             raise InvalidDeclaration(f"predicate '{self.name}' needs arity >= 1")
+        check_flag(self.invariant)
+        check_flag(self.cohort)
 
     def check_arity(self, args: tuple[str, ...]) -> None:
         if len(args) != self.arity:
@@ -272,6 +276,9 @@ class PredicationProfile:
     direction: Direction
     property_pattern: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        check_flag(self.evolutive)
+
 
 @dataclass(frozen=True)
 class Statement:
@@ -321,13 +328,14 @@ class World:
     function each reads and fills: the hole index, keyed (predicate,
     pattern), and the extension memo, keyed (predicate, pattern, tick),
     by :func:`tempcoll.core.extension`; the instantiation memo, keyed
-    (Collection, tick, policy), by :func:`tempcoll.algebra.instantiate`.
-    Each memo checks the tick before its lookup and keeps successful
-    answers only, so an invalid key raises on every call. Like every
-    lazy index they live only in the instance's ``__dict__``, outside
-    equality, hash, ``repr`` and pickling, and die with the World. Two
-    threads racing on one memo key both compute and store equal
-    answers, so the race is harmless.
+    (Collection, tick), by :func:`tempcoll.algebra.instantiate`, which
+    keeps one realization for both policies and raises a strict call's
+    error from it. Each memo checks the tick before its lookup and keeps
+    realized answers only, so an invalid key raises on every call. Like
+    every lazy index they live only in the instance's ``__dict__``,
+    outside equality, hash, ``repr`` and pickling, and die with the
+    World. Two threads racing on one memo key both compute and store
+    equal answers, so the race is harmless.
     """
 
     entities: Mapping[str, Entity] = field(default_factory=dict)
@@ -406,8 +414,8 @@ class World:
         return {}
 
     @cached_property
-    def _instantiations(self) -> dict[tuple[Collection, int, str], Instantiation]:
-        # Filled by `tempcoll.algebra.instantiate`, with successful answers only.
+    def _instantiations(self) -> dict[tuple[Collection, int], Instantiation]:
+        # Filled by `tempcoll.algebra.instantiate`, with realized answers only.
         return {}
 
     @cached_property

@@ -78,6 +78,29 @@ def test_de_re_off_anchor_dead_member(centuries):
     assert lenient.dropped == {"ab1"}  # only ab1 is alive at the anchor
 
 
+def test_a_strict_instantiation_raises_at_the_least_dropped_member(centuries):
+    # ab1 and ab2 are both alive at the anchor and both dead at 1850:
+    # the error names ab1, whatever order the realization holds them in.
+    coll = Collection("A", "aborigine", ("_",), 1750)
+    message = r"^member ab1 of A has no slice at 1850: life span is \[1700, 1780\]$"
+    with pytest.raises(OutsideLifeSpan, match=message):
+        instantiate(centuries, coll, 1850, "strict")
+    assert instantiate(centuries, coll, 1850, "lenient").dropped == {"ab1", "ab2"}
+
+
+@pytest.mark.parametrize("tick", [1750, 1800, 1850])
+@pytest.mark.parametrize("order", [("strict", "lenient"), ("lenient", "strict")])
+def test_strict_and_lenient_share_one_realization(tick, order):
+    # Either policy first, the answers and errors are those of a world
+    # asked once under each policy, and the memo keeps one entry.
+    coll = Collection("A", "aborigine", ("_",), 1750)
+    world = load_world("centuries.tcw")
+    got = {policy: _inst_answer(world, (coll, tick, policy)) for policy in order}
+    for policy in order:
+        assert got[policy] == _inst_answer(load_world("centuries.tcw"), (coll, tick, policy))
+    assert len(world._instantiations) == 1
+
+
 # ---------------------------------------------------------------------------
 # filter
 
@@ -265,7 +288,8 @@ def test_instantiation_memo_answers_like_a_fresh_world(seed):
     # A shuffled run of keys, each asked twice, by name and by value, under
     # both policies, with strict raises, an unknown name and non-int ticks
     # equal to valid ones: every answer and error equals the one a freshly
-    # parsed copy gives, and the memo keeps exactly the answered keys.
+    # parsed copy gives, and the memo keeps exactly the (collection, tick)
+    # of each call past the tick check and the name lookup.
     rng = random.Random(seed)
     world = random_world(rng)
     text, shown = render_world(world), repr(world)
@@ -284,9 +308,9 @@ def test_instantiation_memo_answers_like_a_fresh_world(seed):
         got = _inst_answer(world, key)
         fresh, _ = parse_world(text)
         assert got == _inst_answer(fresh, key)
-        if not isinstance(got[0], type):
-            coll, t, policy = key
-            answered.add((world.collection(coll) if isinstance(coll, str) else coll, t, policy))
+        if not isinstance(got[0], type) or got[0] is OutsideLifeSpan:
+            coll, t, _ = key
+            answered.add((world.collection(coll) if isinstance(coll, str) else coll, t))
     fresh, _ = parse_world(text)
     assert world == fresh and hash(world) == hash(fresh)
     assert repr(world) == shown
@@ -317,7 +341,8 @@ def test_instantiation_memo_dies_with_the_world():
 def test_instantiation_memo_under_racing_threads():
     # More threads than cores, switching often, race on the first call
     # for each key of 50 fresh copies of one world: every answer is the
-    # unshared one, and so is every answer the memos keep.
+    # unshared one, and each memo keeps one realization per (collection,
+    # tick), the unshared lenient answer.
     base = load_world("centuries.tcw")
     keys = [("A4", t, policy) for t in (1700, 1750, 1800, 1850) for policy in ("strict", "lenient")]
     anchored = Collection("A4", "aborigine", ("_",), 1750)
@@ -344,10 +369,14 @@ def test_instantiation_memo_under_racing_threads():
     assert not wrong
     answered = sum(not isinstance(answer[0], type) for answer in expected.values())
     assert answered < len(keys)  # the strict calls at 1800 and 1850 raise
+    realized = {(base.collection(c) if isinstance(c, str) else c, t) for c, t, _ in keys}
     alone = load_world("centuries.tcw")
     for world in worlds:
-        assert len(world._instantiations) == answered
-        assert all(_inst_answer(world, key) == _inst_answer(alone, key) for key in world._instantiations)
+        assert set(world._instantiations) == realized
+        assert all(
+            _inst_answer(world, (*key, "lenient")) == _inst_answer(alone, (*key, "lenient"))
+            for key in world._instantiations
+        )
 
 
 def test_world_is_not_mutated_by_queries(youth):

@@ -461,6 +461,37 @@ def test_eval_a_sum_past_the_digit_limit_in_json(tmp_path, capsys):
     }
 
 
+# 1/10**400 is below every float; 3/10**320 is a subnormal float, which
+# keeps too few bits for 6 significant digits.
+_TINY = [("1", "1" + "0" * 400), ("3", "1" + "0" * 320)]
+
+
+def _tiny_sum_files(tmp_path, num, den):
+    (tmp_path / "w.tcw").write_text(
+        "pred p arity 1 mutable\ncollection C dicto := p(_)\n"
+        f"entity a lifespan [0, 10]\nfact p(a) @ 1\nmeasure m(a) @ 1 = {num}/{den}\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "s.tcq").write_text("eval sum m over C@1\n", encoding="utf-8")
+    return str(tmp_path / "w.tcw"), str(tmp_path / "s.tcq")
+
+
+@pytest.mark.parametrize(("num", "den"), _TINY, ids=["below-every-float", "subnormal"])
+def test_eval_a_value_below_a_float_in_text(tmp_path, capsys, num, den):
+    code, out = _run(capsys, "eval", *_tiny_sum_files(tmp_path, num, den))
+    assert code == 0
+    assert out == f"eval #1: {num}/{den} ({num}/{den})\nstatus: ok\n"
+
+
+@pytest.mark.parametrize(("num", "den"), _TINY, ids=["below-every-float", "subnormal"])
+def test_eval_a_value_below_a_float_in_json(tmp_path, capsys, num, den):
+    code, out = _run(capsys, "eval", "--format", "json", *_tiny_sum_files(tmp_path, num, den))
+    assert code == 0
+    assert json.loads(out, parse_int=str)["commands"][0]["value"] == {
+        "type": "rational", "num": num, "den": den, "decimal": f"{num}/{den}"
+    }
+
+
 # Text with what JSON escapes (quote, backslash, control characters),
 # what it passes through (non-ASCII, U+2028) and lone surrogates.
 _JSON_STRINGS = st.text(

@@ -173,6 +173,31 @@ def test_a_number_render_world_cannot_write_back_is_refused(declare, message):
     assert builder.build() == _statement_builder().build()
 
 
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (lambda b: b.add_entity("b", TimeRef(1, 2), invariant="no"), "a flag is a bool, got 'no'"),
+        (lambda b: b.add_entity("b", TimeRef(1, 2), invariant=1), "a flag is a bool, got 1"),
+        (lambda b: b.add_predicate("q", 1, invariant="no"), "a flag is a bool, got 'no'"),
+        (lambda b: b.add_predicate("q", 1, cohort=0), "a flag is a bool, got 0"),
+        (lambda b: PredicateDecl("q", 1, None), "a flag is a bool, got None"),
+        (
+            lambda b: b.add_statement("S", "C", **{**_BOUNDED, "evolutive": "static"}),
+            "a flag is a bool, got 'static'",
+        ),
+    ],
+    ids=["str-entity", "int-entity", "str-invariant", "int-cohort", "none-decl", "str-evolutive"],
+)
+def test_a_flag_that_is_not_a_bool_is_refused(declare, message):
+    # `render_world` writes a flag by its truth, so `invariant="no"` would
+    # parse back as a different world; the object that holds the flag
+    # refuses it, and nothing is recorded.
+    builder = _statement_builder()
+    with pytest.raises(TypeError, match=rf"^{message}$"):
+        declare(builder)
+    assert builder.build() == _statement_builder().build()
+
+
 def test_a_fact_keeps_its_repr_and_is_the_tuple_of_its_fields():
     fact = Fact("friend", ("paul", "mary"), 2002)
     assert repr(fact) == "Fact(predicate='friend', args=('paul', 'mary'), at=2002)"

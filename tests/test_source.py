@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import tempcoll
@@ -86,3 +87,23 @@ def test_every_imported_name_is_used():
                     if name != "*" and name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_the_package_imports_the_standard_library_only():
+    # The package has no dependencies: every absolute import, at any
+    # depth, names a module of the standard library.
+    foreign = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []
