@@ -414,6 +414,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # A report may quote any character of its inputs, so it is written as
+    # UTF-8 whatever encoding the locale gives stdout.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     raise SystemExit(run())
 
 

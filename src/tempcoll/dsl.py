@@ -43,11 +43,12 @@ in table order: a file comes in runs of one kind, and each pattern
 starts with its own word, so at most one matches and the order changes
 no value.
 
-Each format has one table, keyed by a line's first word. A world kind
-maps to its cursor parser and the `WorldBuilder` method, in build order;
-a command word maps to its cursor parser and its command class. On
-either path a line's value is an argument tuple: the builder method's,
-or the command's before (line number, text).
+Each format has one table, with one row per line word. A world kind's
+row holds its cursor parser, its `WorldBuilder` method and its pattern,
+if any, in build order; a command word's row holds its cursor parser,
+its command class and its pattern, if any. On either path a line's
+value is an argument tuple: the builder method's, or the command's
+before (line number, text). Commands keep their order in the file.
 """
 
 from __future__ import annotations
@@ -322,25 +323,25 @@ def _parse_rational(cur: _Cursor) -> Fraction:
         raise _LineError(f"bad rational literal {tok.text!r}", tok.column) from e
 
 
+# A word's full-line pattern, whose group 1 is the indentation, and its
+# maker, which builds from a match what the word's cursor parser would,
+# or returns None to leave the line to the tokenizer path.
+_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str]], tuple | None]]
+
+
 def _parse_lines(
     text: str,
     source_name: str,
     noun: str,
-    table: Mapping[str, tuple[Callable[[_Cursor], tuple], object]],
-    fast: Sequence[tuple[str, re.Pattern[str], Callable[[re.Match[str]], tuple | None]]],
-    keep: Callable[[str, int, tuple, int, str], None],
-) -> list[Diagnostic]:
+    table: Mapping[str, tuple[Callable[[_Cursor], tuple], object, _LinePattern | None]],
+) -> tuple[dict[str, list[tuple[tuple, int, int, str]]], list[Diagnostic]]:
     """The one line loop of both formats. A line that holds a token
     starts with a word from `table`, whose cursor parser must take the
-    rest of the line; `keep` gets that word, its column, the argument
-    tuple, the line number and the line. An error ends its line as a
-    diagnostic.
-
-    `fast` holds (word, full-line pattern whose group 1 is the
-    indentation, maker). A line that fully matches a pattern, and whose
-    tuple that maker builds, skips the tokenizer: a maker never raises,
-    and builds what the word's parser would or returns None to leave
-    the line to the tokenizer."""
+    rest of the line, unless the word's pattern matches the whole line
+    and its maker, which never raises, builds the tuple. Returns each
+    word's lines in file order, as (argument tuple, line number, column
+    of the word, line), and a diagnostic for each line an error ended."""
+    records: dict[str, list[tuple[tuple, int, int, str]]] = {word: [] for word in table}
     diagnostics: list[Diagnostic] = []
     # Lines end only at \r\n, \r or \n; str.splitlines would also end
     # them at a form feed or U+2028, even inside a comment.
@@ -348,13 +349,14 @@ def _parse_lines(
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     # The pattern that took the previous line goes first (see the module
     # docstring for why that changes no value).
-    orders = {entry[0]: (entry, *(e for e in fast if e is not entry)) for entry in fast}
-    order = fast
+    patterns = [(word, *row[2]) for word, row in table.items() if row[2] is not None]
+    orders = {entry[0]: (entry, *(e for e in patterns if e is not entry)) for entry in patterns}
+    order = patterns
     for lineno, line in enumerate(text.split("\n"), start=1):
         for word, pattern, make in order:
             m = pattern.fullmatch(line)
             if m is not None and (value := make(m)) is not None:
-                keep(word, m.end(1) + 1, value, lineno, line)
+                records[word].append((value, lineno, m.end(1) + 1, line))
                 order = orders[word]
                 break
         else:
@@ -368,11 +370,11 @@ def _parse_lines(
                     cur.take(noun)
                     value = table[head.text][0](cur)
                     cur.expect_end()
-                    keep(head.text, head.column, value, lineno, line)
+                    records[head.text].append((value, lineno, head.column, line))
             except _LineError as e:
                 message, column = e.args
                 diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
-    return diagnostics
+    return records, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +463,6 @@ def _parse_statement(cur: _Cursor) -> tuple:
         mode = MODE_RE if cur.expect("re", "dicto").text == "re" else MODE_DICTO
     return stmt_id, subject, evolutive, compared, direction, (t1, t2), span, pattern, bound, mode
 
-
-# Kind -> (cursor parser, name of the WorldBuilder method that takes the
-# parsed tuple positionally and returns a warning or None), in build
-# order: each kind needs only kinds above it; within a kind, file order.
-# Methods are looked up per parse, not at import, so a method wrapped on
-# WorldBuilder (as by the benchmark's tracer) is the one run.
-_DECLARATIONS: dict[str, tuple[Callable[[_Cursor], tuple], str]] = {
-    "entity": (_parse_entity, "add_entity"),
-    "pred": (_parse_predicate, "add_predicate"),
-    "fact": (_parse_fact, "add_fact"),
-    "measure": (_parse_measure, "add_measure"),
-    "collection": (_parse_collection, "add_collection"),
-    "statement": (_parse_statement, "add_statement"),
-}
 
 # One full-line pattern per common line kind (see the module docstring);
 # a line it matches gets its value straight from the match groups.
@@ -577,14 +565,19 @@ def _statement_line(m: re.Match[str]) -> tuple | None:
     return statement_id, subject, evolutive, compared, direction, times, span, pattern, bound, mode
 
 
-# Tried in order on every world line: the most frequent kind first.
-_FAST_LINES = (
-    ("fact", _FACT_LINE, _fact_line),
-    ("measure", _MEASURE_LINE, _measure_line),
-    ("entity", _ENTITY_LINE, _entity_line),
-    ("collection", _COLLECTION_LINE, _collection_line),
-    ("statement", _STATEMENT_LINE, _statement_line),
-)
+# Kind -> (cursor parser, WorldBuilder method name, line pattern or None),
+# in build order: each kind needs only kinds above it; within a kind, file
+# order. The method takes the parsed tuple positionally and returns a
+# warning or None; it is looked up per parse, not at import, so a method
+# wrapped on WorldBuilder (as by the benchmark's tracer) is the one run.
+_DECLARATIONS: dict[str, tuple[Callable[[_Cursor], tuple], str, _LinePattern | None]] = {
+    "entity": (_parse_entity, "add_entity", (_ENTITY_LINE, _entity_line)),
+    "pred": (_parse_predicate, "add_predicate", None),
+    "fact": (_parse_fact, "add_fact", (_FACT_LINE, _fact_line)),
+    "measure": (_parse_measure, "add_measure", (_MEASURE_LINE, _measure_line)),
+    "collection": (_parse_collection, "add_collection", (_COLLECTION_LINE, _collection_line)),
+    "statement": (_parse_statement, "add_statement", (_STATEMENT_LINE, _statement_line)),
+}
 
 
 def parse_world(
@@ -597,17 +590,12 @@ def parse_world(
     entity argument's life span); they do not block the build and are
     kept only when there is no error.
     """
-    records: dict[str, list[tuple[tuple, int, int]]] = {kind: [] for kind in _DECLARATIONS}
-
-    def keep(word: str, column: int, args: tuple, lineno: int, line: str) -> None:
-        records[word].append((args, lineno, column))
-
-    diagnostics = _parse_lines(text, source_name, "declaration", _DECLARATIONS, _FAST_LINES, keep)
+    records, diagnostics = _parse_lines(text, source_name, "declaration", _DECLARATIONS)
     builder = WorldBuilder()
     warnings: list[Diagnostic] = []
     for kind, kind_records in records.items():
         build = getattr(builder, _DECLARATIONS[kind][1])
-        for args, lineno, column in kind_records:
+        for args, lineno, column, _ in kind_records:
             try:
                 message = build(*args)
             except TempcollError as e:
@@ -687,18 +675,6 @@ def _parse_reference(cur: _Cursor) -> tuple:
     return (cur.expect().text,)
 
 
-# Command word (the class's `kind`) -> (cursor parser, the command class,
-# built from the parsed tuple and then the line number and text).
-_COMMANDS: dict[str, tuple[Callable[[_Cursor], tuple], type[Command]]] = {
-    command.kind: (parse, command)
-    for parse, command in (
-        (lambda cur: (_parse_expr(cur),), EvalCommand),
-        (_parse_assert, AssertCommand),
-        (_parse_reference, DisambiguateCommand),
-        (_parse_reference, ExplainCommand),
-    )
-}
-
 # The full-line patterns of `eval` and `assert`, from one instantiation
 # piece (4 groups: name, tick, filter predicate, filter arguments) and one
 # expression piece (11 groups: `card` or `ratio`, a sum's measure, two
@@ -747,7 +723,18 @@ def _assert_line(m: re.Match[str]) -> tuple | None:
     return left, g[12], right
 
 
-_FAST_COMMANDS = (("eval", _EVAL_LINE, _eval_line), ("assert", _ASSERT_LINE, _assert_line))
+# Command word (the class's `kind`) -> (cursor parser, command class,
+# line pattern or None); a command is built from the parsed tuple and
+# then the line number and text.
+_COMMANDS: dict[str, tuple[Callable[[_Cursor], tuple], type[Command], _LinePattern | None]] = {
+    command.kind: (parse, command, line_pattern)
+    for parse, command, line_pattern in (
+        (lambda cur: (_parse_expr(cur),), EvalCommand, (_EVAL_LINE, _eval_line)),
+        (_parse_assert, AssertCommand, (_ASSERT_LINE, _assert_line)),
+        (_parse_reference, DisambiguateCommand, None),
+        (_parse_reference, ExplainCommand, None),
+    )
+}
 
 
 def parse_script(
@@ -758,14 +745,15 @@ def parse_script(
     Statement and collection references are resolved later, against a
     loaded world; here only the syntax is checked.
     """
-    commands: list[Command] = []
-
-    def keep(word: str, column: int, args: tuple, lineno: int, line: str) -> None:
-        commands.append(_COMMANDS[word][1](*args, lineno, line.split(";")[0].strip()))
-
-    diagnostics = _parse_lines(text, source_name, "command", _COMMANDS, _FAST_COMMANDS, keep)
+    records, diagnostics = _parse_lines(text, source_name, "command", _COMMANDS)
     if diagnostics:
         return None, diagnostics
+    commands = [
+        _COMMANDS[word][1](*args, lineno, line.split(";")[0].strip())
+        for word, word_records in records.items()
+        for args, lineno, _, line in word_records
+    ]
+    commands.sort(key=lambda command: command.line)
     return Script(tuple(commands)), diagnostics
 
 

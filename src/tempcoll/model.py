@@ -136,6 +136,13 @@ class TimeRef:
 LifeSpan = TimeRef
 
 
+def check_span(span: object) -> None:
+    """Raise TypeError unless `span` is a TimeRef: a tuple would read
+    ``t in span`` as false and has no bounds to render."""
+    if not isinstance(span, TimeRef):
+        raise TypeError(f"a span is a TimeRef, got {span!r}")
+
+
 def hole_index(pattern: tuple[str, ...]) -> int:
     """Position of the single hole in an argument pattern."""
     holes = [i for i, a in enumerate(pattern) if a == HOLE]
@@ -160,6 +167,7 @@ class Entity:
     species: str | None = None
 
     def __post_init__(self) -> None:
+        check_span(self.lifespan)
         check_flag(self.invariant)
 
 
@@ -253,6 +261,8 @@ class Collection:
     anchor: int | None = None
 
     def __post_init__(self) -> None:
+        # A tuple, so a record made directly with a list still hashes.
+        object.__setattr__(self, "pattern", tuple(self.pattern))
         # Every check that needs no world lives here, as for `Statement`.
         hole_index(self.pattern)
         if self.anchor is not None:
@@ -277,6 +287,8 @@ class PredicationProfile:
     property_pattern: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.property_pattern is not None:
+            object.__setattr__(self, "property_pattern", tuple(self.property_pattern))
         check_flag(self.evolutive)
 
 
@@ -295,7 +307,9 @@ class Statement:
     def __post_init__(self) -> None:
         # Every check that needs no world lives here, so a statement made
         # by `dataclasses.replace` is as well-formed as a built one.
-        times = self.eval_times
+        times = tuple(self.eval_times)
+        object.__setattr__(self, "eval_times", times)
+        check_span(self.span)
         if len(times) != 2:
             raise MalformedStatement(
                 f"a statement needs exactly two evaluation times, got {len(times)}"
@@ -596,7 +610,7 @@ class WorldBuilder:
             )
         profile = PredicationProfile(evolutive, compared_property, direction, pattern)
         self._statements[statement_id] = Statement(
-            statement_id, subject, profile, tuple(eval_times), span, species_bound, explicit_mode
+            statement_id, subject, profile, eval_times, span, species_bound, explicit_mode
         )
 
     def build(self) -> World:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import tempcoll
 from conftest import FIXTURES, int_digit_limit, load_world
 from tempcoll import (
     HOLE,
@@ -603,6 +606,31 @@ def test_readme_worked_example_is_the_real_output(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main()
     assert (exc.value.code, capsys.readouterr().out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "name, text, expected",
+    [
+        ("bad.tcw", "entity \u00e9 lifespan [1, 2]\n", 2),
+        ("w\u00f6rld.tcw", "entity a lifespan [1, 2]\n", 0),
+    ],
+    ids=["character", "path"],
+)
+def test_the_console_script_writes_utf8_to_any_stdout(tmp_path, capsys, name, text, expected):
+    # A report quotes a bad character or a path as given; stdout that
+    # cannot encode it must not end the run with a traceback and exit 1.
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    report = _run(capsys, "check", str(path))
+    src = Path(tempcoll.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "tempcoll.cli", "check", str(path)],
+        env={**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": str(src)},
+        capture_output=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (expected, report[1].encode("utf-8"))
+    assert report[0] == expected and not result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -240,14 +240,26 @@ def test_round_trip_on_generated_statement_worlds(seed):
 # the full-line patterns: accept with the cursor parser's value, or decline
 
 
+def _patterns(table):
+    """(word, pattern, maker) for each row of `table` that has a line pattern."""
+    return [(word, *row[2]) for word, row in table.items() if row[2] is not None]
+
+
+def _drop_patterns(mp, table):
+    """Leave every line of `table`'s format to the tokenizer path."""
+    for word, row in list(table.items()):
+        mp.setitem(table, word, (*row[:2], None))
+
+
 def _outcomes(text: str, parser: str = "world") -> list[tuple[object, list[str]]]:
     """The world (or the script's repr) and rendered diagnostics of
-    `text`, with the line patterns in use and with their table emptied."""
-    table = "_FAST_LINES" if parser == "world" else "_FAST_COMMANDS"
+    `text`, with the line patterns in use and with them dropped."""
+    table = dsl._DECLARATIONS if parser == "world" else dsl._COMMANDS
     results = []
-    for fast in (getattr(dsl, table), ()):
+    for drop in (False, True):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dsl, table, fast)
+            if drop:
+                _drop_patterns(mp, table)
             if parser == "world":
                 result, diagnostics = parse_world(text, source_name="w.tcw")
             else:
@@ -495,8 +507,8 @@ def test_argument_whitespace_but_spaces_takes_the_tokenizer_path(parser, head, l
     # Argument lists in the line patterns are split on spaces only, so
     # any other whitespace there declines the line, with the same value.
     line = line.format(space)
-    table = dsl._FAST_LINES if parser == "world" else dsl._FAST_COMMANDS
-    assert all(pattern.fullmatch(line) is None for _, pattern, _ in table)
+    table = dsl._DECLARATIONS if parser == "world" else dsl._COMMANDS
+    assert all(pattern.fullmatch(line) is None for _, pattern, _ in _patterns(table))
     fast, slow = _outcomes(head + line, parser)
     assert fast == slow
     assert fast[0] not in (None, "None") and not fast[1]
@@ -553,14 +565,20 @@ def test_line_patterns_agree_on_fixtures_and_corpus_cases():
 
 
 @pytest.mark.parametrize(
-    "fast, table", [("_FAST_LINES", "_DECLARATIONS"), ("_FAST_COMMANDS", "_COMMANDS")]
+    "table, words",
+    [
+        ("_DECLARATIONS", ["entity", "fact", "measure", "collection", "statement"]),
+        ("_COMMANDS", ["eval", "assert"]),
+    ],
 )
-def test_line_tables_keep_their_contract(fast, table):
-    # Each pattern's word has a cursor parser, so no pattern shadows an
-    # unknown word; group 1 is the indentation, so the head column is the
-    # tokenizer's; a pattern ends like a line may, comment included.
-    for word, pattern, _ in getattr(dsl, fast):
-        assert word in getattr(dsl, table)
+def test_line_tables_keep_their_contract(table, words):
+    # The common kinds have a pattern; each starts with its row's word, so
+    # no pattern shadows another word; group 1 is the indentation, so the
+    # head column is the tokenizer's; a pattern ends like a line may,
+    # comment included.
+    patterns = _patterns(getattr(dsl, table))
+    assert [word for word, _, _ in patterns] == words
+    for word, pattern, _ in patterns:
         assert pattern.pattern.startswith(rf"(\s*){word}\s+"), word
         assert pattern.pattern.endswith(dsl._END), word
 
@@ -568,10 +586,10 @@ def test_line_tables_keep_their_contract(fast, table):
 _FIXTURE_SCRIPT_PATHS = sorted(FIXTURES.glob("*.tcq")) + [Path(__file__).parent / "shapes.tcq"]
 
 
-def _made_tuples(fast_name, table_name, parse, texts):
+def _made_tuples(table, parse, texts):
     """The (word, tuple) pairs that the line patterns' makers and the
     cursor parsers give for `texts`, parsed with the patterns in use and
-    with their table emptied."""
+    with them dropped."""
     made: dict[str, list[tuple[str, tuple]]] = {"pattern": [], "cursor": []}
 
     def recorded(path, word, parse_line):
@@ -583,16 +601,14 @@ def _made_tuples(fast_name, table_name, parse, texts):
 
         return record
 
-    table = getattr(dsl, table_name)
-    fast = tuple(
-        (word, pattern, recorded("pattern", word, make))
-        for word, pattern, make in getattr(dsl, fast_name)
-    )
     with pytest.MonkeyPatch.context() as mp:
-        for word, (parse_line, target) in list(table.items()):
-            mp.setitem(table, word, (recorded("cursor", word, parse_line), target))
-        for patterns in (fast, ()):
-            mp.setattr(dsl, fast_name, patterns)
+        for word, (parse_line, target, line_pattern) in list(table.items()):
+            if line_pattern is not None:
+                line_pattern = (line_pattern[0], recorded("pattern", word, line_pattern[1]))
+            mp.setitem(table, word, (recorded("cursor", word, parse_line), target, line_pattern))
+        for drop in (False, True):
+            if drop:
+                _drop_patterns(mp, table)
             for text in texts:
                 parse(text)
     return made
@@ -606,21 +622,19 @@ def test_build_table_names_positional_builder_methods():
     builder = WorldBuilder()
     worlds = [fixture_text(name) for name in FIXTURE_WORLDS]
     scripts = [path.read_text(encoding="utf-8") for path in _FIXTURE_SCRIPT_PATHS]
-    for fast, table, parse, texts, calls, after in (
+    for table, parse, texts, calls, after in (
         (
-            "_FAST_LINES",
-            "_DECLARATIONS",
+            dsl._DECLARATIONS,
             parse_world,
             worlds,
-            {kind: getattr(builder, name) for kind, (_, name) in dsl._DECLARATIONS.items()},
+            {kind: getattr(builder, name) for kind, (_, name, _) in dsl._DECLARATIONS.items()},
             (),
         ),
         (
-            "_FAST_COMMANDS",
-            "_COMMANDS",
+            dsl._COMMANDS,
             parse_script,
             scripts,
-            {word: command for word, (_, command) in dsl._COMMANDS.items()},
+            {word: command for word, (_, command, _) in dsl._COMMANDS.items()},
             (1, "text"),
         ),
     ):
@@ -628,8 +642,8 @@ def test_build_table_names_positional_builder_methods():
         for word, signature in signatures.items():
             kinds = {p.kind for p in signature.parameters.values()}
             assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, word
-        made = _made_tuples(fast, table, parse, texts)
-        assert {word for word, _ in made["pattern"]} == {word for word, _, _ in getattr(dsl, fast)}
+        made = _made_tuples(table, parse, texts)
+        assert {word for word, _ in made["pattern"]} == {word for word, _, _ in _patterns(table)}
         assert {word for word, _ in made["cursor"]} == set(calls)
         for word, args in made["pattern"] + made["cursor"]:
             signatures[word].bind(*args, *after)
@@ -659,12 +673,11 @@ def test_generated_declarations_take_the_line_patterns(seed, statements):
 
         return spy
 
-    fast = tuple((kind, pattern, counted(kind, make)) for kind, pattern, make in dsl._FAST_LINES)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dsl, "_FAST_LINES", fast)
         for kind in kinds:
-            parse, method = dsl._DECLARATIONS[kind]
-            mp.setitem(dsl._DECLARATIONS, kind, (spied(parse), method))
+            parse, method, (pattern, make) = dsl._DECLARATIONS[kind]
+            row = (spied(parse), method, (pattern, counted(kind, make)))
+            mp.setitem(dsl._DECLARATIONS, kind, row)
         reparsed, _ = parse_world(text)
     assert reparsed == world
     assert slow == []
@@ -678,7 +691,7 @@ def test_fixture_commands_take_the_line_patterns():
 
     with pytest.MonkeyPatch.context() as mp:
         for word in ("eval", "assert"):
-            mp.setitem(dsl._COMMANDS, word, (refused, dsl._COMMANDS[word][1]))
+            mp.setitem(dsl._COMMANDS, word, (refused, *dsl._COMMANDS[word][1:]))
         for path in _FIXTURE_SCRIPT_PATHS:
             script, diagnostics = parse_script(path.read_text(encoding="utf-8"))
             assert script is not None and not diagnostics, path.name
@@ -705,8 +718,8 @@ def test_generated_workloads_take_the_line_patterns(tmp_path, monkeypatch, seed)
         (dsl._COMMANDS, ("eval", "assert")),
     ):
         for word in words:
-            parse, target = table[word]
-            monkeypatch.setitem(table, word, (spied(word, parse), target))
+            parse, *rest = table[word]
+            monkeypatch.setitem(table, word, (spied(word, parse), *rest))
     for workload in WORKLOADS:
         out = tmp_path / workload
         generate(workload, seed, out, scale=0.01)

@@ -198,6 +198,45 @@ def test_a_flag_that_is_not_a_bool_is_refused(declare, message):
     assert builder.build() == _statement_builder().build()
 
 
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (lambda b: b.add_entity("b", (1990, 2030)), "(1990, 2030)"),
+        (
+            lambda b: b.add_statement("S", "C", **{**_BOUNDED, "span": (2002, 2003)}),
+            "(2002, 2003)",
+        ),
+    ],
+    ids=["life-span", "statement-span"],
+)
+def test_a_span_that_is_not_a_timeref_is_refused(declare, message):
+    # A tuple reads `t in span` by its items and has no bounds, so a
+    # world holding one would leave members out of a realization or fail
+    # to render; it is refused, and nothing is recorded.
+    builder = _statement_builder()
+    with pytest.raises(TypeError) as exc:
+        declare(builder)
+    assert str(exc.value) == f"a span is a TimeRef, got {message}"
+    assert builder.build() == _statement_builder().build()
+
+
+def test_a_record_made_with_lists_stores_tuples():
+    # The builder passes tuples; a direct caller or `dataclasses.replace`
+    # may pass lists, which the record stores as tuples, so it hashes.
+    builder = _statement_builder()
+    builder.add_statement("S", "C", True, "p", "less", (2002, 2003), TimeRef(2002, 2003))
+    world = builder.build()
+    stmt = world.statements["S"]
+    profile = replace(stmt.profile, property_pattern=["_"])
+    listed = replace(stmt, eval_times=[2002, 2003], profile=profile)
+    assert listed == stmt and hash(listed) == hash(stmt)
+    twin = replace(world, statements={"S": listed})
+    assert twin == world and hash(twin) == hash(world)
+    coll = Collection("D", "p", ["_"])
+    assert coll == replace(world.collections["C"], name="D")
+    assert instantiate(world, coll, 2002).members == instantiate(world, "C", 2002).members
+
+
 def test_a_fact_keeps_its_repr_and_is_the_tuple_of_its_fields():
     fact = Fact("friend", ("paul", "mary"), 2002)
     assert repr(fact) == "Fact(predicate='friend', args=('paul', 'mary'), at=2002)"
