@@ -48,7 +48,14 @@ row holds its cursor parser, its `WorldBuilder` method and its pattern,
 if any, in build order; a command word's row holds its cursor parser,
 its command class and its pattern, if any. On either path a line's
 value is an argument tuple: the builder method's, or the command's
-before (line number, text). Commands keep their order in the file.
+before (line number, text). A line's record is (argument tuple, line
+number, column of the word), with no line text: `parse_world` frees
+each kind's records once applied, and `parse_script` reads a command's
+text from the lines again. Commands keep their order in the file.
+Within one parse, the `entity`, `fact` and `measure` patterns keep one
+string per name (entity id, predicate, fact argument, measure name) and
+one `Fraction` per measure literal, from a table that dies with the
+parse; nothing is interned.
 """
 
 from __future__ import annotations
@@ -323,10 +330,22 @@ def _parse_rational(cur: _Cursor) -> Fraction:
         raise _LineError(f"bad rational literal {tok.text!r}", tok.column) from e
 
 
+# A parse's shared values, keyed by their text: a name's one string, and
+# a measure literal's one Fraction (a literal never reads as a name).
+_Shared = dict[str, str | Fraction]
 # A word's full-line pattern, whose group 1 is the indentation, and its
-# maker, which builds from a match what the word's cursor parser would,
-# or returns None to leave the line to the tokenizer path.
-_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str]], tuple | None]]
+# maker, which builds from a match and the parse's shared values what the
+# word's cursor parser would, or returns None to leave the line to the
+# tokenizer path.
+_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str], _Shared], tuple | None]]
+
+
+def _lines(text: str) -> list[str]:
+    """A text's lines. Lines end only at \\r\\n, \\r or \\n; str.splitlines
+    would also end them at a form feed or U+2028, even inside a comment."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _parse_lines(
@@ -334,29 +353,28 @@ def _parse_lines(
     source_name: str,
     noun: str,
     table: Mapping[str, tuple[Callable[[_Cursor], tuple], object, _LinePattern | None]],
-) -> tuple[dict[str, list[tuple[tuple, int, int, str]]], list[Diagnostic]]:
+) -> tuple[dict[str, list[tuple[tuple, int, int]]], list[Diagnostic]]:
     """The one line loop of both formats. A line that holds a token
     starts with a word from `table`, whose cursor parser must take the
     rest of the line, unless the word's pattern matches the whole line
-    and its maker, which never raises, builds the tuple. Returns each
-    word's lines in file order, as (argument tuple, line number, column
-    of the word, line), and a diagnostic for each line an error ended."""
-    records: dict[str, list[tuple[tuple, int, int, str]]] = {word: [] for word in table}
+    and its maker, which never raises, builds the tuple from the match
+    and `shared`, the parse's shared values, which die with the parse.
+    Returns each word's lines in file order, as (argument tuple, line
+    number, column of the word), and a diagnostic for each line an error
+    ended."""
+    records: dict[str, list[tuple[tuple, int, int]]] = {word: [] for word in table}
     diagnostics: list[Diagnostic] = []
-    # Lines end only at \r\n, \r or \n; str.splitlines would also end
-    # them at a form feed or U+2028, even inside a comment.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    shared: _Shared = {}
     # The pattern that took the previous line goes first (see the module
     # docstring for why that changes no value).
     patterns = [(word, *row[2]) for word, row in table.items() if row[2] is not None]
     orders = {entry[0]: (entry, *(e for e in patterns if e is not entry)) for entry in patterns}
     order = patterns
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         for word, pattern, make in order:
             m = pattern.fullmatch(line)
-            if m is not None and (value := make(m)) is not None:
-                records[word].append((value, lineno, m.end(1) + 1, line))
+            if m is not None and (value := make(m, shared)) is not None:
+                records[word].append((value, lineno, m.end(1) + 1))
                 order = orders[word]
                 break
         else:
@@ -370,7 +388,7 @@ def _parse_lines(
                     cur.take(noun)
                     value = table[head.text][0](cur)
                     cur.expect_end()
-                    records[head.text].append((value, lineno, head.column, line))
+                    records[head.text].append((value, lineno, head.column))
             except _LineError as e:
                 message, column = e.args
                 diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
@@ -505,53 +523,59 @@ _STATEMENT_LINE = re.compile(
 
 
 # Each maker declines (returns None) what its cursor parser would reject:
-# a `_` argument, an empty interval, a zero denominator.
+# a `_` argument, an empty interval, a zero denominator. A maker takes
+# each name as `shared.setdefault(s, s)`, the parse's one string equal
+# to `s`.
 
 
-def _entity_line(m: re.Match[str]) -> tuple | None:
+def _entity_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     _, entity_id, start, end, invariant, species = m.groups()
     try:
         lifespan = TimeRef(int(start), None if end is None else int(end))
     except TempcollError:
         return None
-    return entity_id, lifespan, invariant is not None, species
+    return shared.setdefault(entity_id, entity_id), lifespan, invariant is not None, species
 
 
-def _fact_line(m: re.Match[str]) -> tuple | None:
+def _fact_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     _, name, arg_text, tick = m.groups()
-    args = tuple(arg_text.replace(" ", "").split(","))
+    args = arg_text.replace(" ", "").split(",")
     if HOLE in args:
         return None
+    name, args = shared.setdefault(name, name), tuple(map(shared.setdefault, args, args))
     return name, args, None if tick is None else int(tick)
 
 
-def _measure_line(m: re.Match[str]) -> tuple | None:
+def _measure_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     _, name, entity_id, tick, literal = m.groups()
     if entity_id == HOLE:
         return None
-    # An int literal makes its Fraction from one int, with no gcd, and a
-    # rational one from two ints: both are over twice as fast as
-    # Fraction's string parser, which a decimal needs.
-    numerator, slash, denominator = literal.partition("/")
-    try:
-        if slash:
-            value = Fraction(int(numerator), int(denominator))
-        elif "." in literal:
-            value = Fraction(literal)
-        else:
-            value = Fraction(int(literal))
-    except (ValueError, ZeroDivisionError):
-        return None
-    return name, entity_id, int(tick), value
+    value = shared.get(literal)  # a Fraction, as a literal is no name
+    if value is None:
+        # An int literal makes its Fraction from one int, with no gcd, and a
+        # rational one from two ints: both are over twice as fast as
+        # Fraction's string parser, which a decimal needs.
+        numerator, slash, denominator = literal.partition("/")
+        try:
+            if slash:
+                value = Fraction(int(numerator), int(denominator))
+            elif "." in literal:
+                value = Fraction(literal)
+            else:
+                value = Fraction(int(literal))
+        except (ValueError, ZeroDivisionError):
+            return None
+        shared[literal] = value
+    return shared.setdefault(name, name), shared.setdefault(entity_id, entity_id), int(tick), value
 
 
-def _collection_line(m: re.Match[str]) -> tuple:
+def _collection_line(m: re.Match[str], shared: _Shared) -> tuple:
     _, name, anchor, predicate, arg_text = m.groups()
     pattern = tuple(arg_text.replace(" ", "").split(","))
     return name, predicate, pattern, None if anchor is None else int(anchor)
 
 
-def _statement_line(m: re.Match[str]) -> tuple | None:
+def _statement_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     _, statement_id, subject, profile, compared, pattern_text, direction, *rest = m.groups()
     t1, t2, start, end, bound_text, mode_word = rest
     try:
@@ -593,9 +617,11 @@ def parse_world(
     records, diagnostics = _parse_lines(text, source_name, "declaration", _DECLARATIONS)
     builder = WorldBuilder()
     warnings: list[Diagnostic] = []
-    for kind, kind_records in records.items():
-        build = getattr(builder, _DECLARATIONS[kind][1])
-        for args, lineno, column, _ in kind_records:
+    # Each kind's records are popped as they are applied, so only the
+    # builder is left when the world is built.
+    for kind, (_, method, _) in _DECLARATIONS.items():
+        build = getattr(builder, method)
+        for args, lineno, column in records.pop(kind):
             try:
                 message = build(*args)
             except TempcollError as e:
@@ -710,12 +736,12 @@ def _expr(g: Sequence[str | None]) -> Expr | None:
     return inst if measure is None else SumExpr(measure, inst)
 
 
-def _eval_line(m: re.Match[str]) -> tuple | None:
+def _eval_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     expr = _expr(m.groups()[1:])
     return None if expr is None else (expr,)
 
 
-def _assert_line(m: re.Match[str]) -> tuple | None:
+def _assert_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     g = m.groups()
     left, right = _expr(g[1:12]), _expr(g[13:])
     if left is None or right is None:
@@ -748,10 +774,11 @@ def parse_script(
     records, diagnostics = _parse_lines(text, source_name, "command", _COMMANDS)
     if diagnostics:
         return None, diagnostics
+    lines = _lines(text)
     commands = [
-        _COMMANDS[word][1](*args, lineno, line.split(";")[0].strip())
+        _COMMANDS[word][1](*args, lineno, lines[lineno - 1].split(";")[0].strip())
         for word, word_records in records.items()
-        for args, lineno, _, line in word_records
+        for args, lineno, _ in word_records
     ]
     commands.sort(key=lambda command: command.line)
     return Script(tuple(commands)), diagnostics

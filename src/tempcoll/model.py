@@ -233,16 +233,28 @@ class PredicateDecl:
             )
 
 
-class Fact(NamedTuple):
-    """A ground atom holding at a tick, or always (``at is None``).
-
-    `always` is only legal for invariant predicates and is clipped to the
-    subject's life span when queried.
-    """
-
+class _FactFields(NamedTuple):
     predicate: str
     args: tuple[str, ...]
     at: int | None = None
+
+
+class Fact(_FactFields):
+    """A ground atom holding at a tick, or always (``at is None``).
+
+    `always` is only legal for invariant predicates and is clipped to the
+    subject's life span when queried. `args` is stored as a tuple, so a
+    fact made directly with a list still hashes and equals the built one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, args: Iterable[str], at: int | None = None) -> Fact:
+        return tuple.__new__(cls, (predicate, tuple(args), at))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Fact:  # as `_replace` calls it
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -360,6 +372,7 @@ class World:
     statements: Mapping[str, Statement] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "facts", tuple(self.facts))
         for name in ("entities", "predicates", "measures", "collections", "statements"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
@@ -508,7 +521,8 @@ class WorldBuilder:
         """Record a fact. Returns a warning when a timed fact falls outside
         the life span of an entity argument (the first in order), else
         None; entities declared later are not checked."""
-        args = tuple(args)
+        fact = Fact(predicate, args, at)
+        args = fact.args
         decl = self._predicates.get(predicate)
         if decl is None:
             raise UnknownPredicate(f"unknown predicate '{predicate}' in fact")
@@ -521,9 +535,7 @@ class WorldBuilder:
             )
         if at is not None:
             check_tick(at)
-        self._facts[(predicate, args, at is not None, 0 if at is None else at)] = Fact(
-            predicate, args, at
-        )
+        self._facts[(predicate, args, at is not None, 0 if at is None else at)] = fact
         if at is not None:
             for arg in args:
                 entity = self._entities.get(arg)

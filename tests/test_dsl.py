@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import inspect
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -593,8 +596,8 @@ def _made_tuples(table, parse, texts):
     made: dict[str, list[tuple[str, tuple]]] = {"pattern": [], "cursor": []}
 
     def recorded(path, word, parse_line):
-        def record(arg):
-            value = parse_line(arg)
+        def record(*args):
+            value = parse_line(*args)
             if value is not None:
                 made[path].append((word, value))
             return value
@@ -659,8 +662,8 @@ def test_generated_declarations_take_the_line_patterns(seed, statements):
     slow = []
 
     def counted(kind, make):
-        def count(m):
-            value = make(m)
+        def count(m, shared):
+            value = make(m, shared)
             accepted[kind] += value is not None
             return value
 
@@ -729,6 +732,86 @@ def test_generated_workloads_take_the_line_patterns(tmp_path, monkeypatch, seed)
             script, _ = parse_script((out / "script.tcq").read_text(encoding="utf-8"))
             assert script is not None, workload
     assert reached == []
+
+
+# Names of two or more characters, as CPython already keeps one string
+# per one-character string.
+_NAMED_WORLD = """\
+entity ann lifespan [1, 9]
+entity bob lifespan [1, 9]
+pred likes arity 2 mutable
+fact likes(ann, bob) @ 2
+fact likes(bob, ann) @ 3
+measure height(ann) @ 2 = 3
+measure height(bob) @ 2 = 4/3
+measure height(ann) @ 3 = 4/3
+"""
+
+
+def _shared_objects(world) -> list[object]:
+    """Every entity id, fact name and argument, measure name and entity,
+    and measure value that `world` holds."""
+    names = [entity.id for entity in world.entities.values()]
+    names += [name for fact in world.facts for name in (fact.predicate, *fact.args)]
+    names += [name for measure, entity_id, _ in world.measures for name in (measure, entity_id)]
+    return names + list(world.measures.values())
+
+
+def test_a_parse_keeps_one_string_per_name_and_one_value_per_literal():
+    world, diagnostics = parse_world(_NAMED_WORLD)
+    assert diagnostics == []
+    entity_ids = {entity.id: entity.id for entity in world.entities.values()}
+    assert {id(fact.predicate) for fact in world.facts} == {id(world.facts[0].predicate)}
+    for fact in world.facts:
+        assert all(arg is entity_ids[arg] for arg in fact.args)
+    assert len({id(measure) for measure, _, _ in world.measures}) == 1
+    assert all(entity_id is entity_ids[entity_id] for _, entity_id, _ in world.measures)
+    assert world.measures["height", "bob", 2] is world.measures["height", "ann", 3]
+
+
+def test_two_parses_share_no_name_or_value():
+    # The table belongs to one parse: nothing is interned or cached.
+    first, _ = parse_world(_NAMED_WORLD)
+    second, _ = parse_world(_NAMED_WORLD)
+    assert first == second
+    assert not {id(name) for name in _shared_objects(first)} & {
+        id(name) for name in _shared_objects(second)
+    }
+
+
+_FRESH_WORLDS = itertools.count()
+
+
+def _fresh_world_text(entities: int) -> str:
+    """A world whose names no earlier call made."""
+    tag = f"fresh{next(_FRESH_WORLDS)}"
+    lines = [f"pred {tag}_p arity 1 mutable"]
+    for i in range(entities):
+        name = f"{tag}_e{i}"
+        lines.append(f"entity {name} lifespan [1, 9]")
+        lines.append(f"fact {tag}_p({name}) @ 2")
+        lines.append(f"measure {tag}_m({name}) @ 2 = 1")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_dropped_world_keeps_no_name_alive():
+    # A name interned for good (sys.intern on CPython 3.12) or kept in a
+    # module-level table would outlive the world: 3,000 entity names take
+    # far more than 64 KB.
+    parse_world(_fresh_world_text(3))  # the first call's one-off allocations
+    text = _fresh_world_text(3000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world, diagnostics = parse_world(text)
+        assert diagnostics == [] and len(world.entities) == 3000
+        del world
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,24 @@ def test_a_record_made_with_lists_stores_tuples():
     assert instantiate(world, coll, 2002).members == instantiate(world, "C", 2002).members
 
 
+def test_a_fact_or_world_made_with_lists_stores_tuples():
+    # A fact's arguments and a world's facts are stored as tuples, so a
+    # fact or world made directly with lists equals and hashes as built.
+    world = _statement_builder().build()
+    fact = Fact("p", ["a"], 2002)
+    assert type(fact.args) is tuple and fact == world.facts[0]
+    assert hash(World(facts=(fact,))) == hash(World(facts=(world.facts[0],)))
+    assert type(fact._replace(args=["b"]).args) is tuple
+    twin = replace(world, facts=(fact,))
+    assert twin == world and hash(twin) == hash(world)
+    assert extension(twin, "p", ("_",), 2002) == extension(world, "p", ("_",), 2002)
+    listed = replace(world, facts=[fact])
+    assert type(listed.facts) is tuple
+    assert listed == world and hash(listed) == hash(world)
+    for copied in (pickle.loads(pickle.dumps(listed)), deepcopy(listed)):
+        assert type(copied.facts) is tuple and copied == world
+
+
 def test_a_fact_keeps_its_repr_and_is_the_tuple_of_its_fields():
     fact = Fact("friend", ("paul", "mary"), 2002)
     assert repr(fact) == "Fact(predicate='friend', args=('paul', 'mary'), at=2002)"
