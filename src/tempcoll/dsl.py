@@ -33,15 +33,18 @@ Every line goes through one tokenizer and cursor parser, except that
 the world kinds `entity`, `fact`, `measure`, `collection` and
 `statement` and the commands `eval` and `assert` also have one
 full-line pattern each, built from the tokenizer's pieces. A line that
-pattern matches is either accepted, with the value its cursor parser
-would give, or declined and left to the tokenizer path. A pattern never
-rejects a line, so every diagnostic comes from the tokenizer path. An
-argument list in a pattern takes only spaces around its commas and
-parentheses, so a line with other whitespace there is declined. A line
-tries first the pattern that took the line before it, then the others
-in table order: a file comes in runs of one kind, and each pattern
-starts with its own word, so at most one matches and the order changes
-no value.
+no pattern matches, or whose maker declines it, takes the tokenizer path,
+so every diagnostic comes from there. A maker declines only an interval
+whose end comes before its start (`entity`, `statement`) and expression
+parts that make no form (`eval`, `assert`); the `fact` and `measure`
+patterns refuse the hole `_` as an argument, and a literal with a zero
+denominator or a digit run past 640. Otherwise a match gives the value
+its cursor parser would. An argument list in a pattern takes only spaces
+around its commas and parentheses, so a line with other whitespace there
+is declined. A line tries first the pattern that took the line before
+it, then the others in table order: a file comes in runs of one kind,
+and each pattern starts with its own word, so at most one matches and
+the order changes no value.
 
 Each format has one table, with one row per line word. A world kind's
 row holds its cursor parser, its `WorldBuilder` method and its pattern,
@@ -487,25 +490,29 @@ def _parse_statement(cur: _Cursor) -> tuple:
 # Group 1 is the indentation, so the head column is the tokenizer's,
 # leading whitespace included. Where the tokenizer needs whitespace
 # between two tokens, a pattern takes `\s+`, so it never splits what the
-# tokenizer reads as one token. A pattern's integer has at most 640
-# digits, which int() converts under any limit `sys.set_int_max_str_digits`
-# allows; a longer one is left to the tokenizer path.
+# tokenizer reads as one token. A digit run has at most 640 digits, which
+# int() converts under any `sys.set_int_max_str_digits` limit, as does
+# Fraction(str), one int() per run; a longer run, or a denominator with no
+# nonzero digit, is left to the tokenizer path.
 _END = rf"\s*(?:{_COMMENT})?"
 _LINE_INT = r"-?[0-9]{1,640}"
+_LITERAL = r"-?[0-9]{1,640}(?:/(?=[0-9]*[1-9])[0-9]{1,640}|\.[0-9]{1,640})?"
+_GROUND = rf"(?!{HOLE}\b){_ID}"  # a name that is not the hole
 # An argument list takes only spaces as separators (`[ ]`, which a
 # verbose pattern keeps), so its text splits without `strip`.
 _ARGS = rf"\([ ]*({_ID}(?:[ ]*,[ ]*{_ID})*)[ ]*\)"  # one group: the argument text
+_GROUND_ARGS = rf"\([ ]*({_GROUND}(?:[ ]*,[ ]*{_GROUND})*)[ ]*\)"
 _INTERVAL = rf"\[\s*({_LINE_INT})\s*,\s*(?:({_LINE_INT})|\*)\s*\]"  # two groups: start, end
 _ENTITY_LINE = re.compile(
     rf"""(\s*)entity\s+({_ID})\s+lifespan\s*{_INTERVAL}
          (?:\s+(invariant))?(?:\s+species\s+({_ID}))?{_END}""",
     re.VERBOSE,
 )
-_FACT_LINE = re.compile(rf"(\s*)fact\s+({_ID})\s*{_ARGS}\s*@\s*(?:({_LINE_INT})|\*){_END}")
+_FACT_LINE = re.compile(
+    rf"(\s*)fact\s+({_ID})\s*{_GROUND_ARGS}\s*@\s*(?:({_LINE_INT})|\*){_END}"
+)
 _MEASURE_LINE = re.compile(
-    rf"""(\s*)measure\s+({_ID})\s*\(\s*({_ID})\s*\)\s*@\s*({_LINE_INT})
-         \s*=\s*({_RATIONAL}|{_DECIMAL}|{_LINE_INT}){_END}""",
-    re.VERBOSE,
+    rf"(\s*)measure\s+({_ID})\s*\(\s*({_GROUND})\s*\)\s*@\s*({_LINE_INT})\s*=\s*({_LITERAL}){_END}"
 )
 _COLLECTION_LINE = re.compile(
     rf"""(\s*)collection\s+({_ID})\s+(?:dicto|re\s*@\s*({_LINE_INT}))
@@ -522,10 +529,11 @@ _STATEMENT_LINE = re.compile(
 )
 
 
-# Each maker declines (returns None) what its cursor parser would reject:
-# a `_` argument, an empty interval, a zero denominator. A maker takes
-# each name as `shared.setdefault(s, s)`, the parse's one string equal
-# to `s`.
+# A maker declines (returns None) only what its cursor parser would
+# reject and its pattern cannot refuse: an interval whose end comes before
+# its start (`entity`, `statement`), and expression parts that make no
+# form (`eval`, `assert`). A maker takes each name as
+# `shared.setdefault(s, s)`, the parse's one string equal to `s`.
 
 
 def _entity_line(m: re.Match[str], shared: _Shared) -> tuple | None:
@@ -537,35 +545,18 @@ def _entity_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     return shared.setdefault(entity_id, entity_id), lifespan, invariant is not None, species
 
 
-def _fact_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _fact_line(m: re.Match[str], shared: _Shared) -> tuple:
     _, name, arg_text, tick = m.groups()
     args = arg_text.replace(" ", "").split(",")
-    if HOLE in args:
-        return None
     name, args = shared.setdefault(name, name), tuple(map(shared.setdefault, args, args))
     return name, args, None if tick is None else int(tick)
 
 
-def _measure_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _measure_line(m: re.Match[str], shared: _Shared) -> tuple:
     _, name, entity_id, tick, literal = m.groups()
-    if entity_id == HOLE:
-        return None
     value = shared.get(literal)  # a Fraction, as a literal is no name
     if value is None:
-        # An int literal makes its Fraction from one int, with no gcd, and a
-        # rational one from two ints: both are over twice as fast as
-        # Fraction's string parser, which a decimal needs.
-        numerator, slash, denominator = literal.partition("/")
-        try:
-            if slash:
-                value = Fraction(int(numerator), int(denominator))
-            elif "." in literal:
-                value = Fraction(literal)
-            else:
-                value = Fraction(int(literal))
-        except (ValueError, ZeroDivisionError):
-            return None
-        shared[literal] = value
+        value = shared[literal] = Fraction(literal)
     return shared.setdefault(name, name), shared.setdefault(entity_id, entity_id), int(tick), value
 
 

@@ -554,6 +554,8 @@ class WorldBuilder:
             raise InvalidDeclaration(f"'{measure}' is already a predicate name")
         if entity_id not in self._entities:
             raise UnknownEntity(f"unknown entity '{entity_id}' in measure")
+        if entity_id == HOLE:
+            raise InvalidDeclaration(f"measures are ground; '{HOLE}' is not an entity")
         if value.numerator < 0:  # a Fraction keeps its sign there
             raise InvalidDeclaration(
                 f"measure value must be non-negative, got {number_text(value)}"

@@ -549,6 +549,92 @@ def test_argument_spaces_and_kind_order_keep_the_value(text, built):
     assert (fast[0] is not None) == built
 
 
+def _cursor_value(word: str, line: str) -> tuple:
+    """The tuple that `word`'s cursor parser gives for `line`."""
+    cur = dsl._Cursor(dsl._tokenize(line), len(line))
+    cur.take(word)
+    value = dsl._DECLARATIONS[word][0](cur)
+    cur.expect_end()
+    return value
+
+
+_DIGIT_RUN = st.one_of(
+    st.text("0123456789", min_size=1, max_size=3),
+    st.builds(
+        lambda n, digits: (digits * n)[:n],
+        st.integers(1, 641),
+        st.text("0123456789", min_size=1, max_size=3),
+    ),
+)
+_LITERALS = st.builds(
+    lambda sign, run, tail: sign + run + tail,
+    st.sampled_from(["", "-"]),
+    _DIGIT_RUN,
+    st.one_of(st.just(""), st.tuples(st.sampled_from("/."), _DIGIT_RUN).map("".join)),
+)
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,2}", fullmatch=True)
+
+
+@given(
+    st.sampled_from(["fact", "measure"]),
+    _NAMES,
+    st.lists(_NAMES, min_size=1, max_size=3),
+    st.sampled_from(["", " "]),
+    st.sampled_from(["1", "-0", "*"]),
+    _LITERALS,
+    st.sampled_from([640, 4300]),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_matched_fact_or_measure_line_gives_the_cursor_tuple(
+    word, name, args, space, tick, literal, limit
+):
+    # The `fact` and `measure` patterns refuse what their cursor parsers
+    # reject (the hole, a zero denominator, a digit run past 640), so a
+    # line they match is never declined.
+    if word == "fact":
+        line = f"fact {name}({space}{f'{space},{space}'.join(args)}{space}) @ {tick}"
+    else:
+        line = f"measure {name}({space}{args[0]}{space}) @ 2 = {literal}"
+    pattern, make = dsl._DECLARATIONS[word][2]
+    with int_digit_limit(limit):
+        m = pattern.fullmatch(line)
+        if m is not None:
+            assert make(m, {}) == _cursor_value(word, line)
+
+
+_EDGE_LITERALS = [
+    "1",
+    "-0",
+    "1/2",
+    "0.25",
+    "1" * 640,
+    "1" * 641,
+    "1/0",
+    "3/00",
+    "-0/7",
+    "0." + "5" * 640,
+    "0." + "5" * 641,
+    "7" * 700 + "/3",
+    "2/" + "0" * 639 + "1",
+    "2/" + "0" * 640 + "1",
+]
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("arg", ["e", "_", "_e"])
+@pytest.mark.parametrize(
+    "literal", _EDGE_LITERALS, ids=lambda t: t if len(t) < 9 else f"{t[:3]}...{len(t)}"
+)
+def test_fact_and_measure_edges_agree_with_the_tokenizer(literal, arg, limit):
+    text = (
+        "entity e lifespan [0, 9]\nentity _ lifespan [0, 9]\nentity _e lifespan [0, 9]\n"
+        f"pred p arity 1 mutable\nfact p({arg}) @ 1\nmeasure m({arg}) @ 1 = {literal}\n"
+    )
+    with int_digit_limit(limit):
+        fast, slow = _outcomes(text)
+    assert fast == slow
+
+
 def test_line_patterns_agree_on_fixtures_and_corpus_cases():
     shapes = Path(__file__).parent.glob("shapes.tc[wq]")
     paths = sorted(FIXTURES.glob("*.tc[wq]")) + sorted(shapes)

@@ -25,6 +25,8 @@ from tempcoll import (
     WorldBuilder,
     extension,
     instantiate,
+    parse_world,
+    render_world,
 )
 from worldgen import random_statement_world, random_world
 
@@ -79,6 +81,30 @@ def test_api_only_rejections():
     builder.add_predicate("p", 1)
     with pytest.raises(InvalidDeclaration, match="facts are ground; '_' is not an argument"):
         builder.add_fact("p", ("_",), 2002)
+
+
+def test_an_entity_named_hole_has_no_fact_or_measure():
+    # An entity may be named `_`, but neither text nor the builder can
+    # make it a fact argument or a measure's entity: text reads `_` there
+    # as the hole, so such a line could not be read back.
+    head = "entity _ lifespan [1, 5]\npred p arity 1 mutable\n"
+    for line, column in (("fact p(_) @ 2", 8), ("measure m(_) @ 2 = 3", 11)):
+        world, diagnostics = parse_world(head + line)
+        assert world is None
+        assert [d.render() for d in diagnostics] == [
+            f"<world>:3:{column}: error: '_' is not allowed here"
+        ]
+    builder = WorldBuilder()
+    builder.add_entity("_", TimeRef(1, 5))
+    builder.add_predicate("p", 1)
+    with pytest.raises(InvalidDeclaration, match="^facts are ground; '_' is not an argument$"):
+        builder.add_fact("p", ("_",), 2)
+    with pytest.raises(InvalidDeclaration, match="^measures are ground; '_' is not an entity$"):
+        builder.add_measure("m", "_", 2, Fraction(3))
+    builder.add_predicate("m", 1)  # the refused measure left no name behind
+    world = builder.build()
+    assert world.facts == () and world.measures == {}
+    assert parse_world(render_world(world)) == (world, [])
 
 
 @pytest.mark.parametrize(

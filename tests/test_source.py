@@ -89,6 +89,33 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_every_private_definition_is_read():
+    # A private module-level function, class or constant is read in its
+    # own module; one that is never read is what a deletion left behind.
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    assert unread == []
+
+
 def test_the_package_imports_the_standard_library_only():
     # The package has no dependencies: every absolute import, at any
     # depth, names a module of the standard library.
