@@ -51,14 +51,17 @@ row holds its cursor parser, its `WorldBuilder` method and its pattern,
 if any, in build order; a command word's row holds its cursor parser,
 its command class and its pattern, if any. On either path a line's
 value is an argument tuple: the builder method's, or the command's
-before (line number, text). A line's record is (argument tuple, line
-number, column of the word), with no line text: `parse_world` frees
-each kind's records once applied, and `parse_script` reads a command's
-text from the lines again. Commands keep their order in the file.
-Within one parse, the `entity`, `fact` and `measure` patterns keep one
-string per name (entity id, predicate, fact argument, measure name) and
-one `Fraction` per measure literal, from a table that dies with the
-parse; nothing is interned.
+before (line number, text). The line loop keeps, for each word, a list
+of argument tuples and a list of line numbers, with no column and no
+line text: `parse_world` frees each kind's lists once applied, and
+finds a builder diagnostic's column again from the line's text (one
+past its leading whitespace, the word's column on both paths), and
+`parse_script` reads a command's text from the lines again. Commands
+keep their order in the file. Within one parse, every name (entity id,
+predicate, fact argument, measure name, and each name token of a
+tokenizer-path line) is one string, each measure literal one
+`Fraction` and each fact argument text one argument tuple, from tables
+that die with the parse; nothing is interned.
 """
 
 from __future__ import annotations
@@ -218,18 +221,30 @@ class _Token(NamedTuple):
     column: int  # 1-based
 
 
+# A parse's shared values, keyed by their text: a name's one string, and
+# a measure literal's one Fraction (a literal never reads as a name).
+_Shared = dict[str, str | Fraction]
+# A parse's fact argument tuples, keyed by their argument text: a table of
+# its own, as a one-argument text equals its name's key in `_Shared`.
+_Tuples = dict[str, tuple[str, ...]]
+
+
 class _LineError(Exception):
     """A problem that ends its line; args are (message, 1-based column)."""
 
 
-def _tokenize(line: str) -> list[_Token]:
+def _tokenize(line: str, shared: _Shared) -> list[_Token]:
+    """A line's tokens; a name's text is the parse's one string for it."""
     tokens: list[_Token] = []
     for m in _TOKEN_RE.finditer(line):
         kind = m.lastgroup or ""
         if kind == "bad":
             raise _LineError(f"unexpected character {m.group()!r}", m.start() + 1)
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), m.start() + 1))
+            text = m.group()
+            if kind == "id":
+                text = shared.setdefault(text, text)
+            tokens.append(_Token(kind, text, m.start() + 1))
     return tokens
 
 
@@ -333,14 +348,11 @@ def _parse_rational(cur: _Cursor) -> Fraction:
         raise _LineError(f"bad rational literal {tok.text!r}", tok.column) from e
 
 
-# A parse's shared values, keyed by their text: a name's one string, and
-# a measure literal's one Fraction (a literal never reads as a name).
-_Shared = dict[str, str | Fraction]
 # A word's full-line pattern, whose group 1 is the indentation, and its
-# maker, which builds from a match and the parse's shared values what the
-# word's cursor parser would, or returns None to leave the line to the
-# tokenizer path.
-_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str], _Shared], tuple | None]]
+# maker, which builds from a match, the parse's shared values and its fact
+# argument tuples what the word's cursor parser would, or returns None to
+# leave the line to the tokenizer path.
+_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str], _Shared, _Tuples], tuple | None]]
 
 
 def _lines(text: str) -> list[str]:
@@ -351,38 +363,61 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+_NO_LINE = re.compile("(?!)")  # matches no line
+_INDENT = re.compile(r"\s*")
+
+
+def _word_column(line: str) -> int:
+    """The 1-based column of a line's first word: one past its leading
+    whitespace, which a line pattern's group 1 and the tokenizer's first
+    `ws` token both take."""
+    return _INDENT.match(line).end() + 1
+
+
 def _parse_lines(
     text: str,
     source_name: str,
     noun: str,
     table: Mapping[str, tuple[Callable[[_Cursor], tuple], object, _LinePattern | None]],
-) -> tuple[dict[str, list[tuple[tuple, int, int]]], list[Diagnostic]]:
+) -> tuple[dict[str, tuple[list[tuple], list[int]]], list[Diagnostic]]:
     """The one line loop of both formats. A line that holds a token
     starts with a word from `table`, whose cursor parser must take the
     rest of the line, unless the word's pattern matches the whole line
-    and its maker, which never raises, builds the tuple from the match
-    and `shared`, the parse's shared values, which die with the parse.
-    Returns each word's lines in file order, as (argument tuple, line
-    number, column of the word), and a diagnostic for each line an error
-    ended."""
-    records: dict[str, list[tuple[tuple, int, int]]] = {word: [] for word in table}
+    and its maker, which never raises, builds the tuple from the match,
+    `shared`, the parse's shared values, and `tuples`, its fact argument
+    tuples; both die with the parse, and a tokenizer-path line takes its
+    names from `shared` too. Returns, for each word, its lines' argument
+    tuples and line numbers, in file order, and a diagnostic for each
+    line an error ended."""
+    records: dict[str, tuple[list[tuple], list[int]]] = {word: ([], []) for word in table}
     diagnostics: list[Diagnostic] = []
     shared: _Shared = {}
-    # The pattern that took the previous line goes first (see the module
-    # docstring for why that changes no value).
+    tuples: _Tuples = {}
     patterns = [(word, *row[2]) for word, row in table.items() if row[2] is not None]
-    orders = {entry[0]: (entry, *(e for e in patterns if e is not entry)) for entry in patterns}
-    order = patterns
+    # The pattern that took the previous line goes first (see the module
+    # docstring for why that changes no value), with its word's lists
+    # bound; before any line is taken, that is a pattern matching none.
+    pattern: re.Pattern[str] = _NO_LINE
+    make = add_value = add_line = None
     for lineno, line in enumerate(_lines(text), start=1):
-        for word, pattern, make in order:
-            m = pattern.fullmatch(line)
-            if m is not None and (value := make(m, shared)) is not None:
-                records[word].append((value, lineno, m.end(1) + 1))
-                order = orders[word]
-                break
+        m = pattern.fullmatch(line)
+        if m is not None and (value := make(m, shared, tuples)) is not None:
+            add_value(value)
+            add_line(lineno)
+            continue
+        for word, other, maker in patterns:
+            if other is not pattern:
+                m = other.fullmatch(line)
+                if m is not None and (value := maker(m, shared, tuples)) is not None:
+                    pattern, make = other, maker
+                    values, linenos = records[word]
+                    add_value, add_line = values.append, linenos.append
+                    add_value(value)
+                    add_line(lineno)
+                    break
         else:
             try:
-                tokens = _tokenize(line)
+                tokens = _tokenize(line, shared)
                 if tokens:
                     head = tokens[0]
                     if head.text not in table:
@@ -391,7 +426,9 @@ def _parse_lines(
                     cur.take(noun)
                     value = table[head.text][0](cur)
                     cur.expect_end()
-                    records[head.text].append((value, lineno, head.column))
+                    values, linenos = records[head.text]
+                    values.append(value)
+                    linenos.append(lineno)
             except _LineError as e:
                 message, column = e.args
                 diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
@@ -487,8 +524,8 @@ def _parse_statement(cur: _Cursor) -> tuple:
 
 # One full-line pattern per common line kind (see the module docstring);
 # a line it matches gets its value straight from the match groups.
-# Group 1 is the indentation, so the head column is the tokenizer's,
-# leading whitespace included. Where the tokenizer needs whitespace
+# Group 1 is the indentation, the `\s*` that `_word_column` measures, so
+# the word's column is the tokenizer's. Where the tokenizer needs whitespace
 # between two tokens, a pattern takes `\s+`, so it never splits what the
 # tokenizer reads as one token. A digit run has at most 640 digits, which
 # int() converts under any `sys.set_int_max_str_digits` limit, as does
@@ -533,10 +570,11 @@ _STATEMENT_LINE = re.compile(
 # reject and its pattern cannot refuse: an interval whose end comes before
 # its start (`entity`, `statement`), and expression parts that make no
 # form (`eval`, `assert`). A maker takes each name as
-# `shared.setdefault(s, s)`, the parse's one string equal to `s`.
+# `shared.setdefault(s, s)`, the parse's one string equal to `s`, and a
+# fact's arguments as the one tuple in `tuples` for their text.
 
 
-def _entity_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _entity_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
     _, entity_id, start, end, invariant, species = m.groups()
     try:
         lifespan = TimeRef(int(start), None if end is None else int(end))
@@ -545,14 +583,16 @@ def _entity_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     return shared.setdefault(entity_id, entity_id), lifespan, invariant is not None, species
 
 
-def _fact_line(m: re.Match[str], shared: _Shared) -> tuple:
+def _fact_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
     _, name, arg_text, tick = m.groups()
-    args = arg_text.replace(" ", "").split(",")
-    name, args = shared.setdefault(name, name), tuple(map(shared.setdefault, args, args))
-    return name, args, None if tick is None else int(tick)
+    args = tuples.get(arg_text)
+    if args is None:
+        names = arg_text.replace(" ", "").split(",")
+        args = tuples[arg_text] = tuple(map(shared.setdefault, names, names))
+    return shared.setdefault(name, name), args, None if tick is None else int(tick)
 
 
-def _measure_line(m: re.Match[str], shared: _Shared) -> tuple:
+def _measure_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
     _, name, entity_id, tick, literal = m.groups()
     value = shared.get(literal)  # a Fraction, as a literal is no name
     if value is None:
@@ -560,13 +600,13 @@ def _measure_line(m: re.Match[str], shared: _Shared) -> tuple:
     return shared.setdefault(name, name), shared.setdefault(entity_id, entity_id), int(tick), value
 
 
-def _collection_line(m: re.Match[str], shared: _Shared) -> tuple:
+def _collection_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
     _, name, anchor, predicate, arg_text = m.groups()
     pattern = tuple(arg_text.replace(" ", "").split(","))
     return name, predicate, pattern, None if anchor is None else int(anchor)
 
 
-def _statement_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _statement_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
     _, statement_id, subject, profile, compared, pattern_text, direction, *rest = m.groups()
     t1, t2, start, end, bound_text, mode_word = rest
     try:
@@ -608,18 +648,26 @@ def parse_world(
     records, diagnostics = _parse_lines(text, source_name, "declaration", _DECLARATIONS)
     builder = WorldBuilder()
     warnings: list[Diagnostic] = []
+    lines: list[str] = []  # the text's lines, split again for the first builder diagnostic
+
+    def diagnostic(severity: Literal["error", "warning"], message: str, lineno: int) -> Diagnostic:
+        if not lines:
+            lines.extend(_lines(text))
+        return Diagnostic(severity, message, lineno, _word_column(lines[lineno - 1]), source_name)
+
     # Each kind's records are popped as they are applied, so only the
     # builder is left when the world is built.
     for kind, (_, method, _) in _DECLARATIONS.items():
         build = getattr(builder, method)
-        for args, lineno, column in records.pop(kind):
+        values, linenos = records.pop(kind)
+        for args, lineno in zip(values, linenos):
             try:
                 message = build(*args)
             except TempcollError as e:
-                diagnostics.append(Diagnostic("error", str(e), lineno, column, source_name))
+                diagnostics.append(diagnostic("error", str(e), lineno))
                 continue
             if message is not None:
-                warnings.append(Diagnostic("warning", message, lineno, column, source_name))
+                warnings.append(diagnostic("warning", message, lineno))
 
     world = None
     if not diagnostics:  # only errors so far
@@ -727,12 +775,12 @@ def _expr(g: Sequence[str | None]) -> Expr | None:
     return inst if measure is None else SumExpr(measure, inst)
 
 
-def _eval_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _eval_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
     expr = _expr(m.groups()[1:])
     return None if expr is None else (expr,)
 
 
-def _assert_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _assert_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
     g = m.groups()
     left, right = _expr(g[1:12]), _expr(g[13:])
     if left is None or right is None:
@@ -768,8 +816,8 @@ def parse_script(
     lines = _lines(text)
     commands = [
         _COMMANDS[word][1](*args, lineno, lines[lineno - 1].split(";")[0].strip())
-        for word, word_records in records.items()
-        for args, lineno, _ in word_records
+        for word, (values, linenos) in records.items()
+        for args, lineno in zip(values, linenos)
     ]
     commands.sort(key=lambda command: command.line)
     return Script(tuple(commands)), diagnostics

@@ -521,8 +521,7 @@ class WorldBuilder:
         """Record a fact. Returns a warning when a timed fact falls outside
         the life span of an entity argument (the first in order), else
         None; entities declared later are not checked."""
-        fact = Fact(predicate, args, at)
-        args = fact.args
+        args = tuple(args)
         decl = self._predicates.get(predicate)
         if decl is None:
             raise UnknownPredicate(f"unknown predicate '{predicate}' in fact")
@@ -535,7 +534,9 @@ class WorldBuilder:
             )
         if at is not None:
             check_tick(at)
-        self._facts[(predicate, args, at is not None, 0 if at is None else at)] = fact
+        # `args` is a tuple already, so `Fact.__new__` need not convert it again.
+        key = (predicate, args, at is not None, 0 if at is None else at)
+        self._facts[key] = tuple.__new__(Fact, (predicate, args, at))
         if at is not None:
             for arg in args:
                 entity = self._entities.get(arg)

@@ -537,8 +537,9 @@ def test_json_report_past_the_digit_limit_writes_every_value_as_itself():
     [
         ("eval", "--format", "json", "--policy", "lenient", "friends.tcw", "friends.tcq"),
         ("explain", "friends.tcw", "S1"),
+        ("check", "friends.tcw"),
     ],
-    ids=["eval", "explain"],
+    ids=["eval", "explain", "check"],
 )
 def test_cli_runs_keep_no_module_level_state(capsys, monkeypatch, argv):
     # The benchmark times many `run` calls in one process and fails them

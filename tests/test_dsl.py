@@ -549,9 +549,58 @@ def test_argument_spaces_and_kind_order_keep_the_value(text, built):
     assert (fast[0] is not None) == built
 
 
+# Indentation -> the 1-based column of the word after it. `parse_world`
+# finds a builder diagnostic's column again from the line's text.
+_INDENTS = {"   ": 4, "\t": 2, "\u00a0": 2, "\x0c": 2, " \t\u00a0\x0c ": 6}
+_DIAGNOSED_PRELUDE = "entity ann lifespan [0, 9]\npred p arity 1 mutable\n"
+# A line for each declaration word that draws a builder error after the
+# prelude, and its message; a tab in an argument list declines a pattern.
+_BUILDER_ERRORS = [
+    ("entity ann lifespan [0, 9]", "duplicate entity id 'ann'"),
+    ("pred p arity 1 mutable", "duplicate predicate 'p'"),
+    ("fact q(ann) @ 1", "unknown predicate 'q' in fact"),
+    ("fact q(\tann) @ 1", "unknown predicate 'q' in fact"),
+    ("measure m(bob) @ 1 = 2", "unknown entity 'bob' in measure"),
+    ("collection C dicto := q(_)", "unknown predicate 'q' in collection 'C'"),
+    ("collection C dicto := q(\t_)", "unknown predicate 'q' in collection 'C'"),
+    (
+        "statement S subject D profile static property p direction less times 1, 2 span [1, 2]",
+        "unknown subject collection 'D'",
+    ),
+    (
+        "statement S subject D profile static property p(\t_) direction less "
+        "times 1, 2 span [1, 2]",
+        "unknown subject collection 'D'",
+    ),
+]
+
+
+@pytest.mark.parametrize("severity", ["error", "warning"])
+def test_builder_diagnostics_point_at_the_indented_word(severity):
+    # Each line is indented, and its diagnostic has the line's number and
+    # its word's column, on the pattern path and on the tokenizer path.
+    lines, expected = _DIAGNOSED_PRELUDE.splitlines(), []
+    for indent, column in _INDENTS.items():
+        if severity == "error":
+            drawn = _BUILDER_ERRORS
+        else:  # facts outside `ann`'s life span, one with a tab in its arguments
+            warning = "fact p(ann) @ {0} falls outside the life span of ann ([0, 9])"
+            drawn = [
+                (f"fact p{args} @ {tick}", warning.format(tick))
+                for args, tick in (("(ann)", 10 + len(lines)), ("(\tann)", 11 + len(lines)))
+            ]
+        for line, message in drawn:
+            lines.append(indent + line)
+            expected.append(f"w.tcw:{len(lines)}:{column}: {severity}: {message}")
+    fast, slow = _outcomes("\n".join(lines) + "\n")
+    assert fast == slow
+    assert (fast[0] is None) == (severity == "error")
+    assert fast[1] == expected
+
+
 def _cursor_value(word: str, line: str) -> tuple:
     """The tuple that `word`'s cursor parser gives for `line`."""
-    cur = dsl._Cursor(dsl._tokenize(line), len(line))
+    cur = dsl._Cursor(dsl._tokenize(line, {}), len(line))
     cur.take(word)
     value = dsl._DECLARATIONS[word][0](cur)
     cur.expect_end()
@@ -599,7 +648,7 @@ def test_a_matched_fact_or_measure_line_gives_the_cursor_tuple(
     with int_digit_limit(limit):
         m = pattern.fullmatch(line)
         if m is not None:
-            assert make(m, {}) == _cursor_value(word, line)
+            assert make(m, {}, {}) == _cursor_value(word, line)
 
 
 _EDGE_LITERALS = [
@@ -748,8 +797,8 @@ def test_generated_declarations_take_the_line_patterns(seed, statements):
     slow = []
 
     def counted(kind, make):
-        def count(m, shared):
-            value = make(m, shared)
+        def count(m, shared, tuples):
+            value = make(m, shared, tuples)
             accepted[kind] += value is not None
             return value
 
@@ -863,6 +912,39 @@ def test_two_parses_share_no_name_or_value():
     assert not {id(name) for name in _shared_objects(first)} & {
         id(name) for name in _shared_objects(second)
     }
+
+
+def test_facts_with_one_argument_text_share_one_tuple():
+    # A one-argument text is also its name's key, so the tuples need a
+    # table of their own: the fact's arguments stay a tuple.
+    text = _NAMED_WORLD + (
+        "pred tall arity 1 mutable\nfact tall(ann) @ 2\nfact tall(ann) @ 3\n"
+        "fact likes(ann, bob) @ 4\nfact likes(ann,bob) @ 5\n"
+    )
+    first, second = parse_world(text)[0], parse_world(text)[0]
+    args = {(fact.predicate, fact.at): fact.args for fact in first.facts}
+    assert args["tall", 2] == ("ann",) and args["tall", 2] is args["tall", 3]
+    assert args["likes", 2] is args["likes", 4]
+    assert args["likes", 5] == args["likes", 2] and args["likes", 5] is not args["likes", 2]
+    # The table dies with its parse.
+    again = {(fact.predicate, fact.at): fact.args for fact in second.facts}
+    assert again == args
+    assert all(again[key] is not args[key] for key in args)
+
+
+def test_tokenizer_path_lines_share_the_parse_strings():
+    # A `pred` line always takes the tokenizer path, and a fact line with
+    # a tab in its argument list does too.
+    world, diagnostics = parse_world(fixture_text("friends.tcw"))
+    assert world is not None and not diagnostics
+    for fact in world.facts:
+        assert fact.predicate is world.predicates[fact.predicate].name
+    world, diagnostics = parse_world(_NAMED_WORLD + "fact likes(ann,\tbob) @ 4\n")
+    assert world is not None and not diagnostics
+    entity_ids = {entity.id: entity.id for entity in world.entities.values()}
+    (slow,) = [fact for fact in world.facts if fact.at == 4]
+    assert all(arg is entity_ids[arg] for arg in slow.args)
+    assert slow.predicate is world.predicates["likes"].name
 
 
 _FRESH_WORLDS = itertools.count()

@@ -281,6 +281,17 @@ def test_a_fact_or_world_made_with_lists_stores_tuples():
         assert type(copied.facts) is tuple and copied == world
 
 
+@pytest.mark.parametrize("at", [2, None])
+def test_a_fact_added_with_a_list_is_the_fact_made_directly(at):
+    builder = WorldBuilder()
+    builder.add_predicate("p", 2, invariant=True)
+    builder.add_fact("p", ["a", "b"], at)
+    (fact,) = builder.build().facts
+    made = Fact("p", ("a", "b"), at)
+    assert type(fact) is Fact and type(fact.args) is tuple
+    assert fact == made and hash(fact) == hash(made) and repr(fact) == repr(made)
+
+
 def test_a_fact_keeps_its_repr_and_is_the_tuple_of_its_fields():
     fact = Fact("friend", ("paul", "mary"), 2002)
     assert repr(fact) == "Fact(predicate='friend', args=('paul', 'mary'), at=2002)"

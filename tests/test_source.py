@@ -116,6 +116,76 @@ def test_every_private_definition_is_read():
     assert unread == []
 
 
+_MUTATORS = {
+    "add",
+    "append",
+    "clear",
+    "discard",
+    "extend",
+    "insert",
+    "pop",
+    "popitem",
+    "remove",
+    "setdefault",
+    "update",
+}
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_function_changes_module_level_state():
+    # A table kept at module level outlives the call that filled it, so a
+    # parse or a `cli.run` would see what an earlier one left there. A
+    # function may read a module-level name, but never assigns into it
+    # (`x[k] = ...`, `del x[k]`), calls a mutating method on it or
+    # rebinds it with `global`.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module_names = _module_names(tree)
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            # Names the function (or one nested in it) binds for itself.
+            local = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)} | {
+                node.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+            }
+            shared = module_names - local
+
+            def is_shared(node: ast.AST) -> bool:
+                return isinstance(node, ast.Name) and node.id in shared
+
+            for node in ast.walk(function):
+                if isinstance(node, ast.Global):
+                    found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+                elif (
+                    isinstance(node, ast.Subscript)
+                    and not isinstance(node.ctx, ast.Load)
+                    and is_shared(node.value)
+                ) or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS
+                    and is_shared(node.func.value)
+                ):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 def test_the_package_imports_the_standard_library_only():
     # The package has no dependencies: every absolute import, at any
     # depth, names a module of the standard library.
