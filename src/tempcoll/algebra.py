@@ -9,8 +9,8 @@ so their composition never varies, only the stage under consideration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import extension, measure_value
 from .errors import EmptyDenominator, NotASubset, OutsideLifeSpan, TickMismatch
@@ -26,21 +26,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(NamedTuple):
     """The realization of a collection at one tick.
 
     `members` are live slices sharing the tick `at`; `dropped` lists the
     entity ids a lenient de re instantiation had to exclude because their
     life spans do not reach `at`. `label` is a display lineage and never
-    takes part in equality.
+    takes part in equality or hash. An instantiation never equals
+    anything else, the plain tuple of its fields included. As a tuple,
+    its `len`, `in` and iteration act on the five fields, not on the
+    members: test membership with ``s in inst.members``.
     """
 
     source: str
     at: int
     members: frozenset[Slice]
     dropped: frozenset[str] = frozenset()
-    label: str = field(default="", compare=False)
+    label: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        # False, not NotImplemented, for another type: `tuple.__eq__`
+        # would answer then and compare the label too.
+        if not isinstance(other, Instantiation):
+            return False
+        return self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        # `tuple.__ne__` would compare the labels too.
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     def member_ids(self) -> frozenset[str]:
         return frozenset(s.entity_id for s in self.members)

@@ -31,20 +31,21 @@ them; `card@2` is the bare instantiation of a collection named `card`.
 
 Every line goes through one tokenizer and cursor parser, except that
 the world kinds `entity`, `fact`, `measure`, `collection` and
-`statement` and the commands `eval` and `assert` also have one
-full-line pattern each, built from the tokenizer's pieces. A line that
-no pattern matches, or whose maker declines it, takes the tokenizer path,
-so every diagnostic comes from there. A maker declines only an interval
-whose end comes before its start (`entity`, `statement`) and expression
-parts that make no form (`eval`, `assert`); the `fact` and `measure`
-patterns refuse the hole `_` as an argument, and a literal with a zero
-denominator or a digit run past 640. Otherwise a match gives the value
-its cursor parser would. An argument list in a pattern takes only spaces
-around its commas and parentheses, so a line with other whitespace there
-is declined. A line tries first the pattern that took the line before
-it, then the others in table order: a file comes in runs of one kind,
-and each pattern starts with its own word, so at most one matches and
-the order changes no value.
+`statement` and the commands `eval`, `assert` and `explain` also have
+one full-line pattern each, built from the tokenizer's pieces; `pred`
+and `disambiguate` lines always take the tokenizer path. A line that
+no pattern matches, or whose maker declines it, takes the tokenizer
+path, so every diagnostic comes from there. A maker declines only an
+interval whose end comes before its start (`entity`, `statement`) and
+expression parts that make no form (`eval`, `assert`); the `fact` and
+`measure` patterns refuse the hole `_` as an argument, and a literal
+with a zero denominator or a digit run past 640. Otherwise a match
+gives the value its cursor parser would. An argument list in a pattern
+takes only spaces around its commas and parentheses, so a line with
+other whitespace there is declined. A line tries first the pattern that
+took the line before it, then the others in table order: a file comes
+in runs of one kind, and each pattern starts with its own word, so at
+most one matches and the order changes no value.
 
 Each format has one table, with one row per line word. A world kind's
 row holds its cursor parser, its `WorldBuilder` method and its pattern,
@@ -751,6 +752,8 @@ _INST = rf"({_ID})\s*@\s*({_LINE_INT})(?:\s*\|\s*({_ID})\s*{_ARGS})?"
 _EXPR = rf"(?:(card|ratio)\s*\(\s*|sum\s+({_ID})\s+over\s+)?{_INST}(?:\s*,\s*{_INST})?(\s*\))?"
 _EVAL_LINE = re.compile(rf"(\s*)eval\s+{_EXPR}{_END}")
 _ASSERT_LINE = re.compile(rf"(\s*)assert\s+{_EXPR}\s*([<>=])\s*{_EXPR}{_END}")
+# `explain` takes one name (group 2), as `_parse_reference` does.
+_EXPLAIN_LINE = re.compile(rf"(\s*)explain\s+({_ID}){_END}")
 
 # Keyword -> whether its form has (a second instantiation, a closing `)`).
 _EXPR_SHAPES = {"card": (False, True), "ratio": (True, True), None: (False, False)}
@@ -788,6 +791,11 @@ def _assert_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | 
     return left, g[12], right
 
 
+def _explain_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
+    statement_id = m.group(2)
+    return (shared.setdefault(statement_id, statement_id),)
+
+
 # Command word (the class's `kind`) -> (cursor parser, command class,
 # line pattern or None); a command is built from the parsed tuple and
 # then the line number and text.
@@ -797,7 +805,7 @@ _COMMANDS: dict[str, tuple[Callable[[_Cursor], tuple], type[Command], _LinePatte
         (lambda cur: (_parse_expr(cur),), EvalCommand, (_EVAL_LINE, _eval_line)),
         (_parse_assert, AssertCommand, (_ASSERT_LINE, _assert_line)),
         (_parse_reference, DisambiguateCommand, None),
-        (_parse_reference, ExplainCommand, None),
+        (_parse_reference, ExplainCommand, (_EXPLAIN_LINE, _explain_line)),
     )
 }
 

@@ -171,15 +171,17 @@ class Entity:
         check_flag(self.invariant)
 
 
-@dataclass(frozen=True, eq=False)
-class Slice:
+class Slice(NamedTuple):
     """A stage of an entity at a time, written ``e@t``.
 
     Two slices are equal iff they are stages of the same entity with the
     same `invariant` flag, at the same time or, when the entity is
-    invariant, at any time (then all its stages are one). The queries
-    in :mod:`tempcoll.core` only make slices inside the entity's life
-    span, where the paper defines ``e@t``.
+    invariant, at any time (then all its stages are one). A slice never
+    equals anything else, the plain tuple of its fields included. As a
+    tuple, it orders by its fields, so `sorted` puts two stages of one
+    invariant entity in tick order though they are equal. The queries in
+    :mod:`tempcoll.core` only make slices inside the entity's life span,
+    where the paper defines ``e@t``.
     """
 
     entity_id: str
@@ -187,11 +189,18 @@ class Slice:
     invariant: bool = False
 
     def __eq__(self, other: object) -> bool:
+        # False, not NotImplemented, for another type: `tuple.__eq__`
+        # would answer then and compare the fields one by one.
         if not isinstance(other, Slice):
-            return NotImplemented
+            return False
         if self.entity_id != other.entity_id or self.invariant != other.invariant:
             return False
         return self.invariant or self.at == other.at
+
+    def __ne__(self, other: object) -> bool:
+        # `tuple.__ne__` would compare the fields, so two stages of one
+        # invariant entity would be both equal and unequal.
+        return not self == other
 
     def __hash__(self) -> int:
         # Invariant slices must collapse to one hash bucket per entity.

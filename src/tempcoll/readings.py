@@ -23,10 +23,9 @@ fixed-membership ratio when it is a predicate.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from .algebra import Instantiation, aggregate_sum, filter_members, instantiate, ratio
 from .core import extension, measure_value
@@ -62,22 +61,19 @@ ReadingKind = Literal["ratio_evolution", "individual_evolution", "global_aggrega
 _CMP = {"less": ("<", operator.lt), "more": (">", operator.gt), "changed": ("!=", operator.ne)}
 
 
-@dataclass(frozen=True)
-class FiredRule:
+class FiredRule(NamedTuple):
     id: str
     justification: str
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One supporting or refuting datum: a member, a ratio, or a sum."""
 
     label: str
     detail: str
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     """A licensed interpretation with its condition and outcome.
 
     `truth` is None until evaluated; an evaluation that cannot complete
@@ -93,8 +89,7 @@ class Reading:
     witnesses: tuple[Witness, ...] = ()
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     mode: Mode
     fired_rules: tuple[FiredRule, ...]
     readings: tuple[Reading, ...] = ()
@@ -104,8 +99,7 @@ class Decision:
         return tuple(r.id for r in self.fired_rules)
 
 
-@dataclass(frozen=True)
-class LifespanCheck:
+class LifespanCheck(NamedTuple):
     """Outcome of comparing a statement span against a life-span bound."""
 
     exceeds: bool
@@ -156,7 +150,7 @@ def lifespan_check(world: World, stmt: Statement) -> LifespanCheck:
         candidates: set[str] = set()
         for t in stmt.eval_times:
             candidates |= {s.entity_id for s in extension(world, coll.predicate, coll.pattern, t)}
-        lengths = [world.entities[c].lifespan.length() for c in sorted(candidates)]
+        lengths = [world.entities[c].lifespan.length() for c in candidates]
         if None not in lengths:
             bound = max(lengths, default=None)  # type: ignore[type-var]
     # No bound (no candidate, or one living through an open span): nothing to exceed.
@@ -390,8 +384,8 @@ def evaluate_reading(world: World, stmt: Statement, reading: Reading) -> Reading
                 )
         truth, witnesses = body(world, stmt, early, late)
     except TempcollError as e:
-        return replace(reading, truth=None, reason=str(e), witnesses=())
-    return replace(reading, truth=truth, reason=None, witnesses=witnesses)
+        return Reading(reading.kind, reading.mode, reading.formula, None, str(e))
+    return Reading(reading.kind, reading.mode, reading.formula, truth, None, witnesses)
 
 
 def analyze(world: World, stmt: Statement) -> Decision:
@@ -401,4 +395,4 @@ def analyze(world: World, stmt: Statement) -> Decision:
         evaluate_reading(world, stmt, r)
         for r in enumerate_readings(world, stmt, decision.mode)
     )
-    return replace(decision, readings=readings)
+    return Decision(decision.mode, decision.fired_rules, readings)

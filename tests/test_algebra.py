@@ -128,6 +128,35 @@ def test_filter_is_intersective_and_idempotent(seed):
     assert twice == once
 
 
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_instantiation_equality_laws(seed):
+    world = random_world(random.Random(seed), max_entities=6)
+    rng = random.Random(seed + 1)
+    insts = [
+        instantiate(world, name, rng.choice(range(2000, 2005)), "lenient")
+        for name in ("Cd", "Cr")
+        for _ in range(2)
+    ]
+    # the same realizations under another label: equal, as `label` is
+    # display lineage only
+    relabeled = [inst._replace(label=inst.label + " again") for inst in insts]
+    for inst, twin in zip(insts, relabeled):
+        assert inst == twin and twin == inst
+        assert not inst != twin and not twin != inst
+        assert hash(inst) == hash(twin)
+    every = insts + relabeled
+    for x in every:
+        # never the plain tuple of its fields, whichever side is asked
+        assert x != tuple(x) and tuple(x) != x
+        assert not x == tuple(x) and not tuple(x) == x
+        for y in every:
+            assert (x == y) == (y == x)
+            assert (x != y) == (not x == y)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
 # ---------------------------------------------------------------------------
 # cardinality / ratio
 

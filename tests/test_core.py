@@ -78,8 +78,9 @@ def test_mutable_entity_slices_differ(friends):
 
 
 def test_a_slice_never_equals_its_text():
-    # `__eq__` defers to the other operand, which has no notion of a slice.
-    assert Slice("a", 1).__eq__("a@1") is NotImplemented
+    # `__eq__` answers False itself: deferring to the other operand would
+    # let `tuple.__eq__` compare a slice with a tuple field by field.
+    assert Slice("a", 1).__eq__("a@1") is False
     assert Slice("a", 1) != "a@1"
 
 
@@ -96,11 +97,15 @@ def test_slice_equality_laws(seed):
     ]
     # the same stages with the invariant flag flipped: never equal to the
     # originals, whichever side is asked
-    slices += [replace(s, invariant=not s.invariant) for s in slices]
+    slices += [s._replace(invariant=not s.invariant) for s in slices]
     for x in slices:
         assert x == x
+        # never the plain tuple of its fields, whichever side is asked
+        assert x != tuple(x) and tuple(x) != x
+        assert not x == tuple(x) and not tuple(x) == x
         for y in slices:
             assert (x == y) == (y == x)
+            assert (x != y) == (not x == y)
             if x.invariant != y.invariant:
                 assert x != y
             if x == y:

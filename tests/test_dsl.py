@@ -484,6 +484,35 @@ def test_line_patterns_agree_on_glued_lines(parser, line):
     assert fast == slow
 
 
+@pytest.mark.parametrize(
+    "rest, matched",
+    [
+        (" S1", True),
+        ("  S1 ; why S2", True),
+        ("\tS1;x", True),
+        (" card", True),
+        (" _", True),
+        (" 12", False),
+        (" S1 S2", False),
+        ("S1", False),
+        (" S1 @", False),
+        (" \u00e9", False),
+        ("", False),
+    ],
+)
+def test_explain_pattern_agrees_with_the_tokenizer(rest, matched):
+    # An `explain` line gives the same command or the same diagnostic on
+    # both paths; a line the pattern declines ends in the tokenizer's
+    # diagnostic.
+    for indent in ("", " \t"):
+        line = indent + "explain" + rest
+        pattern = dsl._EXPLAIN_LINE
+        assert (pattern.fullmatch(line) is not None) == matched, line
+        fast, slow = _outcomes(line, "script")
+        assert fast == slow, line
+        assert (fast[0] != "None") == matched and bool(fast[1]) != matched, line
+
+
 _TWO_ENTITIES = "entity a lifespan [0, 9]\nentity b lifespan [0, 9]\npred p arity 2 mutable\n"
 _PQ_WORLD = _TWO_ENTITIES + "pred q arity 2 mutable\nfact p(a, b) @ 1\nfact q(b, a) @ 1\n"
 
@@ -706,7 +735,7 @@ def test_line_patterns_agree_on_fixtures_and_corpus_cases():
     "table, words",
     [
         ("_DECLARATIONS", ["entity", "fact", "measure", "collection", "statement"]),
-        ("_COMMANDS", ["eval", "assert"]),
+        ("_COMMANDS", ["eval", "assert", "explain"]),
     ],
 )
 def test_line_tables_keep_their_contract(table, words):
@@ -837,8 +866,8 @@ def test_fixture_commands_take_the_line_patterns():
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_generated_workloads_take_the_line_patterns(tmp_path, monkeypatch, seed):
-    # Every line of the benchmark's inputs but `pred`, `explain` and
-    # `disambiguate` is one the line patterns accept.
+    # Every line of the benchmark's inputs but `pred` is one the line
+    # patterns accept; the inputs have no `disambiguate` line.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from gen import WORKLOADS, generate
 
@@ -853,7 +882,7 @@ def test_generated_workloads_take_the_line_patterns(tmp_path, monkeypatch, seed)
 
     for table, words in (
         (dsl._DECLARATIONS, ("entity", "fact", "measure", "collection", "statement")),
-        (dsl._COMMANDS, ("eval", "assert")),
+        (dsl._COMMANDS, ("eval", "assert", "explain")),
     ):
         for word in words:
             parse, *rest = table[word]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import pickle
 import random
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,13 +14,18 @@ import oracle
 import tempcoll.core
 from conftest import int_digit_limit, load_world
 from tempcoll import (
+    Decision,
+    FiredRule,
+    Instantiation,
     LifespanCheck,
     MODE_DICTO,
     MODE_RE,
     MalformedStatement,
     Reading,
+    Slice,
     TimeRef,
     UnknownCollection,
+    Witness,
     WorldBuilder,
     analyze,
     cohort_disjoint,
@@ -545,3 +552,67 @@ def test_analyze_agrees_with_oracle_decision(seed):
         (r.kind, "undefined" if r.truth is None else r.truth) for r in decision.readings
     ]
     assert got == oracle.readings(world, stmt, mode)
+
+
+# ---------------------------------------------------------------------------
+# the query records
+
+_WITNESS = Witness("x", "1 < 2")
+_READING = Reading("ratio_evolution", MODE_RE, "f", True, None, (_WITNESS,))
+# (record, its pinned repr), for the three query modules' records.
+_RECORDS = [
+    (Slice("a", 2002, True), "Slice(entity_id='a', at=2002, invariant=True)"),
+    (Slice("b", -3), "Slice(entity_id='b', at=-3, invariant=False)"),
+    (
+        Instantiation("C", 2002, frozenset({Slice("a", 2002)}), frozenset({"b"}), "C@2002"),
+        "Instantiation(source='C', at=2002, members=frozenset({Slice(entity_id='a', "
+        "at=2002, invariant=False)}), dropped=frozenset({'b'}), label='C@2002')",
+    ),
+    (
+        Instantiation("C", 1, frozenset()),
+        "Instantiation(source='C', at=1, members=frozenset(), dropped=frozenset(), label='')",
+    ),
+    (FiredRule("R0", "why"), "FiredRule(id='R0', justification='why')"),
+    (_WITNESS, "Witness(label='x', detail='1 < 2')"),
+    (
+        _READING,
+        "Reading(kind='ratio_evolution', mode='de_re', formula='f', truth=True, "
+        "reason=None, witnesses=(Witness(label='x', detail='1 < 2'),))",
+    ),
+    (
+        Decision(MODE_DICTO, (FiredRule("R2", "j"),), (_READING,)),
+        "Decision(mode='de_dicto', fired_rules=(FiredRule(id='R2', justification='j'),), "
+        "readings=(Reading(kind='ratio_evolution', mode='de_re', formula='f', truth=True, "
+        "reason=None, witnesses=(Witness(label='x', detail='1 < 2'),)),))",
+    ),
+    (LifespanCheck(True, 3), "LifespanCheck(exceeds=True, bound=3, span_length=None)"),
+]
+
+
+@pytest.mark.parametrize("record, text", _RECORDS)
+def test_query_records_keep_repr_hash_pickle_and_immutability(record, text):
+    assert repr(record) == text
+    for twin in (pickle.loads(pickle.dumps(record)), deepcopy(record)):
+        assert type(twin) is type(record)
+        assert twin == record and not twin != record and hash(twin) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, type(record).__match_args__[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize(
+    "record",
+    [r for r, _ in _RECORDS if not isinstance(r, (Slice, Instantiation))],
+    ids=lambda r: type(r).__name__,
+)
+def test_readings_records_are_the_tuples_of_their_fields(record):
+    # As a `Fact` is; a `Slice` or an `Instantiation` never is. So two
+    # records of different types with equal fields are equal too.
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+
+
+def test_readings_records_of_different_types_with_equal_fields_are_equal():
+    assert FiredRule("R0", "x") == Witness("R0", "x")
+    assert hash(FiredRule("R0", "x")) == hash(Witness("R0", "x"))
+    assert len({FiredRule("R0", "x"), Witness("R0", "x")}) == 1
