@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .core import extension, measure_value
 from .errors import EmptyDenominator, NotASubset, OutsideLifeSpan, TickMismatch
-from .model import MODE_DICTO, Collection, Policy, Slice, World, check_tick, number_text
+from .model import MODE_DICTO, Collection, Policy, Slice, World, check_int, number_text
 
 __all__ = [
     "Instantiation",
@@ -81,7 +81,7 @@ def instantiate(
     anchor) and tick: a strict call raises from the kept one. An invalid
     key is never kept: it raises on every call.
     """
-    check_tick(t)
+    check_int(t)
     coll = world.collection(collection) if isinstance(collection, str) else collection
     key = (coll, t)
     known = world._instantiations.get(key)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import MissingMeasure, OutsideLifeSpan
-from .model import Slice, World, check_tick, hole_index, number_text
+from .model import Slice, World, check_int, hole_index, number_text
 
 __all__ = ["slice_at", "extension", "measure_value"]
 
@@ -19,7 +19,7 @@ __all__ = ["slice_at", "extension", "measure_value"]
 def slice_at(world: World, entity_id: str, t: int) -> Slice:
     """The slice ``e@t`` of `entity_id` at `t`, defined only inside the
     entity's life span: an outside time raises :class:`OutsideLifeSpan`."""
-    check_tick(t)
+    check_int(t)
     entity = world.entity(entity_id)
     if t not in entity.lifespan:
         raise OutsideLifeSpan(
@@ -45,7 +45,7 @@ def extension(
     later call for the same (predicate, pattern, tick) returns it at
     once. An invalid key is never kept: it raises on every call.
     """
-    check_tick(t)  # before the lookup: `True` or 2002.0 would hit 1's or 2002's key
+    check_int(t)  # before the lookup: `True` or 2002.0 would hit 1's or 2002's key
     pattern = tuple(pattern)
     key = (predicate, pattern, t)
     known = world._extensions.get(key)
@@ -69,7 +69,7 @@ def measure_value(world: World, measure: str, s: Slice) -> Fraction:
     Raises :class:`MissingMeasure` when nothing is recorded; an absent
     value is never read as zero.
     """
-    check_tick(s.at)  # before the lookup, which 2002.0 would hit
+    check_int(s.at)  # before the lookup, which 2002.0 would hit
     value = world.measures.get((measure, s.entity_id, s.at))
     if value is None:
         raise MissingMeasure(f"missing measure {measure} for {s}")

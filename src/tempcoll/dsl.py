@@ -33,19 +33,20 @@ Every line goes through one tokenizer and cursor parser, except that
 the world kinds `entity`, `fact`, `measure`, `collection` and
 `statement` and the commands `eval`, `assert` and `explain` also have
 one full-line pattern each, built from the tokenizer's pieces; `pred`
-and `disambiguate` lines always take the tokenizer path. A line that
-no pattern matches, or whose maker declines it, takes the tokenizer
-path, so every diagnostic comes from there. A maker declines only an
-interval whose end comes before its start (`entity`, `statement`) and
-expression parts that make no form (`eval`, `assert`); the `fact` and
-`measure` patterns refuse the hole `_` as an argument, and a literal
-with a zero denominator or a digit run past 640. Otherwise a match
-gives the value its cursor parser would. An argument list in a pattern
-takes only spaces around its commas and parentheses, so a line with
-other whitespace there is declined. A line tries first the pattern that
-took the line before it, then the others in table order: a file comes
-in runs of one kind, and each pattern starts with its own word, so at
-most one matches and the order changes no value.
+and `disambiguate` lines always take the tokenizer path. A line that no
+pattern matches, or whose maker declines it, takes the tokenizer path,
+so every diagnostic comes from there. A maker declines only an interval
+whose end comes before its start (`entity`, `statement`) and expression
+parts that make no form (`eval`, `assert`); the `fact` and `measure`
+patterns refuse the hole `_` as an argument, and a literal with a zero
+denominator or a digit run past 640. Otherwise a match gives the value
+its cursor parser would, and a pattern captures only the values its
+maker converts. An argument list in a pattern takes only spaces around
+its commas and parentheses, so a line with other whitespace there is
+declined. A line tries first the pattern that took the line before it,
+then the others in table order: a file comes in runs of one kind, and
+each pattern starts with its own word, so at most one matches and the
+order changes no value.
 
 Each format has one table, with one row per line word. A world kind's
 row holds its cursor parser, its `WorldBuilder` method and its pattern,
@@ -61,8 +62,8 @@ past its leading whitespace, the word's column on both paths), and
 keep their order in the file. Within one parse, every name (entity id,
 predicate, fact argument, measure name, and each name token of a
 tokenizer-path line) is one string, each measure literal one
-`Fraction` and each fact argument text one argument tuple, from tables
-that die with the parse; nothing is interned.
+`Fraction` and each fact argument text one argument tuple, from one table
+that dies with the parse; nothing is interned.
 """
 
 from __future__ import annotations
@@ -222,12 +223,11 @@ class _Token(NamedTuple):
     column: int  # 1-based
 
 
-# A parse's shared values, keyed by their text: a name's one string, and
-# a measure literal's one Fraction (a literal never reads as a name).
-_Shared = dict[str, str | Fraction]
-# A parse's fact argument tuples, keyed by their argument text: a table of
-# its own, as a one-argument text equals its name's key in `_Shared`.
-_Tuples = dict[str, tuple[str, ...]]
+# A parse's one table of shared values, keyed by their text: a name's one
+# string, a measure literal's one Fraction, and a fact's one argument tuple,
+# keyed by its argument text up to its `)`. No two kinds share a key: a
+# name has no `)`, and a literal starts with a digit or `-`.
+_Shared = dict[str, str | Fraction | tuple[str, ...]]
 
 
 class _LineError(Exception):
@@ -349,11 +349,11 @@ def _parse_rational(cur: _Cursor) -> Fraction:
         raise _LineError(f"bad rational literal {tok.text!r}", tok.column) from e
 
 
-# A word's full-line pattern, whose group 1 is the indentation, and its
-# maker, which builds from a match, the parse's shared values and its fact
-# argument tuples what the word's cursor parser would, or returns None to
-# leave the line to the tokenizer path.
-_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str], _Shared, _Tuples], tuple | None]]
+# A word's full-line pattern, whose groups are the values its maker
+# converts, and its maker, which builds from a match and the parse's shared
+# values what the word's cursor parser would, or returns None to leave the
+# line to the tokenizer path.
+_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str], _Shared], tuple | None]]
 
 
 def _lines(text: str) -> list[str]:
@@ -365,14 +365,13 @@ def _lines(text: str) -> list[str]:
 
 
 _NO_LINE = re.compile("(?!)")  # matches no line
-_INDENT = re.compile(r"\s*")
 
 
 def _word_column(line: str) -> int:
     """The 1-based column of a line's first word: one past its leading
-    whitespace, which a line pattern's group 1 and the tokenizer's first
-    `ws` token both take."""
-    return _INDENT.match(line).end() + 1
+    whitespace, which a line pattern's leading `\\s*` and the tokenizer's
+    first `ws` token both take (`str.isspace` is the `\\s` of `re`)."""
+    return len(line) - len(line.lstrip()) + 1
 
 
 def _parse_lines(
@@ -384,16 +383,14 @@ def _parse_lines(
     """The one line loop of both formats. A line that holds a token
     starts with a word from `table`, whose cursor parser must take the
     rest of the line, unless the word's pattern matches the whole line
-    and its maker, which never raises, builds the tuple from the match,
-    `shared`, the parse's shared values, and `tuples`, its fact argument
-    tuples; both die with the parse, and a tokenizer-path line takes its
-    names from `shared` too. Returns, for each word, its lines' argument
-    tuples and line numbers, in file order, and a diagnostic for each
-    line an error ended."""
+    and its maker, which never raises, builds the tuple from the match and
+    `shared`, the parse's one table of shared values, which dies with the
+    parse; a tokenizer-path line takes its names from `shared` too.
+    Returns, for each word, its lines' argument tuples and line numbers,
+    in file order, and a diagnostic for each line an error ended."""
     records: dict[str, tuple[list[tuple], list[int]]] = {word: ([], []) for word in table}
     diagnostics: list[Diagnostic] = []
     shared: _Shared = {}
-    tuples: _Tuples = {}
     patterns = [(word, *row[2]) for word, row in table.items() if row[2] is not None]
     # The pattern that took the previous line goes first (see the module
     # docstring for why that changes no value), with its word's lists
@@ -402,14 +399,14 @@ def _parse_lines(
     make = add_value = add_line = None
     for lineno, line in enumerate(_lines(text), start=1):
         m = pattern.fullmatch(line)
-        if m is not None and (value := make(m, shared, tuples)) is not None:
+        if m is not None and (value := make(m, shared)) is not None:
             add_value(value)
             add_line(lineno)
             continue
         for word, other, maker in patterns:
             if other is not pattern:
                 m = other.fullmatch(line)
-                if m is not None and (value := maker(m, shared, tuples)) is not None:
+                if m is not None and (value := maker(m, shared)) is not None:
                     pattern, make = other, maker
                     values, linenos = records[word]
                     add_value, add_line = values.append, linenos.append
@@ -524,14 +521,14 @@ def _parse_statement(cur: _Cursor) -> tuple:
 
 
 # One full-line pattern per common line kind (see the module docstring);
-# a line it matches gets its value straight from the match groups.
-# Group 1 is the indentation, the `\s*` that `_word_column` measures, so
-# the word's column is the tokenizer's. Where the tokenizer needs whitespace
-# between two tokens, a pattern takes `\s+`, so it never splits what the
-# tokenizer reads as one token. A digit run has at most 640 digits, which
-# int() converts under any `sys.set_int_max_str_digits` limit, as does
-# Fraction(str), one int() per run; a longer run, or a denominator with no
-# nonzero digit, is left to the tokenizer path.
+# a line it matches gets its value straight from the match groups, which
+# are only the values its maker converts: the indentation is a bare `\s*`.
+# Where the tokenizer needs whitespace between two tokens, a pattern takes
+# `\s+`, so it never splits what the tokenizer reads as one token. A digit
+# run has at most 640 digits, which int() converts under any
+# `sys.set_int_max_str_digits` limit, as does Fraction(str), one int() per
+# run; a longer run, or a denominator with no nonzero digit, is left to
+# the tokenizer path.
 _END = rf"\s*(?:{_COMMENT})?"
 _LINE_INT = r"-?[0-9]{1,640}"
 _LITERAL = r"-?[0-9]{1,640}(?:/(?=[0-9]*[1-9])[0-9]{1,640}|\.[0-9]{1,640})?"
@@ -539,26 +536,24 @@ _GROUND = rf"(?!{HOLE}\b){_ID}"  # a name that is not the hole
 # An argument list takes only spaces as separators (`[ ]`, which a
 # verbose pattern keeps), so its text splits without `strip`.
 _ARGS = rf"\([ ]*({_ID}(?:[ ]*,[ ]*{_ID})*)[ ]*\)"  # one group: the argument text
-_GROUND_ARGS = rf"\([ ]*({_GROUND}(?:[ ]*,[ ]*{_GROUND})*)[ ]*\)"
+_GROUND_ARGS = rf"\([ ]*({_GROUND}(?:[ ]*,[ ]*{_GROUND})*[ ]*\))"
 _INTERVAL = rf"\[\s*({_LINE_INT})\s*,\s*(?:({_LINE_INT})|\*)\s*\]"  # two groups: start, end
 _ENTITY_LINE = re.compile(
-    rf"""(\s*)entity\s+({_ID})\s+lifespan\s*{_INTERVAL}
+    rf"""\s*entity\s+({_ID})\s+lifespan\s*{_INTERVAL}
          (?:\s+(invariant))?(?:\s+species\s+({_ID}))?{_END}""",
     re.VERBOSE,
 )
-_FACT_LINE = re.compile(
-    rf"(\s*)fact\s+({_ID})\s*{_GROUND_ARGS}\s*@\s*(?:({_LINE_INT})|\*){_END}"
-)
+_FACT_LINE = re.compile(rf"\s*fact\s+({_ID})\s*{_GROUND_ARGS}\s*@\s*(?:({_LINE_INT})|\*){_END}")
 _MEASURE_LINE = re.compile(
-    rf"(\s*)measure\s+({_ID})\s*\(\s*({_GROUND})\s*\)\s*@\s*({_LINE_INT})\s*=\s*({_LITERAL}){_END}"
+    rf"\s*measure\s+({_ID})\s*\(\s*({_GROUND})\s*\)\s*@\s*({_LINE_INT})\s*=\s*({_LITERAL}){_END}"
 )
 _COLLECTION_LINE = re.compile(
-    rf"""(\s*)collection\s+({_ID})\s+(?:dicto|re\s*@\s*({_LINE_INT}))
+    rf"""\s*collection\s+({_ID})\s+(?:dicto|re\s*@\s*({_LINE_INT}))
          \s*:=\s*({_ID})\s*{_ARGS}{_END}""",
     re.VERBOSE,
 )
 _STATEMENT_LINE = re.compile(
-    rf"""(\s*)statement\s+({_ID})\s+subject\s+({_ID})\s+profile\s+(evolutive|static)
+    rf"""\s*statement\s+({_ID})\s+subject\s+({_ID})\s+profile\s+(evolutive|static)
          \s+property\s+({_ID})(?:\s*{_ARGS})?\s+direction\s+(less|more|changed)
          \s+times\s+({_LINE_INT})\s*,\s*({_LINE_INT})
          \s+span\s*{_INTERVAL}
@@ -572,11 +567,11 @@ _STATEMENT_LINE = re.compile(
 # its start (`entity`, `statement`), and expression parts that make no
 # form (`eval`, `assert`). A maker takes each name as
 # `shared.setdefault(s, s)`, the parse's one string equal to `s`, and a
-# fact's arguments as the one tuple in `tuples` for their text.
+# fact's arguments as the one tuple in `shared` for their text.
 
 
-def _entity_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
-    _, entity_id, start, end, invariant, species = m.groups()
+def _entity_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+    entity_id, start, end, invariant, species = m.groups()
     try:
         lifespan = TimeRef(int(start), None if end is None else int(end))
     except TempcollError:
@@ -584,31 +579,31 @@ def _entity_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | 
     return shared.setdefault(entity_id, entity_id), lifespan, invariant is not None, species
 
 
-def _fact_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
-    _, name, arg_text, tick = m.groups()
-    args = tuples.get(arg_text)
+def _fact_line(m: re.Match[str], shared: _Shared) -> tuple:
+    name, arg_text, tick = m.groups()
+    args = shared.get(arg_text)  # a tuple, as an argument text ends in `)`
     if args is None:
-        names = arg_text.replace(" ", "").split(",")
-        args = tuples[arg_text] = tuple(map(shared.setdefault, names, names))
+        names = arg_text[:-1].replace(" ", "").split(",")
+        args = shared[arg_text] = tuple(map(shared.setdefault, names, names))
     return shared.setdefault(name, name), args, None if tick is None else int(tick)
 
 
-def _measure_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
-    _, name, entity_id, tick, literal = m.groups()
+def _measure_line(m: re.Match[str], shared: _Shared) -> tuple:
+    name, entity_id, tick, literal = m.groups()
     value = shared.get(literal)  # a Fraction, as a literal is no name
     if value is None:
         value = shared[literal] = Fraction(literal)
     return shared.setdefault(name, name), shared.setdefault(entity_id, entity_id), int(tick), value
 
 
-def _collection_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
-    _, name, anchor, predicate, arg_text = m.groups()
+def _collection_line(m: re.Match[str], shared: _Shared) -> tuple:
+    name, anchor, predicate, arg_text = m.groups()
     pattern = tuple(arg_text.replace(" ", "").split(","))
     return name, predicate, pattern, None if anchor is None else int(anchor)
 
 
-def _statement_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
-    _, statement_id, subject, profile, compared, pattern_text, direction, *rest = m.groups()
+def _statement_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+    statement_id, subject, profile, compared, pattern_text, direction, *rest = m.groups()
     t1, t2, start, end, bound_text, mode_word = rest
     try:
         span = TimeRef(int(start), None if end is None else int(end))
@@ -750,10 +745,10 @@ def _parse_reference(cur: _Cursor) -> tuple:
 # `@` is a bare instantiation, as in `_parse_expr`.
 _INST = rf"({_ID})\s*@\s*({_LINE_INT})(?:\s*\|\s*({_ID})\s*{_ARGS})?"
 _EXPR = rf"(?:(card|ratio)\s*\(\s*|sum\s+({_ID})\s+over\s+)?{_INST}(?:\s*,\s*{_INST})?(\s*\))?"
-_EVAL_LINE = re.compile(rf"(\s*)eval\s+{_EXPR}{_END}")
-_ASSERT_LINE = re.compile(rf"(\s*)assert\s+{_EXPR}\s*([<>=])\s*{_EXPR}{_END}")
-# `explain` takes one name (group 2), as `_parse_reference` does.
-_EXPLAIN_LINE = re.compile(rf"(\s*)explain\s+({_ID}){_END}")
+_EVAL_LINE = re.compile(rf"\s*eval\s+{_EXPR}{_END}")
+_ASSERT_LINE = re.compile(rf"\s*assert\s+{_EXPR}\s*([<>=])\s*{_EXPR}{_END}")
+# `explain` takes one name (group 1), as `_parse_reference` does.
+_EXPLAIN_LINE = re.compile(rf"\s*explain\s+({_ID}){_END}")
 
 # Keyword -> whether its form has (a second instantiation, a closing `)`).
 _EXPR_SHAPES = {"card": (False, True), "ratio": (True, True), None: (False, False)}
@@ -778,21 +773,21 @@ def _expr(g: Sequence[str | None]) -> Expr | None:
     return inst if measure is None else SumExpr(measure, inst)
 
 
-def _eval_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
-    expr = _expr(m.groups()[1:])
+def _eval_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+    expr = _expr(m.groups())
     return None if expr is None else (expr,)
 
 
-def _assert_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple | None:
+def _assert_line(m: re.Match[str], shared: _Shared) -> tuple | None:
     g = m.groups()
-    left, right = _expr(g[1:12]), _expr(g[13:])
+    left, right = _expr(g[:11]), _expr(g[12:])
     if left is None or right is None:
         return None
-    return left, g[12], right
+    return left, g[11], right
 
 
-def _explain_line(m: re.Match[str], shared: _Shared, tuples: _Tuples) -> tuple:
-    statement_id = m.group(2)
+def _explain_line(m: re.Match[str], shared: _Shared) -> tuple:
+    statement_id = m.group(1)
     return (shared.setdefault(statement_id, statement_id),)
 
 

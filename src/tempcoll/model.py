@@ -61,11 +61,12 @@ MODE_RE: Mode = "de_re"
 MODE_DICTO: Mode = "de_dicto"
 
 
-def check_tick(tick: object) -> None:
-    """Raise TypeError unless `tick` is an ``int``: a tick is never a
-    TimeRef, and a wrong type would otherwise just match nothing."""
-    if type(tick) is not int:
-        raise TypeError(f"a tick is an int, got {tick!r}")
+def check_int(value: object, what: str = "a tick") -> None:
+    """Raise TypeError unless `value` is an ``int``, not a bool either:
+    `render_world` writes ints only, and a tick of a wrong type would
+    otherwise just match nothing (a tick is never a TimeRef)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} is an int, got {value!r}")
 
 
 def check_flag(flag: object) -> None:
@@ -105,11 +106,9 @@ class TimeRef:
     end: int | None
 
     def __post_init__(self) -> None:
-        # `render_world` writes ints only, so a float or bool would not
-        # parse back.
-        check_tick(self.start)
+        check_int(self.start)
         if self.end is not None:
-            check_tick(self.end)
+            check_int(self.end)
             if self.end < self.start:
                 raise InvalidDeclaration(f"empty interval {self}")
 
@@ -228,8 +227,7 @@ class PredicateDecl:
     cohort: bool = False
 
     def __post_init__(self) -> None:
-        if type(self.arity) is not int:  # not a bool either: `render_world` writes ints
-            raise TypeError(f"an arity is an int, got {self.arity!r}")
+        check_int(self.arity, "an arity")
         if self.arity < 1:
             raise InvalidDeclaration(f"predicate '{self.name}' needs arity >= 1")
         check_flag(self.invariant)
@@ -287,7 +285,7 @@ class Collection:
         # Every check that needs no world lives here, as for `Statement`.
         hole_index(self.pattern)
         if self.anchor is not None:
-            check_tick(self.anchor)
+            check_int(self.anchor)
 
     @property
     def mode(self) -> Mode:
@@ -338,7 +336,7 @@ class Statement:
         if times[0] == times[1]:
             raise MalformedStatement("evaluation times must be distinct")
         for t in times:
-            check_tick(t)
+            check_int(t)
             if t not in self.span:
                 raise MalformedStatement(
                     f"span {self.span} does not cover evaluation time {number_text(t)}"
@@ -346,8 +344,7 @@ class Statement:
         if self.profile.direction not in ("less", "more", "changed"):
             raise MalformedStatement(f"unknown direction '{self.profile.direction}'")
         if self.species_bound is not None:
-            if type(self.species_bound) is not int:  # not a bool either
-                raise TypeError(f"a species bound is an int, got {self.species_bound!r}")
+            check_int(self.species_bound, "a species bound")
             if self.species_bound < 1:
                 raise MalformedStatement("species bound must be a positive tick count")
         if self.explicit_mode not in (None, MODE_RE, MODE_DICTO):
@@ -542,7 +539,7 @@ class WorldBuilder:
                 f"'always' fact needs an invariant predicate; '{predicate}' is mutable"
             )
         if at is not None:
-            check_tick(at)
+            check_int(at)
         # `args` is a tuple already, so `Fact.__new__` need not convert it again.
         key = (predicate, args, at is not None, 0 if at is None else at)
         self._facts[key] = tuple.__new__(Fact, (predicate, args, at))
@@ -557,7 +554,7 @@ class WorldBuilder:
         return None
 
     def add_measure(self, measure: str, entity_id: str, at: int, value: Fraction) -> None:
-        check_tick(at)
+        check_int(at)
         if not isinstance(value, Fraction):  # a float would break exact sums
             raise TypeError(f"a measure value is a Fraction, got {value!r}")
         if measure in self._predicates:

@@ -33,7 +33,7 @@ from tempcoll import (
     render_world,
     slice_at,
 )
-from tempcoll.cli import Report, _json_text, format_report, main, run
+from tempcoll.cli import Report, _eval_expr, _json_text, _value_json, format_report, main, run
 from worldgen import CONSTANTS, MEASURES, random_world
 
 
@@ -518,6 +518,16 @@ _JSON_DOCUMENTS = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_writer_writes_what_json_dumps_writes(document):
     assert _json_text(document) == json.dumps(document, indent=2, ensure_ascii=False)
+
+
+def test_an_unknown_expression_or_value_raises_type_error():
+    # A script's parser makes only the four expression forms, and they
+    # evaluate only to the three value kinds; anything else is a misuse.
+    world = load_world("friends.tcw")
+    with pytest.raises(TypeError, match=r"^unknown expression 'card\(C@1\)'$"):
+        _eval_expr(world, "card(C@1)", "strict")
+    with pytest.raises(TypeError, match=r"^unrenderable value 0\.5$"):
+        _value_json(0.5)
 
 
 def test_json_report_past_the_digit_limit_writes_every_value_as_itself():

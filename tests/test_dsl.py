@@ -4,6 +4,7 @@ import gc
 import inspect
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -579,8 +580,16 @@ def test_argument_spaces_and_kind_order_keep_the_value(text, built):
 
 
 # Indentation -> the 1-based column of the word after it. `parse_world`
-# finds a builder diagnostic's column again from the line's text.
-_INDENTS = {"   ": 4, "\t": 2, "\u00a0": 2, "\x0c": 2, " \t\u00a0\x0c ": 6}
+# finds a builder diagnostic's column again from the line's text. Every
+# whitespace character that does not end a line indents by itself.
+_INDENTS = {
+    "   ": 4,
+    "\t": 2,
+    "\u00a0": 2,
+    "\x0c": 2,
+    " \t\u00a0\x0c ": 6,
+    **{c: 2 for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\r\n"},
+}
 _DIAGNOSED_PRELUDE = "entity ann lifespan [0, 9]\npred p arity 1 mutable\n"
 # A line for each declaration word that draws a builder error after the
 # prelude, and its message; a tab in an argument list declines a pattern.
@@ -677,7 +686,7 @@ def test_a_matched_fact_or_measure_line_gives_the_cursor_tuple(
     with int_digit_limit(limit):
         m = pattern.fullmatch(line)
         if m is not None:
-            assert make(m, {}, {}) == _cursor_value(word, line)
+            assert make(m, {}) == _cursor_value(word, line)
 
 
 _EDGE_LITERALS = [
@@ -740,13 +749,13 @@ def test_line_patterns_agree_on_fixtures_and_corpus_cases():
 )
 def test_line_tables_keep_their_contract(table, words):
     # The common kinds have a pattern; each starts with its row's word, so
-    # no pattern shadows another word; group 1 is the indentation, so the
-    # head column is the tokenizer's; a pattern ends like a line may,
+    # no pattern shadows another word; the indentation is an uncaptured
+    # `\s*`, so every group is a value; a pattern ends like a line may,
     # comment included.
     patterns = _patterns(getattr(dsl, table))
     assert [word for word, _, _ in patterns] == words
     for word, pattern, _ in patterns:
-        assert pattern.pattern.startswith(rf"(\s*){word}\s+"), word
+        assert pattern.pattern.startswith(rf"\s*{word}\s+"), word
         assert pattern.pattern.endswith(dsl._END), word
 
 
@@ -826,8 +835,8 @@ def test_generated_declarations_take_the_line_patterns(seed, statements):
     slow = []
 
     def counted(kind, make):
-        def count(m, shared, tuples):
-            value = make(m, shared, tuples)
+        def count(m, shared):
+            value = make(m, shared)
             accepted[kind] += value is not None
             return value
 
@@ -944,8 +953,8 @@ def test_two_parses_share_no_name_or_value():
 
 
 def test_facts_with_one_argument_text_share_one_tuple():
-    # A one-argument text is also its name's key, so the tuples need a
-    # table of their own: the fact's arguments stay a tuple.
+    # An argument text is keyed up to its `)`, so a one-argument text never
+    # meets its name's key in the parse's table: the arguments stay a tuple.
     text = _NAMED_WORLD + (
         "pred tall arity 1 mutable\nfact tall(ann) @ 2\nfact tall(ann) @ 3\n"
         "fact likes(ann, bob) @ 4\nfact likes(ann,bob) @ 5\n"

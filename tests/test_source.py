@@ -139,6 +139,32 @@ def test_no_module_calls_dataclasses_replace():
     assert found == []
 
 
+def test_only_check_int_tests_for_an_int():
+    # "An int, not a bool" is one rule, in `model.check_int`; every other
+    # int check calls it. A dispatch on `type(value) is int` is no check.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each `type(...) is not int` -> its innermost function
+        for scope in ast.walk(tree):
+            if scope is tree or isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(scope):
+                    if (
+                        isinstance(node, ast.Compare)
+                        and isinstance(node.left, ast.Call)
+                        and isinstance(node.left.func, ast.Name)
+                        and node.left.func.id == "type"
+                        and any(
+                            isinstance(op, ast.IsNot) and isinstance(right, ast.Name)
+                            and right.id == "int"
+                            for op, right in zip(node.ops, node.comparators)
+                        )
+                    ):
+                        owner[node] = getattr(scope, "name", "<module>")
+        found += [f"{path.name}:{name}" for name in owner.values()]
+    assert found == ["model.py:check_int"]
+
+
 _MUTATORS = {
     "add",
     "append",
