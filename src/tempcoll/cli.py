@@ -22,7 +22,6 @@ import argparse
 import json
 import operator
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -59,13 +58,15 @@ __all__ = ["Report", "run", "format_report", "exit_code", "main"]
 _UNDEFINED_ERRORS = (MissingMeasure, EmptyDenominator, OutsideLifeSpan)
 
 
-@dataclass
 class Report:
     """The JSON payload of each executed command, and the diagnostics.
     The payloads are the report: the text format is rendered from them."""
 
-    commands: list[dict] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(
+        self, commands: list[dict] | None = None, diagnostics: list[Diagnostic] | None = None
+    ) -> None:
+        self.commands = [] if commands is None else commands
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def status(self) -> str:

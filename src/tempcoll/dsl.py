@@ -69,15 +69,16 @@ that dies with the parse; nothing is interned.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, ClassVar, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import TempcollError
 from .model import (
     HOLE,
     MODE_DICTO,
     MODE_RE,
+    CheckedRecord,
     Mode,
     TimeRef,
     World,
@@ -102,8 +103,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Literal["error", "warning"]
     message: str
     line: int
@@ -118,31 +118,33 @@ class Diagnostic:
 # Script AST
 
 
-@dataclass(frozen=True)
-class InstExpr:
-    collection: str
-    at: int
-    filter_predicate: str | None = None
-    filter_pattern: tuple[str, ...] | None = None
+class InstExpr(
+    CheckedRecord, namedtuple("InstExpr", "collection at filter_predicate filter_pattern")
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.filter_predicate is None) != (self.filter_pattern is None):
+    def __new__(
+        cls,
+        collection: str,
+        at: int,
+        filter_predicate: str | None = None,
+        filter_pattern: tuple[str, ...] | None = None,
+    ) -> InstExpr:
+        if (filter_predicate is None) != (filter_pattern is None):
             raise ValueError("a filter needs both a predicate and a pattern")
+        return tuple.__new__(cls, (collection, at, filter_predicate, filter_pattern))
 
 
-@dataclass(frozen=True)
-class CardExpr:
+class CardExpr(NamedTuple):
     inst: InstExpr
 
 
-@dataclass(frozen=True)
-class RatioExpr:
+class RatioExpr(NamedTuple):
     part: InstExpr
     whole: InstExpr
 
 
-@dataclass(frozen=True)
-class SumExpr:
+class SumExpr(NamedTuple):
     measure: str
     inst: InstExpr
 
@@ -150,17 +152,16 @@ class SumExpr:
 Expr = InstExpr | CardExpr | RatioExpr | SumExpr
 
 
-@dataclass(frozen=True)
-class EvalCommand:
-    kind: ClassVar[str] = "eval"
+# A command's `kind`, its line word, is a class attribute, not a field.
+class EvalCommand(NamedTuple):
+    kind = "eval"
     expr: Expr
     line: int
     text: str
 
 
-@dataclass(frozen=True)
-class AssertCommand:
-    kind: ClassVar[str] = "assert"
+class AssertCommand(NamedTuple):
+    kind = "assert"
     left: Expr
     op: Literal["<", ">", "="]
     right: Expr
@@ -168,17 +169,15 @@ class AssertCommand:
     text: str
 
 
-@dataclass(frozen=True)
-class DisambiguateCommand:
-    kind: ClassVar[str] = "disambiguate"
+class DisambiguateCommand(NamedTuple):
+    kind = "disambiguate"
     statement_id: str
     line: int
     text: str
 
 
-@dataclass(frozen=True)
-class ExplainCommand:
-    kind: ClassVar[str] = "explain"
+class ExplainCommand(NamedTuple):
+    kind = "explain"
     statement_id: str
     line: int
     text: str
@@ -187,8 +186,7 @@ class ExplainCommand:
 Command = EvalCommand | AssertCommand | DisambiguateCommand | ExplainCommand
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     commands: tuple[Command, ...]
 
 

@@ -11,7 +11,7 @@ function of (World, arguments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -91,8 +91,19 @@ def number_text(value: int | Fraction) -> str:
     return str(Decimal(value))
 
 
-@dataclass(frozen=True)
-class TimeRef:
+class CheckedRecord:
+    """Base of a record whose ``__new__`` checks its fields, put before its
+    ``namedtuple`` base: ``_replace`` builds through ``_make``, which here
+    goes through ``__new__``, so a replaced record is checked as a new one."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CheckedRecord:
+        return cls(*iterable)
+
+
+class TimeRef(CheckedRecord, namedtuple("TimeRef", "start end")):
     """A closed interval of integer ticks: a life span or a statement span.
 
     ``end is None`` marks an open right end. Every single time (a fact's
@@ -102,15 +113,16 @@ class TimeRef:
     that).
     """
 
-    start: int
-    end: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_int(self.start)
-        if self.end is not None:
-            check_int(self.end)
-            if self.end < self.start:
+    def __new__(cls, start: int, end: int | None) -> TimeRef:
+        check_int(start)
+        self = tuple.__new__(cls, (start, end))
+        if end is not None:
+            check_int(end)
+            if end < start:
                 raise InvalidDeclaration(f"empty interval {self}")
+        return self
 
     @classmethod
     def point(cls, tick: int) -> TimeRef:
@@ -152,22 +164,21 @@ def hole_index(pattern: tuple[str, ...]) -> int:
     return holes[0]
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(CheckedRecord, namedtuple("Entity", "id lifespan invariant species")):
     """A named individual with a life span.
 
     `invariant` marks entities whose stages are indistinguishable across
     time: all their slices compare equal.
     """
 
-    id: str
-    lifespan: LifeSpan
-    invariant: bool = False
-    species: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_span(self.lifespan)
-        check_flag(self.invariant)
+    def __new__(
+        cls, id: str, lifespan: LifeSpan, invariant: bool = False, species: str | None = None
+    ) -> Entity:
+        check_span(lifespan)
+        check_flag(invariant)
+        return tuple.__new__(cls, (id, lifespan, invariant, species))
 
 
 class Slice(NamedTuple):
@@ -211,8 +222,7 @@ class Slice(NamedTuple):
         return f"{self.entity_id}@{number_text(self.at)}"
 
 
-@dataclass(frozen=True)
-class PredicateDecl:
+class PredicateDecl(CheckedRecord, namedtuple("PredicateDecl", "name arity invariant cohort")):
     """A predicate with arity and temporal profile.
 
     `invariant` means the truth value is fixed per argument tuple over
@@ -221,17 +231,17 @@ class PredicateDecl:
     (e.g. being exactly eighteen).
     """
 
-    name: str
-    arity: int
-    invariant: bool = False
-    cohort: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_int(self.arity, "an arity")
-        if self.arity < 1:
-            raise InvalidDeclaration(f"predicate '{self.name}' needs arity >= 1")
-        check_flag(self.invariant)
-        check_flag(self.cohort)
+    def __new__(
+        cls, name: str, arity: int, invariant: bool = False, cohort: bool = False
+    ) -> PredicateDecl:
+        check_int(arity, "an arity")
+        if arity < 1:
+            raise InvalidDeclaration(f"predicate '{name}' needs arity >= 1")
+        check_flag(invariant)
+        check_flag(cohort)
+        return tuple.__new__(cls, (name, arity, invariant, cohort))
 
     def check_arity(self, args: tuple[str, ...]) -> None:
         if len(args) != self.arity:
@@ -240,13 +250,7 @@ class PredicateDecl:
             )
 
 
-class _FactFields(NamedTuple):
-    predicate: str
-    args: tuple[str, ...]
-    at: int | None = None
-
-
-class Fact(_FactFields):
+class Fact(CheckedRecord, namedtuple("Fact", "predicate args at")):
     """A ground atom holding at a tick, or always (``at is None``).
 
     `always` is only legal for invariant predicates and is clipped to the
@@ -259,13 +263,8 @@ class Fact(_FactFields):
     def __new__(cls, predicate: str, args: Iterable[str], at: int | None = None) -> Fact:
         return tuple.__new__(cls, (predicate, tuple(args), at))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Fact:  # as `_replace` calls it
-        return cls(*iterable)
 
-
-@dataclass(frozen=True)
-class Collection:
+class Collection(CheckedRecord, namedtuple("Collection", "name predicate pattern anchor")):
     """A named intensional collection over one predicate pattern.
 
     A collection is de re exactly when it has an `anchor` tick: its
@@ -274,61 +273,71 @@ class Collection:
     realization at every time.
     """
 
-    name: str
-    predicate: str
-    pattern: tuple[str, ...]
-    anchor: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, name: str, predicate: str, pattern: Iterable[str], anchor: int | None = None
+    ) -> Collection:
         # A tuple, so a record made directly with a list still hashes.
-        object.__setattr__(self, "pattern", tuple(self.pattern))
+        pattern = tuple(pattern)
         # Every check that needs no world lives here, as for `Statement`.
-        hole_index(self.pattern)
-        if self.anchor is not None:
-            check_int(self.anchor)
+        hole_index(pattern)
+        if anchor is not None:
+            check_int(anchor)
+        return tuple.__new__(cls, (name, predicate, pattern, anchor))
 
     @property
     def mode(self) -> Mode:
         return MODE_DICTO if self.anchor is None else MODE_RE
 
 
-@dataclass(frozen=True)
-class PredicationProfile:
+class PredicationProfile(
+    CheckedRecord,
+    namedtuple("PredicationProfile", "evolutive compared_property direction property_pattern"),
+):
     """How a statement predicates over its subject.
 
     `compared_property` names either a declared predicate (with an
     argument pattern when its arity exceeds one) or a recorded measure.
     """
 
-    evolutive: bool
-    compared_property: str
-    direction: Direction
-    property_pattern: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.property_pattern is not None:
-            object.__setattr__(self, "property_pattern", tuple(self.property_pattern))
-        check_flag(self.evolutive)
+    def __new__(
+        cls,
+        evolutive: bool,
+        compared_property: str,
+        direction: Direction,
+        property_pattern: Iterable[str] | None = None,
+    ) -> PredicationProfile:
+        if property_pattern is not None:
+            property_pattern = tuple(property_pattern)
+        check_flag(evolutive)
+        return tuple.__new__(cls, (evolutive, compared_property, direction, property_pattern))
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(
+    CheckedRecord,
+    namedtuple("Statement", "id subject profile eval_times span species_bound explicit_mode"),
+):
     """A plural statement evaluated over exactly two situations."""
 
-    id: str
-    subject: str
-    profile: PredicationProfile
-    eval_times: tuple[int, ...]
-    span: TimeRef
-    species_bound: int | None = None
-    explicit_mode: Mode | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        id: str,
+        subject: str,
+        profile: PredicationProfile,
+        eval_times: Iterable[int],
+        span: TimeRef,
+        species_bound: int | None = None,
+        explicit_mode: Mode | None = None,
+    ) -> Statement:
         # Every check that needs no world lives here, so a statement made
-        # by `dataclasses.replace` is as well-formed as a built one.
-        times = tuple(self.eval_times)
-        object.__setattr__(self, "eval_times", times)
-        check_span(self.span)
+        # by `_replace` is as well-formed as a built one.
+        times = tuple(eval_times)
+        check_span(span)
         if len(times) != 2:
             raise MalformedStatement(
                 f"a statement needs exactly two evaluation times, got {len(times)}"
@@ -337,21 +346,21 @@ class Statement:
             raise MalformedStatement("evaluation times must be distinct")
         for t in times:
             check_int(t)
-            if t not in self.span:
+            if t not in span:
                 raise MalformedStatement(
-                    f"span {self.span} does not cover evaluation time {number_text(t)}"
+                    f"span {span} does not cover evaluation time {number_text(t)}"
                 )
-        if self.profile.direction not in ("less", "more", "changed"):
-            raise MalformedStatement(f"unknown direction '{self.profile.direction}'")
-        if self.species_bound is not None:
-            check_int(self.species_bound, "a species bound")
-            if self.species_bound < 1:
+        if profile.direction not in ("less", "more", "changed"):
+            raise MalformedStatement(f"unknown direction '{profile.direction}'")
+        if species_bound is not None:
+            check_int(species_bound, "a species bound")
+            if species_bound < 1:
                 raise MalformedStatement("species bound must be a positive tick count")
-        if self.explicit_mode not in (None, MODE_RE, MODE_DICTO):
-            raise MalformedStatement(f"unknown mode '{self.explicit_mode}'")
+        if explicit_mode not in (None, MODE_RE, MODE_DICTO):
+            raise MalformedStatement(f"unknown mode '{explicit_mode}'")
+        return tuple.__new__(cls, (id, subject, profile, times, span, species_bound, explicit_mode))
 
 
-@dataclass(frozen=True)
 class World:
     """An immutable knowledge base; equality and hash are structural.
 
@@ -370,42 +379,54 @@ class World:
     equal answers, so the race is harmless.
     """
 
-    entities: Mapping[str, Entity] = field(default_factory=dict)
-    predicates: Mapping[str, PredicateDecl] = field(default_factory=dict)
-    facts: tuple[Fact, ...] = ()
-    measures: Mapping[tuple[str, str, int], Fraction] = field(default_factory=dict)
-    collections: Mapping[str, Collection] = field(default_factory=dict)
-    statements: Mapping[str, Statement] = field(default_factory=dict)
+    _FIELDS = ("entities", "predicates", "facts", "measures", "collections", "statements")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", tuple(self.facts))
-        for name in ("entities", "predicates", "measures", "collections", "statements"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+    def __init__(
+        self,
+        entities: Mapping[str, Entity] = MappingProxyType({}),
+        predicates: Mapping[str, PredicateDecl] = MappingProxyType({}),
+        facts: Iterable[Fact] = (),
+        measures: Mapping[tuple[str, str, int], Fraction] = MappingProxyType({}),
+        collections: Mapping[str, Collection] = MappingProxyType({}),
+        statements: Mapping[str, Statement] = MappingProxyType({}),
+    ) -> None:
+        # Assignment raises, so the fields go into `__dict__` directly.
+        vars(self).update(
+            entities=MappingProxyType(dict(entities)),
+            predicates=MappingProxyType(dict(predicates)),
+            facts=tuple(facts),
+            measures=MappingProxyType(dict(measures)),
+            collections=MappingProxyType(dict(collections)),
+            statements=MappingProxyType(dict(statements)),
+        )
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                frozenset(self.entities.items()),
-                frozenset(self.predicates.items()),
-                self.facts,
-                frozenset(self.measures.items()),
-                frozenset(self.collections.items()),
-                frozenset(self.statements.items()),
-            )
-        )
+        # Each read-only view hashes as the frozenset of its items.
+        return hash(tuple(v if v is self.facts else frozenset(v.items()) for v in self._values()))
 
     def __reduce__(self) -> tuple:
         # A read-only view does not pickle, so pickle and deepcopy rebuild
         # the World from plain copies, and the copy starts with no lazy
         # index or memo.
-        return World, (
-            dict(self.entities),
-            dict(self.predicates),
-            self.facts,
-            dict(self.measures),
-            dict(self.collections),
-            dict(self.statements),
-        )
+        return World, tuple(v if v is self.facts else dict(v) for v in self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._FIELDS, self._values()))
+        return f"World({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def _facts_by_predicate(self) -> dict[str, tuple[Fact, ...]]:

@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 import weakref
-from dataclasses import replace
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -377,7 +377,7 @@ def test_instantiation_memo_under_racing_threads():
     anchored = Collection("A4", "aborigine", ("_",), 1750)
     keys += [(anchored, t, policy) for t in (1750, 1800, 1850) for policy in ("strict", "lenient")]
     expected = {key: _inst_answer(load_world("centuries.tcw"), key) for key in keys}
-    worlds = [replace(base) for _ in range(50)]
+    worlds = [copy(base) for _ in range(50)]
     wrong = []
 
     def work():

@@ -6,7 +6,7 @@ import random
 import sys
 import threading
 import weakref
-from dataclasses import replace
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -281,7 +281,7 @@ def test_extension_memo_under_racing_threads():
     keys = [("eighteen", ("_",), t) for t in (2001, 2002, 2003)]
     keys += [("smokes", ("_", "tobacco"), t) for t in (2002, 2003)]
     expected = {key: _answer(load_world("youth.tcw"), key) for key in keys}
-    worlds = [replace(base) for _ in range(50)]
+    worlds = [copy(base) for _ in range(50)]
     wrong = []
 
     def work():

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 from copy import deepcopy
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -12,14 +12,26 @@ from hypothesis import strategies as st
 
 from conftest import int_digit_limit, load_world
 from tempcoll import (
+    AssertCommand,
+    CardExpr,
     Collection,
+    Diagnostic,
+    DisambiguateCommand,
+    Entity,
+    EvalCommand,
+    ExplainCommand,
     Fact,
+    InstExpr,
     InvalidDeclaration,
     MalformedStatement,
     MultipleHoles,
     PredicateDecl,
     PredicationProfile,
+    RatioExpr,
+    Script,
     Slice,
+    Statement,
+    SumExpr,
     TimeRef,
     World,
     WorldBuilder,
@@ -246,20 +258,28 @@ def test_a_span_that_is_not_a_timeref_is_refused(declare, message):
     assert builder.build() == _statement_builder().build()
 
 
+_WORLD_FIELDS = ("entities", "predicates", "facts", "measures", "collections", "statements")
+
+
+def _rebuilt(world: World, **changes) -> World:
+    """`world` with the given fields changed, made by the constructor."""
+    return World(**{**{name: getattr(world, name) for name in _WORLD_FIELDS}, **changes})
+
+
 def test_a_record_made_with_lists_stores_tuples():
-    # The builder passes tuples; a direct caller or `dataclasses.replace`
-    # may pass lists, which the record stores as tuples, so it hashes.
+    # The builder passes tuples; a direct caller or `_replace` may pass
+    # lists, which the record stores as tuples, so it hashes.
     builder = _statement_builder()
     builder.add_statement("S", "C", True, "p", "less", (2002, 2003), TimeRef(2002, 2003))
     world = builder.build()
     stmt = world.statements["S"]
-    profile = replace(stmt.profile, property_pattern=["_"])
-    listed = replace(stmt, eval_times=[2002, 2003], profile=profile)
+    profile = stmt.profile._replace(property_pattern=["_"])
+    listed = stmt._replace(eval_times=[2002, 2003], profile=profile)
     assert listed == stmt and hash(listed) == hash(stmt)
-    twin = replace(world, statements={"S": listed})
+    twin = _rebuilt(world, statements={"S": listed})
     assert twin == world and hash(twin) == hash(world)
     coll = Collection("D", "p", ["_"])
-    assert coll == replace(world.collections["C"], name="D")
+    assert coll == world.collections["C"]._replace(name="D")
     assert instantiate(world, coll, 2002).members == instantiate(world, "C", 2002).members
 
 
@@ -271,10 +291,10 @@ def test_a_fact_or_world_made_with_lists_stores_tuples():
     assert type(fact.args) is tuple and fact == world.facts[0]
     assert hash(World(facts=(fact,))) == hash(World(facts=(world.facts[0],)))
     assert type(fact._replace(args=["b"]).args) is tuple
-    twin = replace(world, facts=(fact,))
+    twin = _rebuilt(world, facts=(fact,))
     assert twin == world and hash(twin) == hash(world)
     assert extension(twin, "p", ("_",), 2002) == extension(world, "p", ("_",), 2002)
-    listed = replace(world, facts=[fact])
+    listed = _rebuilt(world, facts=[fact])
     assert type(listed.facts) is tuple
     assert listed == world and hash(listed) == hash(world)
     for copied in (pickle.loads(pickle.dumps(listed)), deepcopy(listed)):
@@ -304,6 +324,149 @@ def test_a_fact_keeps_its_repr_and_is_the_tuple_of_its_fields():
     for twin in (pickle.loads(pickle.dumps(world)), deepcopy(world)):
         assert twin == world and hash(twin) == hash(world)
         assert twin.facts == world.facts and all(type(f) is Fact for f in twin.facts)
+
+
+_INST = InstExpr("C", 2002)
+_FILTERED = InstExpr("C", 2003, "q", ("_", "x"))
+_PROFILE = PredicationProfile(True, "p", "less", ("_",))
+_SPAN = TimeRef(2002, 2003)
+_STATEMENT = Statement("S1", "C", _PROFILE, (2002, 2003), _SPAN, 130, "de_re")
+_INST_TEXT = "InstExpr(collection='C', at=2002, filter_predicate=None, filter_pattern=None)"
+_FILTERED_TEXT = (
+    "InstExpr(collection='C', at=2003, filter_predicate='q', filter_pattern=('_', 'x'))"
+)
+_PROFILE_TEXT = (
+    "PredicationProfile(evolutive=True, compared_property='p', direction='less', "
+    "property_pattern=('_',))"
+)
+# One record of each class the package once made with `dataclass`, and
+# its repr as `dataclass` wrote it: the diagnostics corpus hashes
+# `repr(script)`, so a record's repr is part of the output.
+_RECORDS = [
+    (
+        Diagnostic("error", "bad 'x'", 3, 7, "w.tcw"),
+        "Diagnostic(severity='error', message=\"bad 'x'\", line=3, column=7, source_name='w.tcw')",
+    ),
+    (_FILTERED, _FILTERED_TEXT),
+    (CardExpr(_INST), f"CardExpr(inst={_INST_TEXT})"),
+    (RatioExpr(_FILTERED, _INST), f"RatioExpr(part={_FILTERED_TEXT}, whole={_INST_TEXT})"),
+    (SumExpr("m", _INST), f"SumExpr(measure='m', inst={_INST_TEXT})"),
+    (
+        EvalCommand(CardExpr(_INST), 1, "eval |C@2002|"),
+        f"EvalCommand(expr=CardExpr(inst={_INST_TEXT}), line=1, text='eval |C@2002|')",
+    ),
+    (
+        AssertCommand(CardExpr(_INST), "<", _FILTERED, 2, "assert a < b"),
+        f"AssertCommand(left=CardExpr(inst={_INST_TEXT}), op='<', right={_FILTERED_TEXT}, "
+        "line=2, text='assert a < b')",
+    ),
+    (
+        DisambiguateCommand("S1", 3, "disambiguate S1"),
+        "DisambiguateCommand(statement_id='S1', line=3, text='disambiguate S1')",
+    ),
+    (
+        ExplainCommand("S1", 4, "explain S1"),
+        "ExplainCommand(statement_id='S1', line=4, text='explain S1')",
+    ),
+    (
+        Script((ExplainCommand("S2", 4, "explain S2"),)),
+        "Script(commands=(ExplainCommand(statement_id='S2', line=4, text='explain S2'),))",
+    ),
+    (TimeRef(2002, None), "TimeRef(start=2002, end=None)"),
+    (
+        Entity("a", TimeRef(1990, 2010), True, "human"),
+        "Entity(id='a', lifespan=TimeRef(start=1990, end=2010), invariant=True, species='human')",
+    ),
+    (
+        PredicateDecl("q", 2, False, True),
+        "PredicateDecl(name='q', arity=2, invariant=False, cohort=True)",
+    ),
+    (
+        Collection("C", "p", ("_",), 2002),
+        "Collection(name='C', predicate='p', pattern=('_',), anchor=2002)",
+    ),
+    (_PROFILE, _PROFILE_TEXT),
+    (
+        _STATEMENT,
+        f"Statement(id='S1', subject='C', profile={_PROFILE_TEXT}, eval_times=(2002, 2003), "
+        "span=TimeRef(start=2002, end=2003), species_bound=130, explicit_mode='de_re')",
+    ),
+    (
+        World(
+            entities={"a": Entity("a", TimeRef(2000, 2010))},
+            predicates={"p": PredicateDecl("p", 1)},
+            facts=(Fact("p", ("a",), 2002),),
+            measures={("m", "a", 2002): Fraction(1, 2)},
+            collections={"C": Collection("C", "p", ("_",))},
+            statements={"S1": _STATEMENT},
+        ),
+        "World(entities=mappingproxy({'a': Entity(id='a', lifespan=TimeRef(start=2000, end=2010), "
+        "invariant=False, species=None)}), predicates=mappingproxy({'p': PredicateDecl(name='p', "
+        "arity=1, invariant=False, cohort=False)}), facts=(Fact(predicate='p', args=('a',), "
+        "at=2002),), measures=mappingproxy({('m', 'a', 2002): Fraction(1, 2)}), "
+        "collections=mappingproxy({'C': Collection(name='C', predicate='p', pattern=('_',), "
+        "anchor=None)}), statements=mappingproxy({'S1': Statement(id='S1', subject='C', "
+        f"profile={_PROFILE_TEXT}, eval_times=(2002, 2003), span=TimeRef(start=2002, end=2003), "
+        "species_bound=130, explicit_mode='de_re')}))",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_keep_repr_pickle_deepcopy_and_immutability(record, text):
+    assert repr(record) == text
+    for twin in (pickle.loads(pickle.dumps(record)), deepcopy(record)):
+        assert type(twin) is type(record)
+        assert twin == record and not twin != record and hash(twin) == hash(record)
+    field = "entities" if isinstance(record, World) else record._fields[0]
+    for change in (
+        lambda: setattr(record, field, None),
+        lambda: delattr(record, field),
+        lambda: setattr(record, "extra", None),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    if not isinstance(record, World):
+        # As a `Fact` and the `readings` records are.
+        assert record == tuple(record) and hash(record) == hash(tuple(record))
+
+
+@pytest.mark.parametrize(
+    "record, changes, error, message",
+    [
+        (TimeRef(1, 2), {"end": 0}, InvalidDeclaration, "empty interval [1, 0]"),
+        (Entity("a", TimeRef(1, 2)), {"lifespan": (1, 2)}, TypeError, "a span is a TimeRef"),
+        (PredicateDecl("p", 1), {"arity": 0}, InvalidDeclaration, "needs arity >= 1"),
+        (Collection("C", "p", ("_",)), {"pattern": ("_", "_")}, MultipleHoles, "found 2"),
+        (Collection("C", "p", ("_",)), {"pattern": ("a",)}, MultipleHoles, "found 0"),
+        (_PROFILE, {"evolutive": "yes"}, TypeError, "a flag is a bool"),
+        (
+            _STATEMENT,
+            {"eval_times": (2002, 2003, 2004), "span": TimeRef(2002, 2004)},
+            MalformedStatement,
+            "exactly two evaluation times, got 3",
+        ),
+        (_INST, {"filter_predicate": "q"}, ValueError, "needs both a predicate and a pattern"),
+        (_FILTERED, {"filter_pattern": None}, ValueError, "needs both a predicate and a pattern"),
+    ],
+    ids=[
+        "interval",
+        "span",
+        "arity",
+        "two-holes",
+        "no-hole",
+        "flag",
+        "three-times",
+        "half-filter",
+        "no-pattern",
+    ],
+)
+def test_replace_checks_as_the_constructor_does(record, changes, error, message):
+    with pytest.raises(error, match=re.escape(message)) as replaced:
+        record._replace(**changes)
+    with pytest.raises(error) as made:
+        type(record)(**{**record._asdict(), **changes})
+    assert str(replaced.value) == str(made.value)
 
 
 @given(st.integers(0, 10**9), st.booleans())
@@ -347,7 +510,7 @@ def test_world_pickles_and_deep_copies_without_its_lazy_state(copy_world):
     assert world._extensions and world._instantiations
     twin = copy_world(world)
     assert twin == world and hash(twin) == hash(world)
-    assert set(vars(twin)) == {f.name for f in fields(World)}
+    assert set(vars(twin)) == set(_WORLD_FIELDS)
     assert [extension(twin, *query) for query in queries] == answers
     assert [instantiate(twin, *key) for key in realizations] == instances
 
@@ -414,9 +577,9 @@ def test_builder_needs_exactly_two_evaluation_times(times):
     ids=["one-time", "repeated", "uncovered", "bound", "mode", "direction"],
 )
 def test_statement_shape_is_checked_on_construction(friends, changes, message):
-    # `replace` re-runs the checks, so no statement can skip them.
+    # `_replace` re-runs the checks, so no statement can skip them.
     with pytest.raises(MalformedStatement, match=message):
-        replace(friends.statements["S1"], **changes)
+        friends.statements["S1"]._replace(**changes)
 
 
 def test_builder_knows_measures_recorded_before_a_statement():

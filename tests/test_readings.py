@@ -3,7 +3,6 @@ from __future__ import annotations
 import pickle
 import random
 from copy import deepcopy
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -76,7 +75,7 @@ def test_friends_defaults_to_de_re(friends):
 
 
 def test_explicit_mode_overrides(friends):
-    stmt = replace(friends.statements["S1"], explicit_mode=MODE_DICTO)
+    stmt = friends.statements["S1"]._replace(explicit_mode=MODE_DICTO)
     decision = decide_mode(friends, stmt)
     assert decision.mode == MODE_DICTO
     assert decision.rule_ids == ("E0",)
@@ -95,7 +94,7 @@ def test_decide_is_deterministic(friends, youth):
 
 
 def test_unknown_subject_is_malformed(friends):
-    stmt = replace(friends.statements["S1"], subject="nope")
+    stmt = friends.statements["S1"]._replace(subject="nope")
     with pytest.raises(UnknownCollection, match=r"^unknown collection 'nope'$"):
         decide_mode(friends, stmt)
 
@@ -136,11 +135,7 @@ def test_unknown_reading_kind_is_rejected(friends):
 
 def test_more_than_two_times_rejected_for_directional_readings(friends):
     with pytest.raises(MalformedStatement, match="exactly two evaluation times"):
-        replace(
-            friends.statements["S1"],
-            eval_times=(2002, 2003, 2004),
-            span=TimeRef(2002, 2004),
-        )
+        friends.statements["S1"]._replace(eval_times=(2002, 2003, 2004), span=TimeRef(2002, 2004))
 
 
 def test_each_realization_is_looked_up_once(monkeypatch):
@@ -201,7 +196,7 @@ def test_span_exceeds_declared_bound(centuries):
 
 
 def test_short_span_fits_bound(friends):
-    stmt = replace(friends.statements["S1"], species_bound=130)
+    stmt = friends.statements["S1"]._replace(species_bound=130)
     check = lifespan_check(friends, stmt)
     assert not check.exceeds
     assert check.span_length == 1
@@ -302,7 +297,7 @@ def test_friends_individual_reading_true_with_witnesses(friends):
 
 def test_reversed_direction_reports_counterexamples(friends):
     stmt = friends.statements["S1"]
-    flipped = replace(stmt, profile=replace(stmt.profile, direction="more"))
+    flipped = stmt._replace(profile=stmt.profile._replace(direction="more"))
     decision = analyze(friends, flipped)
     individual, aggregate = decision.readings
     assert individual.truth is False
@@ -321,7 +316,7 @@ def test_missing_measure_is_undefined_not_a_crash(missing):
 
 
 def test_measure_property_under_dicto_is_undefined(friends):
-    stmt = replace(friends.statements["S1"], explicit_mode=MODE_DICTO)
+    stmt = friends.statements["S1"]._replace(explicit_mode=MODE_DICTO)
     decision = analyze(friends, stmt)
     (reading,) = decision.readings
     assert reading.kind == "ratio_evolution"
@@ -475,7 +470,7 @@ def test_r2_soundness(seed):
                 s.entity_id
                 for s in instantiate(
                     world,
-                    replace(coll, anchor=None),
+                    coll._replace(anchor=None),
                     t,
                     "lenient",
                 ).members
