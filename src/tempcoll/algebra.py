@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import extension, measure_value
@@ -62,7 +63,7 @@ class Instantiation(NamedTuple):
         return frozenset(s.entity_id for s in self.members)
 
     def sorted_members(self) -> list[Slice]:
-        return sorted(self.members, key=lambda s: s.entity_id)
+        return sorted(self.members, key=itemgetter(0))
 
 
 def instantiate(
@@ -101,11 +102,17 @@ def _realize(world: World, coll: Collection, t: int) -> Instantiation:
     if coll.mode == MODE_DICTO:
         members = extension(world, coll.predicate, coll.pattern, t)
         return Instantiation(coll.name, t, members, frozenset(), label)
-    base = extension(world, coll.predicate, coll.pattern, coll.anchor)
-    entities = [world.entities[s.entity_id] for s in base]
-    members = frozenset(Slice(e.id, t, invariant=e.invariant) for e in entities if t in e.lifespan)
-    dropped = frozenset(e.id for e in entities if t not in e.lifespan)
-    return Instantiation(coll.name, t, members, dropped, label)
+    entities = world.entities
+    members: list[Slice] = []
+    dropped: list[str] = []
+    for anchored_id, _, _ in extension(world, coll.predicate, coll.pattern, coll.anchor):
+        entity_id, (start, end), invariant, _ = entities[anchored_id]
+        # `t in lifespan` inline, as in `tempcoll.core.extension`.
+        if start <= t and (end is None or t <= end):
+            members.append(tuple.__new__(Slice, (entity_id, t, invariant)))
+        else:
+            dropped.append(entity_id)
+    return Instantiation(coll.name, t, frozenset(members), frozenset(dropped), label)
 
 
 def filter_members(
@@ -148,6 +155,6 @@ def aggregate_sum(world: World, measure: str, inst: Instantiation) -> Fraction:
     zero, a member without a recorded value raises MissingMeasure. The
     values are brought to their least common denominator, so the sum
     reduces once instead of once per member."""
-    values = [measure_value(world, measure, s) for s in inst.sorted_members()]
-    common = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (common // v.denominator) for v in values), common)
+    ratios = [measure_value(world, measure, s).as_integer_ratio() for s in inst.sorted_members()]
+    common = math.lcm(*(d for _, d in ratios))
+    return Fraction(sum(n * (common // d) for n, d in ratios), common)

@@ -54,10 +54,12 @@ def extension(
     world.predicate(predicate).check_arity(pattern)
     hole_index(pattern)
     by_tick, always = world._hole_index.get((predicate, pattern), ({}, ()))
+    # `t in lifespan` inline: a `TimeRef.__contains__` call per member costs
+    # several times the comparison.
     answer = frozenset(
-        Slice(entity.id, t, invariant=entity.invariant)
-        for entity in chain(by_tick.get(t, ()), always)
-        if t in entity.lifespan
+        tuple.__new__(Slice, (entity_id, t, invariant))
+        for entity_id, invariant, start, end in chain(by_tick.get(t, ()), always)
+        if start <= t and (end is None or t <= end)
     )
     world._extensions[key] = answer
     return answer

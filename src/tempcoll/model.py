@@ -32,6 +32,9 @@ from .errors import (
 if TYPE_CHECKING:
     from .algebra import Instantiation
 
+    # An entity as the hole index keeps it: (id, invariant, life-span start, end).
+    HoleEntry = tuple[str, bool, int, int | None]
+
 __all__ = [
     "HOLE",
     "MODE_DICTO",
@@ -214,9 +217,10 @@ class Slice(NamedTuple):
 
     def __hash__(self) -> int:
         # Invariant slices must collapse to one hash bucket per entity.
-        if self.invariant:
-            return hash((self.entity_id, "invariant"))
-        return hash((self.entity_id, self.at))
+        entity_id, at, invariant = self
+        if invariant:
+            return hash((entity_id, "invariant"))
+        return hash((entity_id, at))
 
     def __str__(self) -> str:
         return f"{self.entity_id}@{number_text(self.at)}"
@@ -366,17 +370,18 @@ class World:
 
     The mappings are read-only views over private copies, so the lazy
     indices below can never go stale. Three of them are dicts that one
-    function each reads and fills: the hole index, keyed (predicate,
-    pattern), and the extension memo, keyed (predicate, pattern, tick),
-    by :func:`tempcoll.core.extension`; the instantiation memo, keyed
-    (Collection, tick), by :func:`tempcoll.algebra.instantiate`, which
-    keeps one realization for both policies and raises a strict call's
-    error from it. Each memo checks the tick before its lookup and keeps
-    realized answers only, so an invalid key raises on every call. Like
-    every lazy index they live only in the instance's ``__dict__``,
-    outside equality, hash, ``repr`` and pickling, and die with the
-    World. Two threads racing on one memo key both compute and store
-    equal answers, so the race is harmless.
+    function each reads: :func:`tempcoll.core.extension` reads the hole
+    index, keyed (predicate, pattern), whose values hold each entity as a
+    plain (id, invariant, life-span start, end) entry, and reads and fills
+    the extension memo, keyed (predicate, pattern, tick);
+    :func:`tempcoll.algebra.instantiate` reads and fills the instantiation
+    memo, keyed (Collection, tick), which keeps one realization for both
+    policies and raises a strict call's error from it. Each memo checks
+    the tick before its lookup and keeps realized answers only, so an
+    invalid key raises on every call. Like every lazy index they live
+    only in the instance's ``__dict__``, outside equality, hash, ``repr``
+    and pickling, and die with the World. Two threads racing on one memo
+    key both compute and store equal answers, so the race is harmless.
     """
 
     _FIELDS = ("entities", "predicates", "facts", "measures", "collections", "statements")
@@ -441,25 +446,34 @@ class World:
     @cached_property
     def _hole_index(
         self,
-    ) -> dict[tuple[str, tuple[str, ...]], tuple[dict[int, list[Entity]], list[Entity]]]:
+    ) -> dict[tuple[str, tuple[str, ...]], tuple[dict[int, list[HoleEntry]], list[HoleEntry]]]:
         # Key: (predicate, pattern), a fact's arguments with one declared
-        # entity replaced by the hole. Value: the entities filling that hole,
-        # by tick for mutable facts, and at any tick for `always` facts and
-        # every fact of an invariant predicate. An invariant fact stated at
-        # several ticks lists its entity once per tick.
+        # entity replaced by the hole. Value: the entries of the entities
+        # filling that hole, by tick for mutable facts, and at any tick for
+        # `always` facts and every fact of an invariant predicate. An entry
+        # is the plain tuple (entity id, invariant, life-span start, end),
+        # one per entity, so a query reads it with no attribute lookup. An
+        # invariant fact stated at several ticks lists its entry once per tick.
+        invariant = {name for name, decl in self.predicates.items() if decl.invariant}
+        entries = {
+            entity_id: (entity.id, entity.invariant, *entity.lifespan)
+            for entity_id, entity in self.entities.items()
+        }
         index: dict = {}
-        for f in self.facts:
-            anytime = f.at is None or self.predicates[f.predicate].invariant
-            for hole, arg in enumerate(f.args):
-                entity = self.entities.get(arg)
-                if entity is None:
+        for predicate, args, at in self.facts:
+            anytime = at is None or predicate in invariant
+            for hole, arg in enumerate(args):
+                entry = entries.get(arg)
+                if entry is None:
                     continue
-                pattern = f.args[:hole] + (HOLE,) + f.args[hole + 1 :]
-                by_tick, always = index.setdefault((f.predicate, pattern), ({}, []))
+                key = (predicate, args[:hole] + (HOLE,) + args[hole + 1 :])
+                slot = index.get(key)
+                if slot is None:
+                    slot = index[key] = ({}, [])
                 if anytime:
-                    always.append(entity)
+                    slot[1].append(entry)
                 else:
-                    by_tick.setdefault(f.at, []).append(entity)
+                    slot[0].setdefault(at, []).append(entry)
         return index
 
     @cached_property
@@ -567,7 +581,11 @@ class WorldBuilder:
         if at is not None:
             for arg in args:
                 entity = self._entities.get(arg)
-                if entity is not None and at not in entity.lifespan:
+                if entity is None:
+                    continue
+                # `at not in entity.lifespan`, inline: see `TimeRef.__contains__`.
+                start, end = entity.lifespan
+                if not (start <= at and (end is None or at <= end)):
                     return (
                         f"fact {predicate}({', '.join(args)}) @ {number_text(at)} falls "
                         f"outside the life span of {arg} ({entity.lifespan})"

@@ -281,8 +281,8 @@ def enumerate_readings(world: World, stmt: Statement, mode: Mode) -> tuple[Readi
     return (individual, aggregate)
 
 
-def _ratio_witness(part: Instantiation, whole: Instantiation) -> Witness:
-    value = Fraction(len(part.members), len(whole.members))
+def _ratio_witness(part: Instantiation, whole: Instantiation, value: Fraction) -> Witness:
+    # `value` is `ratio(part, whole)`, already computed by the caller.
     detail = f"{len(part.members)}/{len(whole.members)}"
     if str(value) != detail:
         detail += f" = {value}"
@@ -304,7 +304,7 @@ def _ratio_body(
     before = ratio(part1, early)
     after = ratio(part2, late)
     truth = _CMP[stmt.profile.direction][1](after, before)
-    return truth, (_ratio_witness(part1, early), _ratio_witness(part2, late))
+    return truth, (_ratio_witness(part1, early, before), _ratio_witness(part2, late, after))
 
 
 def _individual_body(

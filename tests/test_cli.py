@@ -65,6 +65,25 @@ def test_check_valid_world(capsys):
     assert out.endswith("status: ok\n")
 
 
+def test_check_builds_no_hole_index(capsys, monkeypatch):
+    # The hole index is lazy: `check` only counts, so building it there
+    # would cost every `check` a pass over the facts. An `explain` of the
+    # same world, which reads extensions, does build it.
+    parsed = []
+
+    def spy(text, source_name):
+        result = parse_world(text, source_name=source_name)
+        parsed.append(result[0])
+        return result
+
+    monkeypatch.setattr(tempcoll.cli, "parse_world", spy)
+    assert _run(capsys, "check", _fx("friends.tcw"))[0] == 0
+    assert _run(capsys, "explain", _fx("friends.tcw"), "S1")[0] == 0
+    checked, explained = parsed
+    assert "_hole_index" not in vars(checked)
+    assert "_hole_index" in vars(explained)
+
+
 def test_check_malformed_world_exits_2(capsys):
     code, out = _run(capsys, "check", _fx("malformed.tcw"))
     assert code == 2

@@ -26,6 +26,7 @@ from tempcoll import (
     UnknownPredicate,
     WorldBuilder,
     extension,
+    instantiate,
     measure_value,
     parse_world,
     render_world,
@@ -314,6 +315,111 @@ def test_a_memo_hit_still_checks_the_tick():
         with pytest.raises(TypeError, match=r"^a tick is an int, got "):
             extension(world, "eighteen", ("_",), tick)
     assert set(world._extensions) == {("eighteen", ("_",), 2002), ("eighteen", ("_",), 1)}
+
+
+# ---------------------------------------------------------------------------
+# life-span edges: each inline life-span test agrees with `TimeRef.__contains__`
+
+_HUGE = 10**5000  # past the default int digit limit
+_SPANS = (
+    TimeRef(2000, 2005),
+    TimeRef(2003, 2003),
+    TimeRef(2001, None),
+    TimeRef(-5, -1),
+    TimeRef(_HUGE, _HUGE + 3),
+    TimeRef(_HUGE + 1, None),
+)
+
+
+def _edges(span: TimeRef) -> tuple[int, ...]:
+    """start - 1, start, end and end + 1; for an open end, ticks past start."""
+    start, end = span
+    if end is None:
+        return (start - 1, start, start + 1, start + _HUGE)
+    return (start - 1, start, end, end + 1)
+
+
+_EDGE_TICKS = sorted({t for span in _SPANS for t in _edges(span)})
+
+
+def _edge_builder() -> WorldBuilder:
+    b = WorldBuilder()
+    for i, span in enumerate(_SPANS):
+        b.add_entity(f"e{i}", span, invariant=i % 2 == 1)
+    b.add_predicate("mut", 1)
+    b.add_predicate("inv", 1, invariant=True)
+    b.add_predicate("perm", 2, invariant=True)
+    return b
+
+
+def test_add_fact_warns_exactly_outside_the_life_span():
+    # A timed fact warns iff its tick is outside the life span of its
+    # entity argument, whether its predicate is mutable or invariant; an
+    # `always` fact never warns.
+    for i, span in enumerate(_SPANS):
+        for t in _edges(span):
+            b = _edge_builder()
+            facts = (("mut", [f"e{i}"]), ("inv", [f"e{i}"]), ("perm", ["k", f"e{i}"]))
+            for predicate, args in facts:
+                warning = b.add_fact(predicate, args, t)
+                assert (warning is None) == (t in span), (predicate, span, t)
+                if warning is not None:
+                    assert f"outside the life span of e{i}" in warning
+            assert b.add_fact("inv", [f"e{i}"], None) is None
+            assert b.add_fact("perm", ["k", f"e{i}"], None) is None
+
+
+def _edge_world():
+    # Each entity: a mutable fact at every edge tick of its life span, an
+    # invariant fact stated at one tick (before its start, so outside),
+    # and an `always` fact; one de re collection anchored at its start.
+    b = _edge_builder()
+    for i, span in enumerate(_SPANS):
+        for t in _edges(span):
+            b.add_fact("mut", [f"e{i}"], t)
+        b.add_fact("inv", [f"e{i}"], span.start - 1)
+        b.add_fact("perm", ["k", f"e{i}"], None)
+        b.add_collection(f"R{i}", "perm", ["k", "_"], anchor=span.start)
+    b.add_collection("D", "mut", ["_"])
+    return b.build()
+
+
+def _fields(slices) -> list[tuple]:
+    return sorted(tuple(s) for s in slices)
+
+
+def test_extension_keeps_exactly_the_live_members():
+    world = _edge_world()
+    entities = world.entities.values()
+    for t in _EDGE_TICKS:
+        stated = {e.id for e in entities if t in _edges(e.lifespan)}
+        live = [e for e in entities if t in e.lifespan]
+        expected = {
+            "mut": _fields(Slice(e.id, t, e.invariant) for e in live if e.id in stated),
+            "inv": _fields(Slice(e.id, t, e.invariant) for e in live),
+        }
+        assert _fields(extension(world, "mut", ("_",), t)) == expected["mut"]
+        assert _fields(extension(world, "inv", ("_",), t)) == expected["inv"]
+        assert _fields(extension(world, "perm", ("k", "_"), t)) == expected["inv"]
+        assert _fields(instantiate(world, "D", t).members) == expected["mut"]
+
+
+def test_instantiate_keeps_the_live_anchored_members_and_drops_the_rest():
+    world = _edge_world()
+    for i, anchor_span in enumerate(_SPANS):
+        name = f"R{i}"
+        anchored = [e for e in world.entities.values() if anchor_span.start in e.lifespan]
+        for t in _EDGE_TICKS:
+            live = [e for e in anchored if t in e.lifespan]
+            dead = {e.id for e in anchored if t not in e.lifespan}
+            lenient = instantiate(world, name, t, "lenient")
+            assert _fields(lenient.members) == _fields(Slice(e.id, t, e.invariant) for e in live)
+            assert lenient.dropped == dead
+            if dead:
+                with pytest.raises(OutsideLifeSpan, match=f"^member {min(dead)} of {name} "):
+                    instantiate(world, name, t, "strict")
+            else:
+                assert instantiate(world, name, t, "strict") == lenient
 
 
 # ---------------------------------------------------------------------------
