@@ -853,7 +853,7 @@ def render_world(world: World) -> str:
         if decl.cohort:
             line += " cohort"
         lines.append(line)
-    for fact in world.facts:  # already canonically sorted by the builder
+    for fact in world.facts:  # in the canonical order: see `World`
         at = "*" if fact.at is None else number_text(fact.at)
         lines.append(f"fact {fact.predicate}({', '.join(fact.args)}) @ {at}")
     for (measure, entity_id, tick), value in sorted(world.measures.items()):

@@ -15,6 +15,8 @@ from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Literal, Mapping, NamedTuple
 
@@ -368,6 +370,11 @@ class Statement(
 class World:
     """An immutable knowledge base; equality and hash are structural.
 
+    A built World's `facts` are distinct and in the canonical order that
+    equality and :func:`tempcoll.dsl.render_world` rely on: by predicate,
+    then arguments, then the `always` fact before the timed ones in tick
+    order. A World made directly keeps its facts as given.
+
     The mappings are read-only views over private copies, so the lazy
     indices below can never go stale. Three of them are dicts that one
     function each reads: :func:`tempcoll.core.extension` reads the hole
@@ -489,7 +496,8 @@ class World:
     @cached_property
     def ticks(self) -> tuple[int, ...]:
         """Distinct ticks mentioned by point facts and measures, sorted."""
-        seen = {f.at for f in self.facts if f.at is not None}
+        seen = {f.at for f in self.facts}  # one read per fact
+        seen.discard(None)
         seen.update(tick for (_, _, tick) in self.measures)
         return tuple(sorted(seen))
 
@@ -530,9 +538,9 @@ class WorldBuilder:
     def __init__(self) -> None:
         self._entities: dict[str, Entity] = {}
         self._predicates: dict[str, PredicateDecl] = {}
-        # Keyed by the canonical sort key, so duplicates collapse and
-        # `build` sorts plain tuples: (predicate, args, timed, tick or 0).
-        self._facts: dict[tuple[str, tuple[str, ...], bool, int], Fact] = {}
+        # Each fact once, in a bucket per (predicate, tick or None), so
+        # duplicates collapse and `build` sorts only arguments.
+        self._facts: dict[tuple[str, int | None], dict[Fact, None]] = {}
         self._measures: dict[tuple[str, str, int], Fraction] = {}
         self._measure_names: set[str] = set()
         self._collections: dict[str, Collection] = {}
@@ -569,15 +577,18 @@ class WorldBuilder:
         decl.check_arity(args)
         if HOLE in args:
             raise InvalidDeclaration(f"facts are ground; '{HOLE}' is not an argument")
-        if at is None and not decl.invariant:
-            raise InvalidDeclaration(
-                f"'always' fact needs an invariant predicate; '{predicate}' is mutable"
-            )
-        if at is not None:
+        if at is None:
+            if not decl.invariant:
+                raise InvalidDeclaration(
+                    f"'always' fact needs an invariant predicate; '{predicate}' is mutable"
+                )
+        else:
             check_int(at)
+        bucket = self._facts.get((predicate, at))
+        if bucket is None:
+            bucket = self._facts[predicate, at] = {}
         # `args` is a tuple already, so `Fact.__new__` need not convert it again.
-        key = (predicate, args, at is not None, 0 if at is None else at)
-        self._facts[key] = tuple.__new__(Fact, (predicate, args, at))
+        bucket[tuple.__new__(Fact, (predicate, args, at))] = None
         if at is not None:
             for arg in args:
                 entity = self._entities.get(arg)
@@ -674,11 +685,23 @@ class WorldBuilder:
         )
 
     def build(self) -> World:
+        # The canonical fact order (see `World`) in three steps: sort the
+        # buckets by (predicate, timed, tick), join each predicate's buckets
+        # in that order, and sort that run by arguments alone. The sort is
+        # stable, so equal arguments keep the bucket order, and it makes or
+        # compares no tuple per fact.
+        buckets = self._facts
+        order = sorted(buckets, key=lambda key: (key[0], key[1] is not None, key[1] or 0))
+        facts: list[Fact] = []
+        for _, keys in groupby(order, itemgetter(0)):
+            run = [fact for key in keys for fact in buckets[key]]
+            run.sort(key=itemgetter(1))
+            facts += run
         # World copies each mapping into a read-only view of its own.
         return World(
             entities=self._entities,
             predicates=self._predicates,
-            facts=tuple(self._facts[key] for key in sorted(self._facts)),
+            facts=facts,
             measures=self._measures,
             collections=self._collections,
             statements=self._statements,

@@ -481,6 +481,71 @@ def test_built_facts_are_distinct_and_in_canonical_order(seed, statements):
     assert facts == canonical
 
 
+# Predicate -> (arity, invariant). Names that share prefixes, so argument
+# tuples compare past their first element and strings past their first
+# character; ticks below zero and past 10**18.
+_ORDER_PREDICATES = {"p": (1, False), "pq": (2, True), "q": (3, True)}
+_ORDER_NAMES = st.sampled_from(["a", "ab", "abc", "b"])
+_ORDER_TICKS = st.integers(-3, 3) | st.integers(10**18 - 1, 10**18 + 2) | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def _drawn_fact(draw) -> Fact:
+    predicate = draw(st.sampled_from(sorted(_ORDER_PREDICATES)))
+    arity, invariant = _ORDER_PREDICATES[predicate]
+    args = draw(st.tuples(*[_ORDER_NAMES] * arity))
+    return Fact(predicate, args, draw(st.none() | _ORDER_TICKS if invariant else _ORDER_TICKS))
+
+
+@given(
+    st.lists(_drawn_fact(), max_size=60).flatmap(
+        # Every other fact twice, all of them in any insertion order.
+        lambda facts: st.permutations(facts + facts[::2])
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_built_facts_follow_the_canonical_order_in_any_insertion_order(facts):
+    builder = WorldBuilder()
+    for name, (arity, invariant) in _ORDER_PREDICATES.items():
+        builder.add_predicate(name, arity, invariant)
+    for fact in facts:
+        assert builder.add_fact(*fact) is None  # no argument is an entity
+    built = builder.build().facts
+    oracle = sorted(
+        set(facts),
+        key=lambda f: (f.predicate, f.args, f.at is not None, 0 if f.at is None else f.at),
+    )
+    assert type(built) is tuple and all(type(f) is Fact for f in built)
+    assert list(built) == oracle
+
+
+def _ticks_world(facts, measures) -> World:
+    builder = WorldBuilder()
+    builder.add_entity("a", TimeRef(-10, None))
+    builder.add_predicate("p", 1)
+    builder.add_predicate("q", 1, invariant=True)
+    for predicate, at in facts:
+        builder.add_fact(predicate, ("a",), at)
+    for measure, at in measures:
+        builder.add_measure(measure, "a", at, Fraction(1))
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "facts, measures, ticks",
+    [
+        ([("q", None)], [], ()),
+        ([], [("m", 3), ("m", -1), ("n", 3)], (-1, 3)),
+        ([("p", -5), ("q", None), ("p", 0), ("q", -1)], [("m", -7), ("m", 0)], (-7, -5, -1, 0)),
+    ],
+    ids=["always-only", "measures-only", "negative"],
+)
+def test_world_ticks_are_the_distinct_point_fact_and_measure_ticks(facts, measures, ticks):
+    world = _ticks_world(facts, measures)
+    old = {f.at for f in world.facts if f.at is not None} | {t for _, _, t in world.measures}
+    assert world.ticks == ticks == tuple(sorted(old))
+
+
 @pytest.mark.parametrize(
     "pattern, anchor, error, message",
     [
