@@ -83,6 +83,8 @@ def instantiate(
     key is never kept: it raises on every call.
     """
     check_int(t)
+    if policy not in ("strict", "lenient"):
+        raise ValueError(f"a policy is 'strict' or 'lenient', got {policy!r}")
     coll = world.collection(collection) if isinstance(collection, str) else collection
     key = (coll, t)
     known = world._instantiations.get(key)

@@ -315,7 +315,9 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
 
 def format_report(report: Report, fmt: str = "text") -> str:
-    """Render a report; the result always ends with a newline."""
+    """Render a report as "text" or "json"; the result always ends with a newline."""
+    if fmt not in ("text", "json"):
+        raise ValueError(f"a report format is 'text' or 'json', got {fmt!r}")
     if fmt == "json":
         document = {
             "status": report.status,

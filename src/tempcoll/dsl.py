@@ -29,8 +29,8 @@ Script grammar:
 `card`, `ratio` and `sum` start an expression only when no `@` follows
 them; `card@2` is the bare instantiation of a collection named `card`.
 
-Every line goes through one tokenizer and cursor parser, except that
-the world kinds `entity`, `fact`, `measure`, `collection` and
+A line's cursor tokenizes it for its word's cursor parser (the tokenizer
+path). The world kinds `entity`, `fact`, `measure`, `collection` and
 `statement` and the commands `eval`, `assert` and `explain` also have
 one full-line pattern each, built from the tokenizer's pieces; `pred`
 and `disambiguate` lines always take the tokenizer path. A line that no
@@ -44,7 +44,7 @@ its cursor parser would, and a pattern captures only the values its
 maker converts. An argument list in a pattern takes only spaces around
 its commas and parentheses, so a line with other whitespace there is
 declined. A line tries first the pattern that took the line before it,
-then the others in table order: a file comes in runs of one kind, and
+then every pattern in table order: a file comes in runs of one kind, and
 each pattern starts with its own word, so at most one matches and the
 order changes no value.
 
@@ -232,29 +232,24 @@ class _LineError(Exception):
     """A problem that ends its line; args are (message, 1-based column)."""
 
 
-def _tokenize(line: str, shared: _Shared) -> list[_Token]:
-    """A line's tokens; a name's text is the parse's one string for it."""
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(line):
-        kind = m.lastgroup or ""
-        if kind == "bad":
-            raise _LineError(f"unexpected character {m.group()!r}", m.start() + 1)
-        if kind not in ("ws", "comment"):
-            text = m.group()
-            if kind == "id":
-                text = shared.setdefault(text, text)
-            tokens.append(_Token(kind, text, m.start() + 1))
-    return tokens
-
-
 _EXPECTED_KIND = {"id": "a name", "int": "an integer"}
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token], line_length: int) -> None:
-        self._tokens = tokens
+    def __init__(self, line: str, shared: _Shared) -> None:
+        """A cursor on a line's tokens, each name the parse's one string for it."""
+        self._tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup or ""
+            if kind == "bad":
+                raise _LineError(f"unexpected character {m.group()!r}", m.start() + 1)
+            if kind not in ("ws", "comment"):
+                text = m.group()
+                if kind == "id":
+                    text = shared.setdefault(text, text)
+                self._tokens.append(_Token(kind, text, m.start() + 1))
         self._idx = 0
-        self._end_column = line_length + 1
+        self._end_column = len(line) + 1
 
     def peek(self, ahead: int = 0) -> _Token | None:
         idx = self._idx + ahead
@@ -362,9 +357,6 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
-_NO_LINE = re.compile("(?!)")  # matches no line
-
-
 def _word_column(line: str) -> int:
     """The 1-based column of a line's first word: one past its leading
     whitespace, which a line pattern's leading `\\s*` and the tokenizer's
@@ -380,8 +372,8 @@ def _parse_lines(
 ) -> tuple[dict[str, tuple[list[tuple], list[int]]], list[Diagnostic]]:
     """The one line loop of both formats. A line that holds a token
     starts with a word from `table`, whose cursor parser must take the
-    rest of the line, unless the word's pattern matches the whole line
-    and its maker, which never raises, builds the tuple from the match and
+    rest of the line, unless a row's pattern matches the whole line and
+    its maker, which never raises, builds the tuple from the match and
     `shared`, the parse's one table of shared values, which dies with the
     parse; a tokenizer-path line takes its names from `shared` too.
     Returns, for each word, its lines' argument tuples and line numbers,
@@ -389,45 +381,43 @@ def _parse_lines(
     records: dict[str, tuple[list[tuple], list[int]]] = {word: ([], []) for word in table}
     diagnostics: list[Diagnostic] = []
     shared: _Shared = {}
-    patterns = [(word, *row[2]) for word, row in table.items() if row[2] is not None]
-    # The pattern that took the previous line goes first (see the module
-    # docstring for why that changes no value), with its word's lists
-    # bound; before any line is taken, that is a pattern matching none.
-    pattern: re.Pattern[str] = _NO_LINE
-    make = add_value = add_line = None
+    # A row per pattern: the pattern, its maker and its word's appenders.
+    # The row that took the previous line goes first (see the module
+    # docstring); the row loop's target leaves bound the row that took a
+    # line, or after a tokenizer-path line the last row, which costs at most
+    # one failed match. The row loop runs the bound row's maker again on a
+    # line it declined, so a maker declines before it writes to `shared`.
+    rows = [
+        (*row[2], *(found.append for found in records[word]))
+        for word, row in table.items() if row[2] is not None
+    ]
+    pattern, make, add_value, add_line = re.compile("(?!)"), None, None, None  # matches no line
     for lineno, line in enumerate(_lines(text), start=1):
         m = pattern.fullmatch(line)
-        if m is not None and (value := make(m, shared)) is not None:
-            add_value(value)
-            add_line(lineno)
-            continue
-        for word, other, maker in patterns:
-            if other is not pattern:
-                m = other.fullmatch(line)
-                if m is not None and (value := maker(m, shared)) is not None:
-                    pattern, make = other, maker
-                    values, linenos = records[word]
-                    add_value, add_line = values.append, linenos.append
-                    add_value(value)
-                    add_line(lineno)
+        if m is None or (value := make(m, shared)) is None:
+            for pattern, make, add_value, add_line in rows:
+                m = pattern.fullmatch(line)
+                if m is not None and (value := make(m, shared)) is not None:
                     break
-        else:
-            try:
-                tokens = _tokenize(line, shared)
-                if tokens:
-                    head = tokens[0]
-                    if head.text not in table:
-                        raise _LineError(f"unknown {noun} {head.text!r}", head.column)
-                    cur = _Cursor(tokens, len(line))
-                    cur.take(noun)
-                    value = table[head.text][0](cur)
-                    cur.expect_end()
-                    values, linenos = records[head.text]
-                    values.append(value)
-                    linenos.append(lineno)
-            except _LineError as e:
-                message, column = e.args
-                diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
+            else:
+                try:
+                    cur = _Cursor(line, shared)
+                    head = cur.peek()
+                    if head is not None:
+                        if head.text not in table:
+                            raise _LineError(f"unknown {noun} {head.text!r}", head.column)
+                        cur.take(noun)
+                        value = table[head.text][0](cur)
+                        cur.expect_end()
+                        values, linenos = records[head.text]
+                        values.append(value)
+                        linenos.append(lineno)
+                except _LineError as e:
+                    message, column = e.args
+                    diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
+                continue
+        add_value(value)
+        add_line(lineno)
     return records, diagnostics
 
 

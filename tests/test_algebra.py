@@ -88,6 +88,16 @@ def test_a_strict_instantiation_raises_at_the_least_dropped_member(centuries):
     assert instantiate(centuries, coll, 1850, "lenient").dropped == {"ab1", "ab2"}
 
 
+@pytest.mark.parametrize("policy", ["Strict", "lax", "", None])
+def test_an_unknown_policy_raises_value_error(centuries, policy):
+    # A misspelt policy must not act lenient: A4 drops ab1 at 1800.
+    coll = Collection("A4", "aborigine", ("_",), 1750)
+    with pytest.raises(ValueError, match=rf"^a policy is 'strict' or 'lenient', got {policy!r}$"):
+        instantiate(centuries, coll, 1800, policy)
+    with pytest.raises(OutsideLifeSpan):
+        instantiate(centuries, coll, 1800, "strict")
+
+
 @pytest.mark.parametrize("tick", [1750, 1800, 1850])
 @pytest.mark.parametrize("order", [("strict", "lenient"), ("lenient", "strict")])
 def test_strict_and_lenient_share_one_realization(tick, order):

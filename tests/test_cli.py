@@ -561,6 +561,12 @@ def test_json_report_past_the_digit_limit_writes_every_value_as_itself():
         assert format_report(Report(commands=[payload]), "json") == unlimited + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["xml", "JSON", "", None])
+def test_an_unknown_report_format_raises_value_error(fmt):
+    with pytest.raises(ValueError, match=r"^a report format is 'text' or 'json', got "):
+        format_report(Report(), fmt)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -547,15 +547,20 @@ def test_argument_whitespace_but_spaces_takes_the_tokenizer_path(parser, head, l
     assert fast[0] not in (None, "None") and not fast[1]
 
 
+_STATEMENT = "statement S{} subject C profile static property p direction less times 1, 2 span [{}]"
+_STATEMENT_WORLD = "entity a lifespan [0, 9]\npred p arity 1 mutable\ncollection C dicto := p(_)\n"
+
+
 @pytest.mark.parametrize(
-    "text, built",
+    "parser, text, built",
     [
         # Spaces around a name or a comma are accepted.
-        (_TWO_ENTITIES + "fact p(a ,b) @ 1", True),
-        (_TWO_ENTITIES + "fact p( a , b ) @ 1", True),
-        (_PQ_WORLD + "collection C dicto := p( _ ,b )", True),
+        ("world", _TWO_ENTITIES + "fact p(a ,b) @ 1", True),
+        ("world", _TWO_ENTITIES + "fact p( a , b ) @ 1", True),
+        ("world", _PQ_WORLD + "collection C dicto := p( _ ,b )", True),
         # Alternating kinds: the previous line's pattern is the wrong one.
         (
+            "world",
             "entity a lifespan [0, 9]\npred p arity 1 mutable\nfact p(a) @ 1\n"
             "measure m(a) @ 1 = 2\nfact p(a) @ 2\ncollection C dicto := p(_)\n"
             "measure m(a) @ 2 = 1/2\nstatement S subject C profile evolutive property m "
@@ -563,7 +568,26 @@ def test_argument_whitespace_but_spaces_takes_the_tokenizer_path(parser, head, l
             True,
         ),
         # A line declined right after a fact line, then a fact line again.
-        (_TWO_ENTITIES + "fact p(a, b) @ 1\nfact p(a, _) @ 2\nfact p(b, a) @ 3", False),
+        ("world", _TWO_ENTITIES + "fact p(a, b) @ 1\nfact p(a, _) @ 2\nfact p(b, a) @ 3", False),
+        # A tokenizer-path line between two statements, then an entity.
+        *(
+            (
+                "world",
+                f"{_STATEMENT_WORLD}{_STATEMENT.format(1, '1, 2')}\n{between}\n"
+                f"{_STATEMENT.format(2, '1, 2')}\nentity b lifespan [0, 9]",
+                True,
+            )
+            for between in ("pred q arity 1 mutable", "; a comment", "")
+        ),
+        # A statement its maker declines (a reversed span), then a valid one.
+        (
+            "world",
+            f"{_STATEMENT_WORLD}{_STATEMENT.format(1, '2, 1')}\n{_STATEMENT.format(2, '1, 2')}",
+            False,
+        ),
+        ("script", "explain S1\ndisambiguate S1\nexplain S2", True),
+        # An `eval` its maker declines (a `card` of two), then a valid one.
+        ("script", "eval card(C@1, C@2)\neval card(C@1)", False),
     ],
     ids=[
         "space-before-comma",
@@ -571,12 +595,18 @@ def test_argument_whitespace_but_spaces_takes_the_tokenizer_path(parser, head, l
         "collection-spaces",
         "alternating-kinds",
         "declined-after-fact",
+        "pred-between-statements",
+        "comment-between-statements",
+        "blank-between-statements",
+        "declined-statement",
+        "disambiguate-between-explains",
+        "declined-eval",
     ],
 )
-def test_argument_spaces_and_kind_order_keep_the_value(text, built):
-    fast, slow = _outcomes(text)
+def test_argument_spaces_and_kind_order_keep_the_value(parser, text, built):
+    fast, slow = _outcomes(text, parser)
     assert fast == slow
-    assert (fast[0] is not None) == built
+    assert (fast[0] not in (None, "None")) == built
 
 
 # Indentation -> the 1-based column of the word after it. `parse_world`
@@ -638,7 +668,7 @@ def test_builder_diagnostics_point_at_the_indented_word(severity):
 
 def _cursor_value(word: str, line: str) -> tuple:
     """The tuple that `word`'s cursor parser gives for `line`."""
-    cur = dsl._Cursor(dsl._tokenize(line, {}), len(line))
+    cur = dsl._Cursor(line, {})
     cur.take(word)
     value = dsl._DECLARATIONS[word][0](cur)
     cur.expect_end()
