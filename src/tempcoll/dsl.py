@@ -33,20 +33,20 @@ A line's cursor tokenizes it for its word's cursor parser (the tokenizer
 path). The world kinds `entity`, `fact`, `measure`, `collection` and
 `statement` and the commands `eval`, `assert` and `explain` also have
 one full-line pattern each, built from the tokenizer's pieces; `pred`
-and `disambiguate` lines always take the tokenizer path. A line that no
-pattern matches, or whose maker declines it, takes the tokenizer path,
-so every diagnostic comes from there. A maker declines only an interval
-whose end comes before its start (`entity`, `statement`) and expression
-parts that make no form (`eval`, `assert`); the `fact` and `measure`
-patterns refuse the hole `_` as an argument, and a literal with a zero
-denominator or a digit run past 640. Otherwise a match gives the value
-its cursor parser would, and a pattern captures only the values its
-maker converts. An argument list in a pattern takes only spaces around
-its commas and parentheses, so a line with other whitespace there is
-declined. A line tries first the pattern that took the line before it,
-then every pattern in table order: a file comes in runs of one kind, and
-each pattern starts with its own word, so at most one matches and the
-order changes no value.
+and `disambiguate` lines always take the tokenizer path, as does a line
+that no pattern matches. A match gives the value its cursor parser
+would, and a pattern captures only the values its maker converts. The
+`fact` and `measure` patterns refuse the hole `_` as an argument, and a
+literal with a zero denominator or a digit run past 640; the `eval` and
+`assert` patterns match whole forms only; an argument list takes only
+spaces around its commas and parentheses. A matched line whose interval
+ends before it starts (`entity`, `statement`) is valid up to that
+interval, so its maker raises the cursor parser's error at the `[`;
+every other diagnostic comes from the tokenizer path. A line tries
+first the pattern that took the line before it, then every pattern in
+table order: a file comes in runs of one kind, and each pattern starts
+with its own word, so at most one matches and the order changes no
+value.
 
 Each format has one table, with one row per line word. A world kind's
 row holds its cursor parser, its `WorldBuilder` method and its pattern,
@@ -344,9 +344,8 @@ def _parse_rational(cur: _Cursor) -> Fraction:
 
 # A word's full-line pattern, whose groups are the values its maker
 # converts, and its maker, which builds from a match and the parse's shared
-# values what the word's cursor parser would, or returns None to leave the
-# line to the tokenizer path.
-_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str], _Shared], tuple | None]]
+# values what the word's cursor parser would, or raises its `_LineError`.
+_LinePattern = tuple[re.Pattern[str], Callable[[re.Match[str], _Shared], tuple]]
 
 
 def _lines(text: str) -> list[str]:
@@ -372,12 +371,13 @@ def _parse_lines(
 ) -> tuple[dict[str, tuple[list[tuple], list[int]]], list[Diagnostic]]:
     """The one line loop of both formats. A line that holds a token
     starts with a word from `table`, whose cursor parser must take the
-    rest of the line, unless a row's pattern matches the whole line and
-    its maker, which never raises, builds the tuple from the match and
-    `shared`, the parse's one table of shared values, which dies with the
-    parse; a tokenizer-path line takes its names from `shared` too.
-    Returns, for each word, its lines' argument tuples and line numbers,
-    in file order, and a diagnostic for each line an error ended."""
+    rest of the line, unless a row's pattern matches the whole line: then
+    its maker builds the tuple, or raises the cursor parser's error, from
+    the match and `shared`, the parse's one table of shared values, which
+    dies with the parse; a tokenizer-path line takes its names from
+    `shared` too. Returns, for each word, its lines' argument tuples and
+    line numbers, in file order, and a diagnostic for each line an error
+    ended: a `_LineError` from a maker or from the tokenizer path."""
     records: dict[str, tuple[list[tuple], list[int]]] = {word: ([], []) for word in table}
     diagnostics: list[Diagnostic] = []
     shared: _Shared = {}
@@ -385,22 +385,21 @@ def _parse_lines(
     # The row that took the previous line goes first (see the module
     # docstring); the row loop's target leaves bound the row that took a
     # line, or after a tokenizer-path line the last row, which costs at most
-    # one failed match. The row loop runs the bound row's maker again on a
-    # line it declined, so a maker declines before it writes to `shared`.
+    # one failed match.
     rows = [
         (*row[2], *(found.append for found in records[word]))
         for word, row in table.items() if row[2] is not None
     ]
     pattern, make, add_value, add_line = re.compile("(?!)"), None, None, None  # matches no line
     for lineno, line in enumerate(_lines(text), start=1):
-        m = pattern.fullmatch(line)
-        if m is None or (value := make(m, shared)) is None:
-            for pattern, make, add_value, add_line in rows:
-                m = pattern.fullmatch(line)
-                if m is not None and (value := make(m, shared)) is not None:
-                    break
-            else:
-                try:
+        try:
+            m = pattern.fullmatch(line)
+            if m is None:
+                for pattern, make, add_value, add_line in rows:
+                    m = pattern.fullmatch(line)
+                    if m is not None:
+                        break
+                else:
                     cur = _Cursor(line, shared)
                     head = cur.peek()
                     if head is not None:
@@ -412,12 +411,12 @@ def _parse_lines(
                         values, linenos = records[head.text]
                         values.append(value)
                         linenos.append(lineno)
-                except _LineError as e:
-                    message, column = e.args
-                    diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
-                continue
-        add_value(value)
-        add_line(lineno)
+                    continue
+            add_value(make(m, shared))
+            add_line(lineno)
+        except _LineError as e:
+            message, column = e.args
+            diagnostics.append(Diagnostic("error", message, lineno, column, source_name))
     return records, diagnostics
 
 
@@ -550,20 +549,19 @@ _STATEMENT_LINE = re.compile(
 )
 
 
-# A maker declines (returns None) only what its cursor parser would
-# reject and its pattern cannot refuse: an interval whose end comes before
-# its start (`entity`, `statement`), and expression parts that make no
-# form (`eval`, `assert`). A maker takes each name as
+# A maker raises only on an interval whose end comes before its start
+# (`entity`, `statement`), which no pattern refuses: `_parse_interval`'s
+# error, at a `[` found only then. A maker takes each name as
 # `shared.setdefault(s, s)`, the parse's one string equal to `s`, and a
 # fact's arguments as the one tuple in `shared` for their text.
 
 
-def _entity_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _entity_line(m: re.Match[str], shared: _Shared) -> tuple:
     entity_id, start, end, invariant, species = m.groups()
     try:
         lifespan = TimeRef(int(start), None if end is None else int(end))
-    except TempcollError:
-        return None
+    except TempcollError as e:
+        raise _LineError(str(e), m.string.rindex("[", 0, m.start(2)) + 1) from e
     return shared.setdefault(entity_id, entity_id), lifespan, invariant is not None, species
 
 
@@ -590,13 +588,13 @@ def _collection_line(m: re.Match[str], shared: _Shared) -> tuple:
     return name, predicate, pattern, None if anchor is None else int(anchor)
 
 
-def _statement_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _statement_line(m: re.Match[str], shared: _Shared) -> tuple:
     statement_id, subject, profile, compared, pattern_text, direction, *rest = m.groups()
     t1, t2, start, end, bound_text, mode_word = rest
     try:
         span = TimeRef(int(start), None if end is None else int(end))
-    except TempcollError:
-        return None
+    except TempcollError as e:
+        raise _LineError(str(e), m.string.rindex("[", 0, m.start(9)) + 1) from e
     evolutive, times = profile == "evolutive", (int(t1), int(t2))
     pattern = None if pattern_text is None else tuple(pattern_text.replace(" ", "").split(","))
     bound = None if bound_text is None else int(bound_text)
@@ -726,20 +724,27 @@ def _parse_reference(cur: _Cursor) -> tuple:
 
 # The full-line patterns of `eval` and `assert`, from one instantiation
 # piece (4 groups: name, tick, filter predicate, filter arguments) and one
-# expression piece (11 groups: `card` or `ratio`, a sum's measure, two
-# instantiations, the closing `)`). The expression piece reads the parts
-# of every form once, which keeps it small to compile, and `_expr`
-# declines parts that make no form. `card`, `ratio` or `sum` followed by
-# `@` is a bare instantiation, as in `_parse_expr`.
+# expression piece (11 groups: `card`, `ratio`, a sum's measure, two
+# instantiations), which matches whole forms only: regex conditionals on
+# its `card` and `ratio` groups take a `card`'s `)` and a `ratio`'s second
+# instantiation and `)`, and a sum or a bare instantiation takes nothing
+# more. `card`, `ratio` or `sum` followed by `@` is a bare instantiation,
+# as in `_parse_expr`.
 _INST = rf"({_ID})\s*@\s*({_LINE_INT})(?:\s*\|\s*({_ID})\s*{_ARGS})?"
-_EXPR = rf"(?:(card|ratio)\s*\(\s*|sum\s+({_ID})\s+over\s+)?{_INST}(?:\s*,\s*{_INST})?(\s*\))?"
-_EVAL_LINE = re.compile(rf"\s*eval\s+{_EXPR}{_END}")
-_ASSERT_LINE = re.compile(rf"\s*assert\s+{_EXPR}\s*([<>=])\s*{_EXPR}{_END}")
+
+
+def _expr_piece(first: int) -> str:
+    """The expression piece whose groups start at group `first`."""
+    return (
+        rf"(?:(card)\s*\(\s*|(ratio)\s*\(\s*|sum\s+({_ID})\s+over\s+)?{_INST}"
+        rf"(?({first})\s*\))(?({first + 1})\s*,\s*{_INST}\s*\))"
+    )
+
+
+_EVAL_LINE = re.compile(rf"\s*eval\s+{_expr_piece(1)}{_END}")
+_ASSERT_LINE = re.compile(rf"\s*assert\s+{_expr_piece(1)}\s*([<>=])\s*{_expr_piece(13)}{_END}")
 # `explain` takes one name (group 1), as `_parse_reference` does.
 _EXPLAIN_LINE = re.compile(rf"\s*explain\s+({_ID}){_END}")
-
-# Keyword -> whether its form has (a second instantiation, a closing `)`).
-_EXPR_SHAPES = {"card": (False, True), "ratio": (True, True), None: (False, False)}
 
 
 def _inst(name: str, tick: str, predicate: str | None, args: str | None) -> InstExpr:
@@ -748,30 +753,24 @@ def _inst(name: str, tick: str, predicate: str | None, args: str | None) -> Inst
     return InstExpr(name, int(tick), predicate, tuple(args.replace(" ", "").split(",")))
 
 
-def _expr(g: Sequence[str | None]) -> Expr | None:
-    """The expression of one `_EXPR` match, from its 11 groups."""
-    keyword, measure, close = g[0], g[1], g[10]
-    if (g[6] is not None, close is not None) != _EXPR_SHAPES[keyword]:
-        return None
-    inst = _inst(*g[2:6])
-    if keyword == "card":
+def _expr(g: Sequence[str | None]) -> Expr:
+    """The expression of one expression piece's match, from its 11 groups."""
+    card, ratio, measure = g[:3]
+    inst = _inst(*g[3:7])
+    if card is not None:
         return CardExpr(inst)
-    if keyword == "ratio":
-        return RatioExpr(inst, _inst(*g[6:10]))
+    if ratio is not None:
+        return RatioExpr(inst, _inst(*g[7:11]))
     return inst if measure is None else SumExpr(measure, inst)
 
 
-def _eval_line(m: re.Match[str], shared: _Shared) -> tuple | None:
-    expr = _expr(m.groups())
-    return None if expr is None else (expr,)
+def _eval_line(m: re.Match[str], shared: _Shared) -> tuple:
+    return (_expr(m.groups()),)
 
 
-def _assert_line(m: re.Match[str], shared: _Shared) -> tuple | None:
+def _assert_line(m: re.Match[str], shared: _Shared) -> tuple:
     g = m.groups()
-    left, right = _expr(g[:11]), _expr(g[12:])
-    if left is None or right is None:
-        return None
-    return left, g[11], right
+    return _expr(g[:11]), g[11], _expr(g[12:])
 
 
 def _explain_line(m: re.Match[str], shared: _Shared) -> tuple:

@@ -241,7 +241,7 @@ def test_round_trip_on_generated_statement_worlds(seed):
 
 
 # ---------------------------------------------------------------------------
-# the full-line patterns: accept with the cursor parser's value, or decline
+# the full-line patterns: accept with the cursor parser's value, or refuse
 
 
 def _patterns(table):
@@ -305,12 +305,12 @@ _SLOTS = {
 
 
 @st.composite
-def _declaration_line(draw) -> str:
+def _declaration_line(draw, near_misses: bool = True) -> str:
     """An entity, fact, measure, collection or statement line, reversed
-    intervals, `-0` and odd whitespace included; most are near misses in
-    one kind of slot: glued words, `_` or bad names, bad numbers, argument
-    counts, misspelt keywords, junk."""
-    broken = draw(st.sampled_from([None, "args", "word", *_SLOTS]))
+    intervals, `-0` and odd whitespace included; with `near_misses`, most
+    are near misses in one kind of slot: glued words, `_` or bad names, bad
+    numbers, argument counts, misspelt keywords, junk."""
+    broken = draw(st.sampled_from([None, "args", "word", *_SLOTS])) if near_misses else None
 
     def pick(slot: str) -> str:
         valid, misses = _SLOTS[slot]
@@ -383,12 +383,13 @@ _SCRIPT_SLOTS = {
 
 
 @st.composite
-def _command_line(draw) -> str:
+def _command_line(draw, near_misses: bool = True) -> str:
     """An `eval` or `assert` line over every expression form, collections
-    named `card`, `ratio`, `sum` or `over` included; most are near misses
-    in one kind of slot: glued or misspelt words, a dropped `over` or
-    `)`, bad names, rational or decimal ticks, `==` or `:=`, junk."""
-    broken = draw(st.sampled_from([None, "paren", "word", *_SCRIPT_SLOTS]))
+    named `card`, `ratio`, `sum` or `over` included; with `near_misses`,
+    most are near misses in one kind of slot: glued or misspelt words, a
+    dropped `over` or `)`, bad names, rational or decimal ticks, `==` or
+    `:=`, junk."""
+    broken = draw(st.sampled_from([None, "paren", "word", *_SCRIPT_SLOTS])) if near_misses else None
 
     def pick(slot: str) -> str:
         valid, misses = _SCRIPT_SLOTS[slot]
@@ -579,14 +580,14 @@ _STATEMENT_WORLD = "entity a lifespan [0, 9]\npred p arity 1 mutable\ncollection
             )
             for between in ("pred q arity 1 mutable", "; a comment", "")
         ),
-        # A statement its maker declines (a reversed span), then a valid one.
+        # A statement with a reversed span, an error line, then a valid one.
         (
             "world",
             f"{_STATEMENT_WORLD}{_STATEMENT.format(1, '2, 1')}\n{_STATEMENT.format(2, '1, 2')}",
             False,
         ),
         ("script", "explain S1\ndisambiguate S1\nexplain S2", True),
-        # An `eval` its maker declines (a `card` of two), then a valid one.
+        # An `eval` no pattern matches (a `card` of two), then a valid one.
         ("script", "eval card(C@1, C@2)\neval card(C@1)", False),
     ],
     ids=[
@@ -598,9 +599,9 @@ _STATEMENT_WORLD = "entity a lifespan [0, 9]\npred p arity 1 mutable\ncollection
         "pred-between-statements",
         "comment-between-statements",
         "blank-between-statements",
-        "declined-statement",
+        "reversed-span-statement",
         "disambiguate-between-explains",
-        "declined-eval",
+        "card-of-two-eval",
     ],
 )
 def test_argument_spaces_and_kind_order_keep_the_value(parser, text, built):
@@ -668,9 +669,10 @@ def test_builder_diagnostics_point_at_the_indented_word(severity):
 
 def _cursor_value(word: str, line: str) -> tuple:
     """The tuple that `word`'s cursor parser gives for `line`."""
+    table = dsl._DECLARATIONS if word in dsl._DECLARATIONS else dsl._COMMANDS
     cur = dsl._Cursor(line, {})
     cur.take(word)
-    value = dsl._DECLARATIONS[word][0](cur)
+    value = table[word][0](cur)
     cur.expect_end()
     return value
 
@@ -707,7 +709,7 @@ def test_a_matched_fact_or_measure_line_gives_the_cursor_tuple(
 ):
     # The `fact` and `measure` patterns refuse what their cursor parsers
     # reject (the hole, a zero denominator, a digit run past 640), so a
-    # line they match is never declined.
+    # line they match gives the cursor parser's tuple.
     if word == "fact":
         line = f"fact {name}({space}{f'{space},{space}'.join(args)}{space}) @ {tick}"
     else:
@@ -717,6 +719,36 @@ def test_a_matched_fact_or_measure_line_gives_the_cursor_tuple(
         m = pattern.fullmatch(line)
         if m is not None:
             assert make(m, {}) == _cursor_value(word, line)
+
+
+def _value_or_error(build, *args) -> tuple:
+    """("value", what `build(*args)` returns) or ("error", its `_LineError`'s args)."""
+    try:
+        return "value", build(*args)
+    except dsl._LineError as e:
+        return "error", e.args
+
+
+_EXPLAIN_LINES = st.builds(
+    "{}explain{}{}{}".format,
+    st.sampled_from(["", "\t"]),
+    st.sampled_from(_SPACES),
+    st.sampled_from(_SLOTS["name"][0]),
+    st.sampled_from(_SLOTS["tail"][0]),
+)
+
+
+@given(
+    st.one_of(_declaration_line(near_misses=False), _command_line(near_misses=False), _EXPLAIN_LINES)
+)
+@settings(max_examples=1000, deadline=None)
+def test_a_matched_line_gives_the_cursor_tuple_or_its_error(line):
+    # A line a pattern matches gives the tuple its cursor parser gives, or,
+    # for an interval whose end comes before its start, the same error.
+    for word, pattern, make in _patterns(dsl._DECLARATIONS) + _patterns(dsl._COMMANDS):
+        m = pattern.fullmatch(line)
+        if m is not None:
+            assert _value_or_error(make, m, {}) == _value_or_error(_cursor_value, word, line)
 
 
 _EDGE_LITERALS = [
@@ -901,6 +933,52 @@ def test_fixture_commands_take_the_line_patterns():
         for path in _FIXTURE_SCRIPT_PATHS:
             script, diagnostics = parse_script(path.read_text(encoding="utf-8"))
             assert script is not None and not diagnostics, path.name
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "eval card(C@1, C@2)",
+        "eval ratio(C@1)",
+        "eval C@1)",
+        "eval card(C@1",
+        "eval sum m over C@1, D@2",
+        "assert card(C@1, C@2) = C@1",
+    ],
+)
+def test_an_expression_of_no_form_is_refused_by_its_pattern(line):
+    pattern = dsl._COMMANDS[line.split()[0]][2][0]
+    assert pattern.fullmatch(line) is None
+    fast, slow = _outcomes(line, "script")
+    assert fast == slow
+    assert fast[0] == "None" and len(fast[1]) == 1
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\u00a0"], ids=["space", "tab", "nbsp"])
+@pytest.mark.parametrize(
+    "word, line",
+    [
+        ("entity", "entity z lifespan{}[5, 1] species s"),
+        (
+            "statement",
+            "statement S subject C profile static property p(_, b) direction less "
+            "times 1, 2 span{}[5, 1] bound 3",
+        ),
+    ],
+    ids=["entity", "statement"],
+)
+def test_an_empty_interval_is_diagnosed_on_the_pattern_path(word, line, space):
+    line = line.format(space)
+
+    def refused(cur):
+        raise AssertionError(f"an {word} line reached its cursor parser")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(dsl._DECLARATIONS, word, (refused, *dsl._DECLARATIONS[word][1:]))
+        world, diagnostics = parse_world(line, source_name="w.tcw")
+    assert world is None
+    column = line.index("[") + 1
+    assert [d.render() for d in diagnostics] == [f"w.tcw:1:{column}: error: empty interval [5, 1]"]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
