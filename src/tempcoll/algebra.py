@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import extension, measure_value
 from .errors import EmptyDenominator, NotASubset, OutsideLifeSpan, TickMismatch
@@ -118,11 +118,12 @@ def _realize(world: World, coll: Collection, t: int) -> Instantiation:
 
 
 def filter_members(
-    world: World, inst: Instantiation, predicate: str, pattern: tuple[str, ...]
+    world: World, inst: Instantiation, predicate: str, pattern: Iterable[str]
 ) -> Instantiation:
     """The sub-instantiation of members satisfying `predicate` at the
     instantiation's own time; time, source, and dropped set carry over."""
-    members = inst.members & extension(world, predicate, tuple(pattern), inst.at)
+    pattern = tuple(pattern)  # read twice, so a one-shot iterator is read once
+    members = inst.members & extension(world, predicate, pattern, inst.at)
     label = f"{inst.label or inst.source} | {predicate}({', '.join(pattern)})"
     return Instantiation(inst.source, inst.at, members, inst.dropped, label)
 

@@ -71,7 +71,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import TempcollError
 from .model import (
@@ -128,10 +128,13 @@ class InstExpr(
         collection: str,
         at: int,
         filter_predicate: str | None = None,
-        filter_pattern: tuple[str, ...] | None = None,
+        filter_pattern: Iterable[str] | None = None,
     ) -> InstExpr:
         if (filter_predicate is None) != (filter_pattern is None):
             raise ValueError("a filter needs both a predicate and a pattern")
+        if filter_pattern is not None:
+            # A tuple, so a record made directly with a list still hashes.
+            filter_pattern = tuple(filter_pattern)
         return tuple.__new__(cls, (collection, at, filter_predicate, filter_pattern))
 
 

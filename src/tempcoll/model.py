@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Literal, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping, NamedTuple, TypeVar
 
 from .errors import (
     ArityMismatch,
@@ -32,10 +32,10 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .algebra import Instantiation
-
     # An entity as the hole index keeps it: (id, invariant, life-span start, end).
     HoleEntry = tuple[str, bool, int, int | None]
+    # A record that `_find` looks up by its name.
+    _Record = TypeVar("_Record")
 
 __all__ = [
     "HOLE",
@@ -367,6 +367,14 @@ class Statement(
         return tuple.__new__(cls, (id, subject, profile, times, span, species_bound, explicit_mode))
 
 
+def _find(records: Mapping[str, _Record], name: str, error: type[Exception], noun: str) -> _Record:
+    """The record `name` of `records`, else `error` with no context."""
+    try:
+        return records[name]
+    except KeyError:
+        raise error(f"unknown {noun} '{name}'") from None
+
+
 class World:
     """An immutable knowledge base; equality and hash are structural.
 
@@ -375,20 +383,23 @@ class World:
     then arguments, then the `always` fact before the timed ones in tick
     order. A World made directly keeps its facts as given.
 
-    The mappings are read-only views over private copies, so the lazy
-    indices below can never go stale. Three of them are dicts that one
-    function each reads: :func:`tempcoll.core.extension` reads the hole
-    index, keyed (predicate, pattern), whose values hold each entity as a
-    plain (id, invariant, life-span start, end) entry, and reads and fills
-    the extension memo, keyed (predicate, pattern, tick);
-    :func:`tempcoll.algebra.instantiate` reads and fills the instantiation
-    memo, keyed (Collection, tick), which keeps one realization for both
-    policies and raises a strict call's error from it. Each memo checks
-    the tick before its lookup and keeps realized answers only, so an
-    invalid key raises on every call. Like every lazy index they live
-    only in the instance's ``__dict__``, outside equality, hash, ``repr``
-    and pickling, and die with the World. Two threads racing on one memo
-    key both compute and store equal answers, so the race is harmless.
+    The mappings are read-only views over private copies, so nothing
+    derived from them can go stale. A World is made with two memos, empty
+    dicts that one function each reads and fills:
+    :func:`tempcoll.core.extension` the extension memo, keyed (predicate,
+    pattern, tick), and :func:`tempcoll.algebra.instantiate` the
+    instantiation memo, keyed (Collection, tick), which keeps one
+    realization for both policies and raises a strict call's error from
+    it. Each checks the tick before its lookup and keeps realized answers
+    only, so an invalid key raises on every call. The indices below are
+    lazy, so a World that answers no query never builds them; the one
+    that :func:`tempcoll.core.extension` reads is the hole index, a dict
+    keyed (predicate, pattern) that holds each entity as a plain (id,
+    invariant, life-span start, end) entry. Memos and indices live only
+    in the instance's ``__dict__``, outside equality, hash, ``repr`` and
+    pickling, so a copy starts with empty memos and no index, and they
+    die with the World. Two threads racing on one memo key both compute
+    and store equal answers, so the race is harmless.
     """
 
     _FIELDS = ("entities", "predicates", "facts", "measures", "collections", "statements")
@@ -410,6 +421,9 @@ class World:
             measures=MappingProxyType(dict(measures)),
             collections=MappingProxyType(dict(collections)),
             statements=MappingProxyType(dict(statements)),
+            # The two memos: see the class docstring.
+            _extensions={},
+            _instantiations={},
         )
 
     def _values(self) -> tuple:
@@ -484,16 +498,6 @@ class World:
         return index
 
     @cached_property
-    def _extensions(self) -> dict[tuple[str, tuple[str, ...], int], frozenset[Slice]]:
-        # Filled by `tempcoll.core.extension`, with successful answers only.
-        return {}
-
-    @cached_property
-    def _instantiations(self) -> dict[tuple[Collection, int], Instantiation]:
-        # Filled by `tempcoll.algebra.instantiate`, with realized answers only.
-        return {}
-
-    @cached_property
     def ticks(self) -> tuple[int, ...]:
         """Distinct ticks mentioned by point facts and measures, sorted."""
         seen = {f.at for f in self.facts}  # one read per fact
@@ -502,28 +506,16 @@ class World:
         return tuple(sorted(seen))
 
     def entity(self, entity_id: str) -> Entity:
-        try:
-            return self.entities[entity_id]
-        except KeyError:
-            raise UnknownEntity(f"unknown entity '{entity_id}'") from None
+        return _find(self.entities, entity_id, UnknownEntity, "entity")
 
     def predicate(self, name: str) -> PredicateDecl:
-        try:
-            return self.predicates[name]
-        except KeyError:
-            raise UnknownPredicate(f"unknown predicate '{name}'") from None
+        return _find(self.predicates, name, UnknownPredicate, "predicate")
 
     def collection(self, name: str) -> Collection:
-        try:
-            return self.collections[name]
-        except KeyError:
-            raise UnknownCollection(f"unknown collection '{name}'") from None
+        return _find(self.collections, name, UnknownCollection, "collection")
 
     def statement(self, statement_id: str) -> Statement:
-        try:
-            return self.statements[statement_id]
-        except KeyError:
-            raise UnknownStatement(f"unknown statement '{statement_id}'") from None
+        return _find(self.statements, statement_id, UnknownStatement, "statement")
 
 
 class WorldBuilder:

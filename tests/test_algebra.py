@@ -124,6 +124,17 @@ def test_filter_smokers(youth):
     assert {s.entity_id for s in yt03.members} == {"e", "f"}
 
 
+def test_filter_labels_a_one_shot_pattern_in_full(youth):
+    # The pattern is read for the extension and again for the label,
+    # which a failed ratio's reason quotes.
+    whole = filter_members(youth, instantiate(youth, "Yt", 2002), "eighteen", iter(("_",)))
+    assert whole.label == "Yt@2002 | eighteen(_)"
+    assert whole.member_ids() == {"a", "b"}
+    with pytest.raises(NotASubset) as exc:
+        ratio(instantiate(youth, "Y", 2002), whole)
+    assert str(exc.value) == "Y@2002 is not a subset of Yt@2002 | eighteen(_): c, d"
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=80, deadline=None)
 def test_filter_is_intersective_and_idempotent(seed):

@@ -1174,6 +1174,17 @@ def test_inst_expr_filter_needs_predicate_and_pattern(predicate, pattern):
         InstExpr("Y", 2002, predicate, pattern)
 
 
+def test_inst_expr_made_with_a_list_pattern_stores_a_tuple():
+    # As every model record does, so a direct record hashes and equals the parsed one.
+    script, diagnostics = parse_script("eval C@1 | p(_)")
+    assert not diagnostics
+    parsed = script.commands[0].expr
+    listed = InstExpr("C", 1, "p", ["_"])
+    assert type(listed.filter_pattern) is tuple
+    assert listed == parsed and hash(listed) == hash(parsed)
+    assert listed._replace(filter_pattern=["_"]) == parsed
+
+
 def test_collections_named_like_expression_keywords():
     world, diagnostics = parse_world(
         "pred p arity 1 mutable\n"

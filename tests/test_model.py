@@ -33,6 +33,10 @@ from tempcoll import (
     Statement,
     SumExpr,
     TimeRef,
+    UnknownCollection,
+    UnknownEntity,
+    UnknownPredicate,
+    UnknownStatement,
     World,
     WorldBuilder,
     extension,
@@ -575,9 +579,28 @@ def test_world_pickles_and_deep_copies_without_its_lazy_state(copy_world):
     assert world._extensions and world._instantiations
     twin = copy_world(world)
     assert twin == world and hash(twin) == hash(world)
-    assert set(vars(twin)) == set(_WORLD_FIELDS)
+    assert set(vars(twin)) == {*_WORLD_FIELDS, "_extensions", "_instantiations"}
+    assert twin._extensions == {} and twin._instantiations == {}
     assert [extension(twin, *query) for query in queries] == answers
     assert [instantiate(twin, *key) for key in realizations] == instances
+
+
+@pytest.mark.parametrize(
+    "lookup, error, noun",
+    [
+        (World.entity, UnknownEntity, "entity"),
+        (World.predicate, UnknownPredicate, "predicate"),
+        (World.collection, UnknownCollection, "collection"),
+        (World.statement, UnknownStatement, "statement"),
+    ],
+    ids=["entity", "predicate", "collection", "statement"],
+)
+def test_world_lookup_raises_its_own_error_without_context(friends, lookup, error, noun):
+    with pytest.raises(error) as exc:
+        lookup(friends, "nope")
+    assert type(exc.value) is error
+    assert str(exc.value) == f"unknown {noun} 'nope'"
+    assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
 
 def test_world_mappings_are_read_only(friends):

@@ -247,3 +247,25 @@ def test_the_package_imports_the_standard_library_only():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+_LAYERS = ("errors", "model", "core", "algebra", "readings", "dsl", "cli")
+
+
+def test_each_module_imports_only_earlier_layers():
+    # The modules form one order, each built on those before it; a
+    # relative import, at any depth and also under `TYPE_CHECKING`,
+    # names only an earlier module. The package `__init__` is left out.
+    backward = []
+    for rank, layer in enumerate(_LAYERS):
+        path = SOURCE / f"{layer}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                backward += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names
+                    if name.split(".")[0] not in _LAYERS[:rank]
+                ]
+    assert backward == []
+    assert {path.stem for path in SOURCE.glob("*.py")} == {"__init__", *_LAYERS}
