@@ -30,7 +30,8 @@ Script grammar:
 them; `card@2` is the bare instantiation of a collection named `card`.
 
 A line's cursor tokenizes it for its word's cursor parser (the tokenizer
-path). The world kinds `entity`, `fact`, `measure`, `collection` and
+path), and ends its tokens with an `end` token one column past the
+line. The world kinds `entity`, `fact`, `measure`, `collection` and
 `statement` and the commands `eval`, `assert` and `explain` also have
 one full-line pattern each, built from the tokenizer's pieces; `pred`
 and `disambiguate` lines always take the tokenizer path, as does a line
@@ -83,6 +84,7 @@ from .model import (
     TimeRef,
     World,
     WorldBuilder,
+    check_int,
     number_text,
 )
 
@@ -130,6 +132,7 @@ class InstExpr(
         filter_predicate: str | None = None,
         filter_pattern: Iterable[str] | None = None,
     ) -> InstExpr:
+        check_int(at)
         if (filter_predicate is None) != (filter_pattern is None):
             raise ValueError("a filter needs both a predicate and a pattern")
         if filter_pattern is not None:
@@ -200,15 +203,13 @@ class Script(NamedTuple):
 # Numbers take ASCII digits only; `\s` is Unicode whitespace.
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _INT = r"-?[0-9]+"
-_RATIONAL = r"-?[0-9]+/[0-9]+"
-_DECIMAL = r"-?[0-9]+\.[0-9]+"
+_FRACTION = r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)"
 _COMMENT = r";.*"
 
 _TOKEN_RE = re.compile(
     rf"""(?P<ws>\s+)
       | (?P<comment>{_COMMENT})
-      | (?P<rational>{_RATIONAL})
-      | (?P<decimal>{_DECIMAL})
+      | (?P<fraction>{_FRACTION})
       | (?P<int>{_INT})
       | (?P<id>{_ID})
       | (?P<punct>:=|[()\[\],@=|<>*])
@@ -239,8 +240,11 @@ _EXPECTED_KIND = {"id": "a name", "int": "an integer"}
 
 
 class _Cursor:
+    """A cursor on a line's tokens, each name the parse's one string for it.
+    The tokens end with an `end` token one column past the line, which
+    `take` never passes, so `peek` always gives a token."""
+
     def __init__(self, line: str, shared: _Shared) -> None:
-        """A cursor on a line's tokens, each name the parse's one string for it."""
         self._tokens: list[_Token] = []
         for m in _TOKEN_RE.finditer(line):
             kind = m.lastgroup or ""
@@ -251,21 +255,16 @@ class _Cursor:
                 if kind == "id":
                     text = shared.setdefault(text, text)
                 self._tokens.append(_Token(kind, text, m.start() + 1))
+        self._tokens.append(_Token("end", "", len(line) + 1))
         self._idx = 0
-        self._end_column = len(line) + 1
 
-    def peek(self, ahead: int = 0) -> _Token | None:
-        idx = self._idx + ahead
-        return self._tokens[idx] if idx < len(self._tokens) else None
-
-    def column(self) -> int:
-        tok = self.peek()
-        return tok.column if tok else self._end_column
+    def peek(self, ahead: int = 0) -> _Token:
+        return self._tokens[self._idx + ahead]
 
     def take(self, what: str) -> _Token:
         tok = self.peek()
-        if tok is None:
-            raise _LineError(f"expected {what} at end of line", self._end_column)
+        if tok.kind == "end":
+            raise _LineError(f"expected {what} at end of line", tok.column)
         self._idx += 1
         return tok
 
@@ -279,15 +278,14 @@ class _Cursor:
         return tok
 
     def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.text == text:
+        if self.peek().text == text:
             self._idx += 1
             return True
         return False
 
     def expect_end(self) -> None:
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != "end":
             raise _LineError(f"unexpected trailing input {tok.text!r}", tok.column)
 
 
@@ -320,7 +318,7 @@ def _parse_args(cur: _Cursor, *, allow_hole: bool) -> tuple[str, ...]:
     if not cur.accept(")"):
         while True:
             tok = cur.peek()
-            if tok is None:
+            if tok.kind == "end":
                 raise _LineError("unbalanced '('", opening)
             if tok.kind != "id":
                 raise _LineError(f"expected an argument, got {tok.text!r}", tok.column)
@@ -337,7 +335,7 @@ def _parse_args(cur: _Cursor, *, allow_hole: bool) -> tuple[str, ...]:
 
 def _parse_rational(cur: _Cursor) -> Fraction:
     tok = cur.take("a rational number")
-    if tok.kind not in ("int", "rational", "decimal"):
+    if tok.kind not in ("int", "fraction"):
         raise _LineError(f"expected a rational number, got {tok.text!r}", tok.column)
     try:
         return Fraction(tok.text)
@@ -405,7 +403,7 @@ def _parse_lines(
                 else:
                     cur = _Cursor(line, shared)
                     head = cur.peek()
-                    if head is not None:
+                    if head.kind != "end":
                         if head.text not in table:
                             raise _LineError(f"unknown {noun} {head.text!r}", head.column)
                         cur.take(noun)
@@ -458,7 +456,7 @@ def _parse_measure(cur: _Cursor) -> tuple:
     name = cur.expect().text
     args = _parse_args(cur, allow_hole=False)
     if len(args) != 1:
-        raise _LineError("a measure is recorded for exactly one entity", cur.column())
+        raise _LineError("a measure is recorded for exactly one entity", cur.peek().column)
     cur.expect("@")
     at = _parse_int(cur)
     cur.expect("=")
@@ -490,8 +488,7 @@ def _parse_statement(cur: _Cursor) -> tuple:
     cur.expect("property")
     compared = cur.expect().text
     pattern: tuple[str, ...] | None = None
-    tok = cur.peek()
-    if tok is not None and tok.text == "(":
+    if cur.peek().text == "(":
         pattern = _parse_args(cur, allow_hole=True)
     cur.expect("direction")
     direction = cur.expect("less", "more", "changed").text
@@ -687,7 +684,7 @@ def _parse_insts(cur: _Cursor, count: int) -> list[InstExpr]:
             cur.expect(",")
             insts.append(_parse_inst(cur))
     except _LineError as e:
-        if cur.peek() is None:
+        if cur.peek().kind == "end":
             raise _LineError("unbalanced '('", opening) from e
         raise
     if not cur.accept(")"):
@@ -697,11 +694,10 @@ def _parse_insts(cur: _Cursor, count: int) -> list[InstExpr]:
 
 def _parse_expr(cur: _Cursor) -> Expr:
     tok = cur.peek()
-    if tok is None:
-        raise _LineError("expected an expression at end of line", cur.column())
-    after = cur.peek(1)
+    if tok.kind == "end":
+        raise _LineError("expected an expression at end of line", tok.column)
     # `card`, `ratio` and `sum` are also collection names when `@` follows.
-    if tok.text not in ("card", "ratio", "sum") or (after is not None and after.text == "@"):
+    if tok.text not in ("card", "ratio", "sum") or cur.peek(1).text == "@":
         return _parse_inst(cur)
     cur.take(tok.text)
     if tok.text == "card":

@@ -267,6 +267,8 @@ class Fact(CheckedRecord, namedtuple("Fact", "predicate args at")):
     __slots__ = ()
 
     def __new__(cls, predicate: str, args: Iterable[str], at: int | None = None) -> Fact:
+        if at is not None:
+            check_int(at)
         return tuple.__new__(cls, (predicate, tuple(args), at))
 
 

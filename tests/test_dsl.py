@@ -1227,6 +1227,41 @@ def test_unbalanced_paren_reported_at_opening_column():
     assert "unbalanced" in d.message
 
 
+def test_a_line_cut_after_any_token_is_diagnosed_at_its_end():
+    # Every valid fixture line, cut after each of its tokens but the last,
+    # takes the tokenizer path and ends at its end-of-line handling: an
+    # `at end of line` error one column past the cut, an unclosed `(`, or a
+    # `re` with no anchor, reported at the `re` it follows.
+    paths = [p for p in sorted(FIXTURES.glob("*.tc[wq]")) if p.name != "malformed.tcw"]
+    paths += sorted(Path(__file__).parent.glob("shapes.tc[wq]"))
+    cuts = 0
+    for path in paths:
+        noun, table = (
+            ("declaration", dsl._DECLARATIONS) if path.suffix == ".tcw"
+            else ("command", dsl._COMMANDS)
+        )
+        for line in path.read_text(encoding="utf-8").splitlines():
+            ends = [
+                m.end() for m in dsl._TOKEN_RE.finditer(line.split(";")[0])
+                if m.lastgroup not in ("ws", "comment")
+            ]
+            for end in ends[:-1]:
+                cut = line[:end]
+                cuts += 1
+                diagnostics = dsl._parse_lines(cut, "cut", noun, table)[1]
+                if not diagnostics:
+                    continue
+                (d,) = diagnostics
+                if d.message == "unbalanced '('":
+                    assert cut[d.column - 1] == "(", cut
+                elif d.message.startswith("de re collection "):
+                    assert d.message.endswith("needs an anchor: re@TICK"), cut
+                else:
+                    assert d.message.endswith(" at end of line"), (cut, d)
+                    assert d.column == len(cut) + 1, cut
+    assert cuts > 1000
+
+
 def test_unknown_command_and_bad_tick():
     script, diagnostics = parse_script("evaluate card(Y@2002)\neval card(Y@now)\n")
     assert script is None

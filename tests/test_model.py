@@ -452,6 +452,9 @@ def test_records_keep_repr_pickle_deepcopy_and_immutability(record, text):
         ),
         (_INST, {"filter_predicate": "q"}, ValueError, "needs both a predicate and a pattern"),
         (_FILTERED, {"filter_pattern": None}, ValueError, "needs both a predicate and a pattern"),
+        (Fact("p", ("a",), 2), {"at": 2.0}, TypeError, "a tick is an int, got 2.0"),
+        (Fact("p", ("a",), 2), {"at": True}, TypeError, "a tick is an int, got True"),
+        (_INST, {"at": 2.0}, TypeError, "a tick is an int, got 2.0"),
     ],
     ids=[
         "interval",
@@ -463,6 +466,9 @@ def test_records_keep_repr_pickle_deepcopy_and_immutability(record, text):
         "three-times",
         "half-filter",
         "no-pattern",
+        "float-fact-tick",
+        "bool-fact-tick",
+        "float-inst-tick",
     ],
 )
 def test_replace_checks_as_the_constructor_does(record, changes, error, message):
