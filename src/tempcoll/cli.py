@@ -9,7 +9,8 @@ Subcommands:
 Each executed command records one JSON payload, and the payloads are the
 report: `--format json` prints them, and `--format text` is rendered
 from them by `format_report`. Values are `rational`, `natural`,
-`instantiation` or `undefined` payloads.
+`instantiation` or `undefined` payloads; a diagnostic, fired rule or
+witness is written as its record's fields.
 
 Exit codes: 0 all asserts true and no errors; 1 some assert false or
 undefined; 2 diagnostics or usage errors. Reports are deterministic:
@@ -187,9 +188,7 @@ def _decision_json(statement_id: str, decision: Decision, kind: str) -> dict:
         "kind": kind,
         "statement": statement_id,
         "mode": decision.mode,
-        "rules": [
-            {"id": r.id, "justification": r.justification} for r in decision.fired_rules
-        ],
+        "rules": [r._asdict() for r in decision.fired_rules],
     }
     if kind == "explain":
         data["readings"] = [_reading_json(r) for r in decision.readings]
@@ -203,9 +202,7 @@ def _reading_json(reading: Reading) -> dict:
     else:
         data["truth"] = "undefined"
         data["reason"] = reading.reason or ""
-    data["witnesses"] = [
-        {"label": w.label, "detail": w.detail} for w in reading.witnesses
-    ]
+    data["witnesses"] = [w._asdict() for w in reading.witnesses]
     return data
 
 
@@ -322,16 +319,7 @@ def format_report(report: Report, fmt: str = "text") -> str:
         document = {
             "status": report.status,
             "commands": report.commands,
-            "diagnostics": [
-                {
-                    "severity": d.severity,
-                    "message": d.message,
-                    "line": d.line,
-                    "column": d.column,
-                    "source": d.source_name,
-                }
-                for d in report.diagnostics
-            ],
+            "diagnostics": [d._asdict() for d in report.diagnostics],
         }
         return _json_text(document) + "\n"
     lines: list[str] = []

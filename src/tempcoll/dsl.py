@@ -106,14 +106,16 @@ __all__ = [
 
 
 class Diagnostic(NamedTuple):
+    """A positioned problem; its fields, in order, are its JSON entry."""
+
     severity: Literal["error", "warning"]
     message: str
     line: int
     column: int
-    source_name: str
+    source: str
 
     def render(self) -> str:
-        return f"{self.source_name}:{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.source}:{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_malformed_world_reports_every_problem():
     for d in diagnostics:
         assert d.severity == "error"
         assert d.line >= 1 and d.column >= 1
-        assert d.source_name == "malformed.tcw"
+        assert d.source == "malformed.tcw"
 
 
 def test_arity_mismatch_points_at_the_fact_line():

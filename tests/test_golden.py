@@ -37,7 +37,9 @@ def invocations() -> list[list[str]]:
     reads the policy, so the other commands run under the default. Then
     `tests/shapes.tcq` on `tests/shapes.tcw`, under both policies and in
     both formats, for the value shapes no fixture script reaches (kept
-    out of `fixtures/`, which the diagnostics corpus fuzzes)."""
+    out of `fixtures/`, which the diagnostics corpus fuzzes). Last,
+    `check` and `explain S1` on `tests/warned.tcw` in both formats, for
+    how a builder warning is written."""
     grid: list[list[str]] = []
     for world in (f"fixtures/{name}" for name in WORLDS):
         for fmt in FORMATS:
@@ -55,6 +57,9 @@ def invocations() -> list[list[str]]:
             grid.append(
                 ["eval", "tests/shapes.tcw", "tests/shapes.tcq", "--format", fmt, "--policy", policy]
             )
+    for fmt in FORMATS:
+        grid.append(["check", "tests/warned.tcw", "--format", fmt])
+        grid.append(["explain", "tests/warned.tcw", "S1", "--format", fmt])
     return grid
 
 

@@ -349,7 +349,7 @@ _PROFILE_TEXT = (
 _RECORDS = [
     (
         Diagnostic("error", "bad 'x'", 3, 7, "w.tcw"),
-        "Diagnostic(severity='error', message=\"bad 'x'\", line=3, column=7, source_name='w.tcw')",
+        "Diagnostic(severity='error', message=\"bad 'x'\", line=3, column=7, source='w.tcw')",
     ),
     (_FILTERED, _FILTERED_TEXT),
     (CardExpr(_INST), f"CardExpr(inst={_INST_TEXT})"),
