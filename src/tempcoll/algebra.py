@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .core import extension, measure_value
-from .errors import EmptyDenominator, NotASubset, OutsideLifeSpan, TickMismatch
+from .errors import EmptyDenominator, NotASubset, OutsideLifeSpan, TickMismatch, UnknownMeasure
 from .model import MODE_DICTO, Collection, Policy, Slice, World, check_int, number_text
 
 __all__ = [
@@ -155,9 +155,12 @@ def ratio(part: Instantiation, whole: Instantiation) -> Fraction:
 
 def aggregate_sum(world: World, measure: str, inst: Instantiation) -> Fraction:
     """Sum of `measure` over every member; an empty instantiation sums to
-    zero, a member without a recorded value raises MissingMeasure. The
-    values are brought to their least common denominator, so the sum
-    reduces once instead of once per member."""
+    zero, a member without a recorded value raises MissingMeasure, and a
+    name the World records for no one raises UnknownMeasure, whatever
+    the members. The values are brought to their least common
+    denominator, so the sum reduces once instead of once per member."""
+    if measure not in world.measure_names:
+        raise UnknownMeasure(f"unknown measure '{measure}'")
     ratios = [measure_value(world, measure, s).as_integer_ratio() for s in inst.sorted_members()]
     common = math.lcm(*(d for _, d in ratios))
     return Fraction(sum(n * (common // d) for n, d in ratios), common)

@@ -391,7 +391,9 @@ def run(argv: list[str] | None = None) -> int:
     report = Report()
     world = _load(report, args.world, parse_world)
     if world is not None and args.command == "check":
-        counts = {name: len(getattr(world, name)) for name in _CHECK_COUNTS}
+        counts = {
+            n: world.fact_count if n == "facts" else len(getattr(world, n)) for n in _CHECK_COUNTS
+        }
         report.commands.append({"kind": "check", "source": args.world, "ok": True, **counts})
     elif world is not None and args.command == "eval":
         script = _load(report, args.script, parse_script)

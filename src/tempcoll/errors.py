@@ -13,6 +13,7 @@ __all__ = [
     "ArityMismatch",
     "MultipleHoles",
     "MissingMeasure",
+    "UnknownMeasure",
     "EmptyDenominator",
     "NotASubset",
     "TickMismatch",
@@ -62,6 +63,11 @@ class MissingMeasure(TempcollError):
 
     Deliberately distinct from a recorded zero.
     """
+
+
+class UnknownMeasure(TempcollError):
+    """A measure name that the World records for no entity at any tick:
+    summing it is an error, not zero."""
 
 
 class EmptyDenominator(TempcollError):

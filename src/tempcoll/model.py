@@ -380,10 +380,14 @@ def _find(records: Mapping[str, _Record], name: str, error: type[Exception], nou
 class World:
     """An immutable knowledge base; equality and hash are structural.
 
-    A built World's `facts` are distinct and in the canonical order that
-    equality and :func:`tempcoll.dsl.render_world` rely on: by predicate,
-    then arguments, then the `always` fact before the timed ones in tick
-    order. A World made directly keeps its facts as given.
+    A World holds its facts in two forms and makes the one it was not
+    given on its first read. The rows, read by the hole index, `ticks`
+    and `fact_count`, map (predicate, tick or None) to the distinct
+    argument tuples stated there, so no verdict makes a `Fact`. `facts`,
+    read by `render_world`, `facts_for`, equality, hash, ``repr`` and
+    pickling, is a tuple of `Fact`: a built World, given the builder's
+    rows, makes it in the canonical order (see `facts`); a World made
+    directly keeps the facts it was given, duplicates included.
 
     The mappings are read-only views over private copies, so nothing
     derived from them can go stale. A World is made with two memos, empty
@@ -397,11 +401,11 @@ class World:
     lazy, so a World that answers no query never builds them; the one
     that :func:`tempcoll.core.extension` reads is the hole index, a dict
     keyed (predicate, pattern) that holds each entity as a plain (id,
-    invariant, life-span start, end) entry. Memos and indices live only
-    in the instance's ``__dict__``, outside equality, hash, ``repr`` and
-    pickling, so a copy starts with empty memos and no index, and they
-    die with the World. Two threads racing on one memo key both compute
-    and store equal answers, so the race is harmless.
+    invariant, life-span start, end) entry. Memos, rows and indices live
+    only in the instance's ``__dict__``, outside equality, hash, ``repr``
+    and pickling, so a copy starts with empty memos and no index, and
+    they die with the World. Two threads racing on one memo key both
+    compute and store equal answers, so the race is harmless.
     """
 
     _FIELDS = ("entities", "predicates", "facts", "measures", "collections", "statements")
@@ -457,6 +461,34 @@ class World:
         raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
+    def facts(self) -> tuple[Fact, ...]:
+        """A built World's facts in the canonical order that equality and
+        :func:`tempcoll.dsl.render_world` rely on: by predicate, then
+        arguments, then the `always` fact before the timed ones in tick
+        order. The row keys are sorted, each predicate's rows joined in
+        that order, and that run sorted stably by arguments alone."""
+        rows = self._rows
+        order = sorted(rows, key=lambda key: (key[0], key[1] is not None, key[1] or 0))
+        facts: list[Fact] = []
+        for predicate, keys in groupby(order, itemgetter(0)):
+            run = [tuple.__new__(Fact, (predicate, a, key[1])) for key in keys for a in rows[key]]
+            run.sort(key=itemgetter(1))
+            facts += run
+        return tuple(facts)
+
+    @cached_property
+    def _rows(self) -> dict[tuple[str, int | None], tuple[tuple[str, ...], ...]]:
+        rows: dict = {}
+        for predicate, args, at in self.facts:
+            rows.setdefault((predicate, at), {})[args] = None
+        return {key: tuple(bucket) for key, bucket in rows.items()}
+
+    @property
+    def fact_count(self) -> int:
+        """The number of distinct facts, read from the rows."""
+        return sum(map(len, self._rows.values()))
+
+    @cached_property
     def _facts_by_predicate(self) -> dict[str, tuple[Fact, ...]]:
         index: dict[str, list[Fact]] = {}
         for f in self.facts:
@@ -483,29 +515,35 @@ class World:
             for entity_id, entity in self.entities.items()
         }
         index: dict = {}
-        for predicate, args, at in self.facts:
+        for (predicate, at), rows in self._rows.items():
             anytime = at is None or predicate in invariant
-            for hole, arg in enumerate(args):
-                entry = entries.get(arg)
-                if entry is None:
-                    continue
-                key = (predicate, args[:hole] + (HOLE,) + args[hole + 1 :])
-                slot = index.get(key)
-                if slot is None:
-                    slot = index[key] = ({}, [])
-                if anytime:
-                    slot[1].append(entry)
-                else:
-                    slot[0].setdefault(at, []).append(entry)
+            for args in rows:
+                for hole, arg in enumerate(args):
+                    entry = entries.get(arg)
+                    if entry is None:
+                        continue
+                    key = (predicate, args[:hole] + (HOLE,) + args[hole + 1 :])
+                    slot = index.get(key)
+                    if slot is None:
+                        slot = index[key] = ({}, [])
+                    if anytime:
+                        slot[1].append(entry)
+                    else:
+                        slot[0].setdefault(at, []).append(entry)
         return index
 
     @cached_property
     def ticks(self) -> tuple[int, ...]:
         """Distinct ticks mentioned by point facts and measures, sorted."""
-        seen = {f.at for f in self.facts}  # one read per fact
+        seen = {at for _, at in self._rows}  # one read per row key
         seen.discard(None)
         seen.update(tick for (_, _, tick) in self.measures)
         return tuple(sorted(seen))
+
+    @cached_property
+    def measure_names(self) -> frozenset[str]:
+        """The names of the recorded measures."""
+        return frozenset(name for name, _, _ in self.measures)
 
     def entity(self, entity_id: str) -> Entity:
         return _find(self.entities, entity_id, UnknownEntity, "entity")
@@ -532,9 +570,9 @@ class WorldBuilder:
     def __init__(self) -> None:
         self._entities: dict[str, Entity] = {}
         self._predicates: dict[str, PredicateDecl] = {}
-        # Each fact once, in a bucket per (predicate, tick or None), so
-        # duplicates collapse and `build` sorts only arguments.
-        self._facts: dict[tuple[str, int | None], dict[Fact, None]] = {}
+        # Each fact's arguments once, in a bucket per (predicate, tick or
+        # None), so duplicates collapse and no `Fact` is made: see `World`.
+        self._facts: dict[tuple[str, int | None], dict[tuple[str, ...], None]] = {}
         self._measures: dict[tuple[str, str, int], Fraction] = {}
         self._measure_names: set[str] = set()
         self._collections: dict[str, Collection] = {}
@@ -581,8 +619,7 @@ class WorldBuilder:
         bucket = self._facts.get((predicate, at))
         if bucket is None:
             bucket = self._facts[predicate, at] = {}
-        # `args` is a tuple already, so `Fact.__new__` need not convert it again.
-        bucket[tuple.__new__(Fact, (predicate, args, at))] = None
+        bucket[args] = None
         if at is not None:
             for arg in args:
                 entity = self._entities.get(arg)
@@ -679,24 +716,16 @@ class WorldBuilder:
         )
 
     def build(self) -> World:
-        # The canonical fact order (see `World`) in three steps: sort the
-        # buckets by (predicate, timed, tick), join each predicate's buckets
-        # in that order, and sort that run by arguments alone. The sort is
-        # stable, so equal arguments keep the bucket order, and it makes or
-        # compares no tuple per fact.
-        buckets = self._facts
-        order = sorted(buckets, key=lambda key: (key[0], key[1] is not None, key[1] or 0))
-        facts: list[Fact] = []
-        for _, keys in groupby(order, itemgetter(0)):
-            run = [fact for key in keys for fact in buckets[key]]
-            run.sort(key=itemgetter(1))
-            facts += run
         # World copies each mapping into a read-only view of its own.
-        return World(
+        world = World(
             entities=self._entities,
             predicates=self._predicates,
-            facts=facts,
             measures=self._measures,
             collections=self._collections,
             statements=self._statements,
         )
+        # The World starts from a copy of the rows, and makes `facts` from
+        # them on its first read.
+        vars(world)["_rows"] = {key: tuple(bucket) for key, bucket in self._facts.items()}
+        del vars(world)["facts"]
+        return world

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from tempcoll import MODE_DICTO, MODE_RE, Collection, Statement, TimeRef, World
+from tempcoll import MODE_DICTO, MODE_RE, Collection, Statement, TimeRef, UnknownMeasure, World
 
 HOLE = "_"
 
@@ -75,7 +75,11 @@ def filter_ids(
 def sum_values(
     world: World, measure: str, member_ids: set[str], tick: int
 ) -> Fraction | None:
-    """Total over the members, or None when any value is unrecorded."""
+    """Total over the members, or None when any value is unrecorded.
+    A name recorded for no entity at any tick raises UnknownMeasure,
+    whatever the members."""
+    if all(name != measure for name, _, _ in world.measures):
+        raise UnknownMeasure(f"unknown measure '{measure}'")
     total = Fraction(0)
     for entity_id in sorted(member_ids):
         value = world.measures.get((measure, entity_id, tick))

@@ -10,12 +10,15 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 import oracle
 from conftest import FIXTURES, fixture_text, load_world
 from tempcoll import (
     MODE_RE,
     MissingMeasure,
     TimeRef,
+    UnknownMeasure,
     aggregate_sum,
     analyze,
     cardinality,
@@ -147,6 +150,13 @@ def test_c5_oracle_equivalence():
             assert part.member_ids() == expected_part
             if members:
                 assert ratio(part, inst) == Fraction(len(expected_part), len(members))
+            if all(name != "m0" for name, _, _ in world.measures):
+                # A name recorded for no one is an error to both, not a sum.
+                with pytest.raises(UnknownMeasure):
+                    oracle.sum_values(world, "m0", members, tick)
+                with pytest.raises(UnknownMeasure):
+                    aggregate_sum(world, "m0", inst)
+                continue
             expected_sum = oracle.sum_values(world, "m0", members, tick)
             if expected_sum is None:
                 try:

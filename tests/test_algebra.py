@@ -25,6 +25,7 @@ from tempcoll import (
     TickMismatch,
     TimeRef,
     UnknownCollection,
+    UnknownMeasure,
     WorldBuilder,
     aggregate_sum,
     cardinality,
@@ -239,8 +240,26 @@ def test_sum_values(friends):
     assert aggregate_sum(friends, "cons_tobacco", instantiate(friends, "F", 2003)) == 12
 
 
-def test_sum_of_empty_is_zero(youth):
-    assert aggregate_sum(youth, "smokes_nothing", instantiate(youth, "Y", 1999)) == 0
+def test_sum_of_empty_is_zero(friends):
+    # A recorded measure over an instantiation with no members: nobody
+    # is a friend of `f1`.
+    empty = filter_members(friends, instantiate(friends, "F", 2002), "friend", ("_", "f1"))
+    assert not empty.members
+    assert aggregate_sum(friends, "cons_tobacco", empty) == 0
+
+
+@pytest.mark.parametrize("year", [1999, 2002], ids=["empty", "members"])
+def test_sum_of_an_unrecorded_measure_is_an_error(youth, friends, year):
+    # `youth` records no measure, and a predicate's name is no measure's:
+    # either raises before the sum, whether the members are empty or not.
+    inst = instantiate(youth, "Y", year)
+    assert bool(inst.members) is (year == 2002)
+    for world, name in ((youth, "heigth"), (friends, "friend")):
+        with pytest.raises(UnknownMeasure) as exc:
+            aggregate_sum(world, name, inst)
+        assert str(exc.value) == f"unknown measure '{name}'"
+        with pytest.raises(UnknownMeasure, match=f"^unknown measure '{name}'$"):
+            oracle.sum_values(world, name, inst.member_ids(), year)
 
 
 def test_sum_missing_measure_names_the_gap(missing):
@@ -275,7 +294,7 @@ def test_sum_additive_over_disjoint_split(seed):
     right = Instantiation(inst.source, inst.at, frozenset(members[k:]))
     try:
         total = aggregate_sum(world, "m0", inst)
-    except MissingMeasure:
+    except (MissingMeasure, UnknownMeasure):
         return
     assert aggregate_sum(world, "m0", left) + aggregate_sum(world, "m0", right) == total
 

@@ -4,6 +4,7 @@ import json
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,8 +23,10 @@ from conftest import FIXTURES, int_digit_limit, load_world
 from tempcoll import (
     HOLE,
     Collection,
+    Fact,
     TempcollError,
     TimeRef,
+    UnknownMeasure,
     filter_members,
     analyze,
     instantiate,
@@ -82,6 +85,41 @@ def test_check_builds_no_hole_index(capsys, monkeypatch):
     checked, explained = parsed
     assert "_hole_index" not in vars(checked)
     assert "_hole_index" in vars(explained)
+
+
+_FACT_LINE = re.compile(r"fact (\w+)\(([^)]*)\) @ (\*|-?\d+)")
+
+
+@pytest.mark.parametrize("name", ["centuries", "friends", "missing", "origins", "sitin", "youth"])
+def test_no_verdict_makes_a_fact(capsys, monkeypatch, name):
+    # `check` counts the World's fact rows, and the hole index and `ticks`
+    # read them too, so no verdict makes a `Fact`. The facts a later
+    # read makes are those of the file, distinct and in canonical order.
+    parsed = []
+
+    def spy(text, source_name):
+        result = parse_world(text, source_name=source_name)
+        parsed.append(result[0])
+        return result
+
+    monkeypatch.setattr(tempcoll.cli, "parse_world", spy)
+    path, text = _fx(f"{name}.tcw"), (FIXTURES / f"{name}.tcw").read_text(encoding="utf-8")
+    statement = re.search(r"^statement (\S+)", text, re.M)[1]
+    runs = [("check", path), ("explain", path, statement), ("disambiguate", path, statement)]
+    if (FIXTURES / f"{name}.tcq").exists():
+        runs.append(("eval", path, _fx(f"{name}.tcq")))
+    for argv in runs:
+        assert _run(capsys, *argv)[0] != 2
+    facts = {
+        Fact(predicate, args.split(", "), None if at == "*" else int(at))
+        for predicate, args, at in _FACT_LINE.findall(text)
+    }
+    canonical = sorted(facts, key=lambda f: (f.predicate, f.args, f.at is not None, f.at or 0))
+    assert len(parsed) == len(runs)
+    for world in parsed:
+        assert "facts" not in vars(world)
+        assert world.facts == tuple(canonical)
+        assert world.fact_count == len(world.facts)
 
 
 def test_check_malformed_world_exits_2(capsys):
@@ -186,6 +224,44 @@ def test_assert_comparisons_of_mixed_or_ordered_values(tmp_path, capsys):
         f"{script}:3:1: error: comparison needs two numbers or two instantiations",
         "status: error",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "eval sum heigth over Y@1800",
+        "eval sum heigth over Y@2002",
+        "assert sum heigth over Y@1800 = card(Y@1800)",
+        "assert card(Y@2002) < sum heigth over Y@2002",
+    ],
+    ids=["eval-empty", "eval-members", "assert-empty", "assert-members"],
+)
+def test_a_sum_of_an_unrecorded_measure_exits_2(tmp_path, capsys, line, fmt):
+    # `youth.tcw` records no measure: a misspelt name is an error, as an
+    # unknown predicate is, over no member (not 0) or over some (not
+    # undefined).
+    script = tmp_path / "typo.tcq"
+    script.write_text(line + "\n")
+    code, out = _run(capsys, "eval", _fx("youth.tcw"), str(script), "--format", fmt)
+    assert code == 2
+    message = "unknown measure 'heigth'"
+    if fmt == "text":
+        assert out == f"{script}:1:1: error: {message}\nstatus: error\n"
+    else:
+        assert json.loads(out) == {
+            "status": "error",
+            "commands": [],
+            "diagnostics": [
+                {
+                    "severity": "error",
+                    "message": message,
+                    "line": 1,
+                    "column": 1,
+                    "source": str(script),
+                }
+            ],
+        }
 
 
 def test_unknown_collection_in_script_exits_2(tmp_path, capsys):
@@ -315,6 +391,9 @@ _COMPARE = {"<": operator.lt, ">": operator.gt, "=": operator.eq}
 def test_script_values_agree_with_the_oracle(seed):
     # Lenient: undefined exactly when a sum misses a value (or a ratio's
     # whole is empty); strict: also whenever the oracle drops a member.
+    # A sum of a measure the world records for no one is an error line
+    # where the evaluation reaches it: an assert reads its right side only
+    # when its left side is defined.
     rng = random.Random(seed)
     world = random_world(rng)
     lines, exprs = [], []
@@ -340,20 +419,28 @@ def test_script_values_agree_with_the_oracle(seed):
             with redirect_stdout(out):
                 run([*argv, "--policy", policy])
             doc = json.loads(out.getvalue())
-            assert [d for d in doc["diagnostics"] if d["severity"] == "error"] == []
-            assert len(doc["commands"]) == len(exprs)
-            for command, expr in zip(doc["commands"], exprs):
-                if command["kind"] == "eval":
-                    expected = _oracle_value(world, expr[0], policy)
-                    assert _same(_payload_value(command["value"]), expected), command
+            commands, errors = iter(doc["commands"]), {}
+            for line, expr in enumerate(exprs, 1):
+                try:
+                    left = _oracle_value(world, expr[0], policy)
+                    if len(expr) == 3 and left is not _UNDEFINED:
+                        right = _oracle_value(world, expr[2], policy)
+                except UnknownMeasure as e:
+                    errors[line] = str(e)
                     continue
-                left, right = (_oracle_value(world, side, policy) for side in (expr[0], expr[2]))
-                if _UNDEFINED in (left, right):
+                command = next(commands)
+                if command["kind"] == "eval":
+                    assert _same(_payload_value(command["value"]), left), command
+                    continue
+                if left is _UNDEFINED or right is _UNDEFINED:
                     assert command["truth"] == _UNDEFINED, command
                     continue
                 assert _same(_payload_value(command["left"]), left), command
                 assert _same(_payload_value(command["right"]), right), command
                 assert command["truth"] is _COMPARE[expr[1]](left, right), command
+            assert next(commands, None) is None
+            errors_out = [d for d in doc["diagnostics"] if d["severity"] == "error"]
+            assert {d["line"]: d["message"] for d in errors_out} == errors
 
 
 # ---------------------------------------------------------------------------

@@ -529,6 +529,85 @@ def test_built_facts_follow_the_canonical_order_in_any_insertion_order(facts):
     assert list(built) == oracle
 
 
+def _rows_view(world: World) -> tuple:
+    """What the readers of a World's rows answer: its ticks, its fact
+    count, the sorted entries of each hole-index key, and the extension
+    of each key at each tick."""
+    index = {
+        key: ({t: sorted(entries) for t, entries in by_tick.items()}, sorted(always))
+        for key, (by_tick, always) in world._hole_index.items()
+    }
+    extensions = {
+        (key, t): extension(world, *key, t) for key in world._hole_index for t in world.ticks
+    }
+    return world.ticks, world.fact_count, index, extensions
+
+
+def _assert_the_three_worlds_agree(built: World) -> None:
+    # The built World answers from the builder's rows before any `Fact`
+    # exists; a World given its facts, and a pickled copy, from rows
+    # derived from those facts.
+    view = _rows_view(built)
+    assert "facts" not in vars(built)
+    direct = _rebuilt(built, facts=built.facts)
+    copied = pickle.loads(pickle.dumps(built))
+    assert _rows_view(direct) == _rows_view(copied) == view
+    assert view[1] == len(built.facts) == len(set(built.facts))
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_rows_answer_as_the_facts_do_for_generated_worlds(seed, statements):
+    _assert_the_three_worlds_agree(
+        (random_statement_world if statements else random_world)(random.Random(seed))
+    )
+
+
+@given(
+    st.lists(_drawn_fact(), max_size=60).flatmap(
+        lambda facts: st.permutations(facts + facts[::2])
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_rows_answer_as_the_facts_do_in_any_insertion_order(facts):
+    # Two of the names are entities, alive at every drawn tick, so the
+    # hole index holds them; the other two are constants.
+    builder = WorldBuilder()
+    for entity_id in ("a", "ab"):
+        builder.add_entity(entity_id, TimeRef(-(2**71), None))
+    for name, (arity, invariant) in _ORDER_PREDICATES.items():
+        builder.add_predicate(name, arity, invariant)
+    for fact in facts:
+        assert builder.add_fact(*fact) is None
+    _assert_the_three_worlds_agree(builder.build())
+
+
+def test_a_direct_world_keeps_a_fact_given_twice_and_counts_it_once():
+    world = load_world("youth.tcw")
+    fact = world.facts[0]
+    twice = _rebuilt(world, facts=(fact, *world.facts))
+    assert twice.facts == (fact, *world.facts)
+    assert twice.fact_count == world.fact_count == len(world.facts)
+    assert twice != world
+    assert _rows_view(twice) == _rows_view(world)
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_a_fact_added_after_build_changes_nothing_built(read_first):
+    # The World is read only after the builder has moved on, but for
+    # its `facts`, which may be made before or after.
+    builder = _statement_builder()
+    world = builder.build()
+    if read_first:
+        assert world.facts == (Fact("p", ("a",), 2002),)
+    builder.add_fact("p", ("a",), 2003)  # a new bucket
+    builder.add_entity("b", TimeRef(1990, 2030))
+    builder.add_fact("p", ("b",), 2002)  # a bucket the World has
+    unchanged = _statement_builder().build()
+    assert _rows_view(world) == _rows_view(unchanged)
+    assert world.facts == unchanged.facts == (Fact("p", ("a",), 2002),)
+
+
 def _ticks_world(facts, measures) -> World:
     builder = WorldBuilder()
     builder.add_entity("a", TimeRef(-10, None))
