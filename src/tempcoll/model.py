@@ -380,14 +380,14 @@ def _find(records: Mapping[str, _Record], name: str, error: type[Exception], nou
 class World:
     """An immutable knowledge base; equality and hash are structural.
 
-    A World holds its facts in two forms and makes the one it was not
-    given on its first read. The rows, read by the hole index, `ticks`
-    and `fact_count`, map (predicate, tick or None) to the distinct
-    argument tuples stated there, so no verdict makes a `Fact`. `facts`,
-    read by `render_world`, `facts_for`, equality, hash, ``repr`` and
-    pickling, is a tuple of `Fact`: a built World, given the builder's
-    rows, makes it in the canonical order (see `facts`); a World made
-    directly keeps the facts it was given, duplicates included.
+    A World holds its facts only as rows: a map from (predicate, tick or
+    None) to the distinct argument tuples stated there, read by the hole
+    index, `ticks` and `fact_count`, so no verdict makes a `Fact`. A built
+    World takes the builder's rows; a World made directly folds the facts
+    it is given into rows once, each made through `Fact`, so the order
+    they come in and any repeats are lost. `facts`, read by
+    `render_world`, `facts_for`, equality, hash, ``repr`` and pickling, is
+    made from the rows on its first read.
 
     The mappings are read-only views over private copies, so nothing
     derived from them can go stale. A World is made with two memos, empty
@@ -401,10 +401,10 @@ class World:
     lazy, so a World that answers no query never builds them; the one
     that :func:`tempcoll.core.extension` reads is the hole index, a dict
     keyed (predicate, pattern) that holds each entity as a plain (id,
-    invariant, life-span start, end) entry. Memos, rows and indices live
-    only in the instance's ``__dict__``, outside equality, hash, ``repr``
-    and pickling, so a copy starts with empty memos and no index, and
-    they die with the World. Two threads racing on one memo key both
+    invariant, life-span start, end) entry. Memos and indices live only
+    in the instance's ``__dict__``, outside equality, hash, ``repr`` and
+    pickling, so a copy starts with empty memos and no index, and they
+    die with the World. Two threads racing on one memo key both
     compute and store equal answers, so the race is harmless.
     """
 
@@ -419,14 +419,17 @@ class World:
         collections: Mapping[str, Collection] = MappingProxyType({}),
         statements: Mapping[str, Statement] = MappingProxyType({}),
     ) -> None:
+        rows: dict = {}
+        for fact in map(Fact._make, facts):
+            rows.setdefault((fact.predicate, fact.at), {})[fact.args] = None
         # Assignment raises, so the fields go into `__dict__` directly.
         vars(self).update(
             entities=MappingProxyType(dict(entities)),
             predicates=MappingProxyType(dict(predicates)),
-            facts=tuple(facts),
             measures=MappingProxyType(dict(measures)),
             collections=MappingProxyType(dict(collections)),
             statements=MappingProxyType(dict(statements)),
+            _rows={key: tuple(bucket) for key, bucket in rows.items()},
             # The two memos: see the class docstring.
             _extensions={},
             _instantiations={},
@@ -462,7 +465,7 @@ class World:
 
     @cached_property
     def facts(self) -> tuple[Fact, ...]:
-        """A built World's facts in the canonical order that equality and
+        """The facts in the canonical order that equality and
         :func:`tempcoll.dsl.render_world` rely on: by predicate, then
         arguments, then the `always` fact before the timed ones in tick
         order. The row keys are sorted, each predicate's rows joined in
@@ -476,13 +479,6 @@ class World:
             facts += run
         return tuple(facts)
 
-    @cached_property
-    def _rows(self) -> dict[tuple[str, int | None], tuple[tuple[str, ...], ...]]:
-        rows: dict = {}
-        for predicate, args, at in self.facts:
-            rows.setdefault((predicate, at), {})[args] = None
-        return {key: tuple(bucket) for key, bucket in rows.items()}
-
     @property
     def fact_count(self) -> int:
         """The number of distinct facts, read from the rows."""
@@ -490,10 +486,7 @@ class World:
 
     @cached_property
     def _facts_by_predicate(self) -> dict[str, tuple[Fact, ...]]:
-        index: dict[str, list[Fact]] = {}
-        for f in self.facts:
-            index.setdefault(f.predicate, []).append(f)
-        return {name: tuple(fs) for name, fs in index.items()}
+        return {name: tuple(fs) for name, fs in groupby(self.facts, itemgetter(0))}
 
     def facts_for(self, predicate: str) -> tuple[Fact, ...]:
         return self._facts_by_predicate.get(predicate, ())
@@ -724,8 +717,6 @@ class WorldBuilder:
             collections=self._collections,
             statements=self._statements,
         )
-        # The World starts from a copy of the rows, and makes `facts` from
-        # them on its first read.
+        # The World takes a copy of the builder's rows in place of facts.
         vars(world)["_rows"] = {key: tuple(bucket) for key, bucket in self._facts.items()}
-        del vars(world)["facts"]
         return world

@@ -263,6 +263,9 @@ def test_a_span_that_is_not_a_timeref_is_refused(declare, message):
 
 
 _WORLD_FIELDS = ("entities", "predicates", "facts", "measures", "collections", "statements")
+FIXTURE_WORLDS = (
+    "youth.tcw", "friends.tcw", "sitin.tcw", "centuries.tcw", "origins.tcw", "missing.tcw"
+)
 
 
 def _rebuilt(world: World, **changes) -> World:
@@ -543,33 +546,52 @@ def _rows_view(world: World) -> tuple:
     return world.ticks, world.fact_count, index, extensions
 
 
-def _assert_the_three_worlds_agree(built: World) -> None:
+def _assert_the_three_worlds_agree(built: World, rng: random.Random) -> None:
     # The built World answers from the builder's rows before any `Fact`
-    # exists; a World given its facts, and a pickled copy, from rows
-    # derived from those facts.
+    # exists; a World given its facts shuffled, some of them twice, and a
+    # pickled copy, given them in canonical order, from rows folded from
+    # those facts.
     view = _rows_view(built)
     assert "facts" not in vars(built)
-    direct = _rebuilt(built, facts=built.facts)
+    facts = built.facts
+    shuffled = [*facts, *facts[::3]]
+    rng.shuffle(shuffled)
+    direct = _rebuilt(built, facts=shuffled)
     copied = pickle.loads(pickle.dumps(built))
     assert _rows_view(direct) == _rows_view(copied) == view
-    assert view[1] == len(built.facts) == len(set(built.facts))
+    assert view[1] == direct.fact_count == len(facts) == len(set(facts))
+    # A World is its set of facts: the direct one is the built one.
+    assert direct == built and hash(direct) == hash(built)
+    text = render_world(direct)
+    assert text == render_world(built)
+    # A generated world may time a fact outside an entity's life span,
+    # which parses back with a warning, never an error.
+    reparsed, diagnostics = parse_world(text)
+    assert reparsed == built
+    assert all(d.severity == "warning" for d in diagnostics)
 
 
-@given(st.integers(0, 10**9), st.booleans())
+@pytest.mark.parametrize("name", FIXTURE_WORLDS)
+def test_rows_answer_as_the_facts_do_for_fixture_worlds(name):
+    _assert_the_three_worlds_agree(load_world(name), random.Random(name))
+
+
+@given(st.integers(0, 10**9), st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_rows_answer_as_the_facts_do_for_generated_worlds(seed, statements):
+def test_rows_answer_as_the_facts_do_for_generated_worlds(seed, statements, rng):
     _assert_the_three_worlds_agree(
-        (random_statement_world if statements else random_world)(random.Random(seed))
+        (random_statement_world if statements else random_world)(random.Random(seed)), rng
     )
 
 
 @given(
     st.lists(_drawn_fact(), max_size=60).flatmap(
         lambda facts: st.permutations(facts + facts[::2])
-    )
+    ),
+    st.randoms(use_true_random=False),
 )
 @settings(max_examples=100, deadline=None)
-def test_rows_answer_as_the_facts_do_in_any_insertion_order(facts):
+def test_rows_answer_as_the_facts_do_in_any_insertion_order(facts, rng):
     # Two of the names are entities, alive at every drawn tick, so the
     # hole index holds them; the other two are constants.
     builder = WorldBuilder()
@@ -579,17 +601,38 @@ def test_rows_answer_as_the_facts_do_in_any_insertion_order(facts):
         builder.add_predicate(name, arity, invariant)
     for fact in facts:
         assert builder.add_fact(*fact) is None
-    _assert_the_three_worlds_agree(builder.build())
+    _assert_the_three_worlds_agree(builder.build(), rng)
 
 
-def test_a_direct_world_keeps_a_fact_given_twice_and_counts_it_once():
+def test_a_direct_world_collapses_a_fact_given_twice():
     world = load_world("youth.tcw")
     fact = world.facts[0]
     twice = _rebuilt(world, facts=(fact, *world.facts))
-    assert twice.facts == (fact, *world.facts)
+    assert twice.facts == world.facts
     assert twice.fact_count == world.fact_count == len(world.facts)
-    assert twice != world
+    assert twice == world and hash(twice) == hash(world)
     assert _rows_view(twice) == _rows_view(world)
+
+
+def test_a_direct_world_makes_each_fact_as_fact_does():
+    # A list, for the fact or its arguments, is read as `Fact` reads it.
+    assert World(facts=[["p", ["a"], 2]]) == World(facts=(Fact("p", ("a",), 2),))
+    with pytest.raises(TypeError, match="^a tick is an int, got 2.0$"):
+        World(facts=[("p", ("a",), 2.0)])
+
+
+@pytest.mark.parametrize("name", FIXTURE_WORLDS)
+@pytest.mark.parametrize("made", ["built", "direct"])
+def test_facts_for_is_the_facts_of_one_predicate(name, made):
+    # `facts_for` groups the canonical facts; a predicate with no fact,
+    # or a name that is not a predicate, has none.
+    world = load_world(name)
+    if made == "direct":
+        world = _rebuilt(world, facts=world.facts[::-1])
+    for predicate in world.predicates:
+        expected = tuple(f for f in world.facts if f.predicate == predicate)
+        assert world.facts_for(predicate) == expected
+    assert world.facts_for("no such predicate") == ()
 
 
 @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
@@ -664,7 +707,7 @@ def test_world_pickles_and_deep_copies_without_its_lazy_state(copy_world):
     assert world._extensions and world._instantiations
     twin = copy_world(world)
     assert twin == world and hash(twin) == hash(world)
-    assert set(vars(twin)) == {*_WORLD_FIELDS, "_extensions", "_instantiations"}
+    assert set(vars(twin)) == {*_WORLD_FIELDS, "_rows", "_extensions", "_instantiations"}
     assert twin._extensions == {} and twin._instantiations == {}
     assert [extension(twin, *query) for query in queries] == answers
     assert [instantiate(twin, *key) for key in realizations] == instances
